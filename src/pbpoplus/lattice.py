@@ -3,9 +3,10 @@
 A :class:`LabelLattice` is given explicitly by its element set and order
 relation; the constructor closes the relation reflexively and transitively.
 Joins and meets are computed by scanning candidate bounds, so no
-distributivity or modularity is assumed.  All lattices used for rewriting
-are finite, which keeps exhaustive axiom checking feasible
-(:func:`validate_lattice`).
+distributivity or modularity is assumed.  Each result is memoised on the
+lattice instance per label tuple; failed queries are never cached and
+raise afresh every time.  All lattices used for rewriting are finite,
+which keeps exhaustive axiom checking feasible (:func:`validate_lattice`).
 
 Two ready-made lattices are provided: the one-point lattice used for
 plain (unlabeled) graph rewriting, and the BDD label lattice over a set of
@@ -86,15 +87,40 @@ class LabelLattice:
         if label not in self.elements:
             raise UnknownLabelError(f"label {label!r} is not in the lattice")
 
+    @cached_property
+    def _joins(self) -> dict[tuple[str, ...], str]:
+        return {}
+
+    @cached_property
+    def _meets(self) -> dict[tuple[str, ...], str]:
+        return {}
+
     def leq(self, a: str, b: str) -> bool:
         """True iff ``a`` is below or equal to ``b``."""
+        up = self._above.get(a)
+        if up is not None and b in up:
+            return True
         self._check_member(a)
         self._check_member(b)
-        return b in self._above[a]
+        return False
 
     def join(self, labels: Iterable[str]) -> str:
         """Least upper bound of ``labels``; the bottom element for no labels."""
-        items = list(labels)
+        key = tuple(labels)
+        result = self._joins.get(key)
+        if result is None:
+            result = self._joins[key] = self._scan_join(key)
+        return result
+
+    def meet(self, labels: Iterable[str]) -> str:
+        """Greatest lower bound of ``labels``; the top element for no labels."""
+        key = tuple(labels)
+        result = self._meets.get(key)
+        if result is None:
+            result = self._meets[key] = self._scan_meet(key)
+        return result
+
+    def _scan_join(self, items: tuple[str, ...]) -> str:
         for x in items:
             self._check_member(x)
         if not items:
@@ -108,9 +134,7 @@ class LabelLattice:
             raise LatticeError(f"no unique supremum for {sorted(items)}")
         return least[0]
 
-    def meet(self, labels: Iterable[str]) -> str:
-        """Greatest lower bound of ``labels``; the top element for no labels."""
-        items = list(labels)
+    def _scan_meet(self, items: tuple[str, ...]) -> str:
         for x in items:
             self._check_member(x)
         if not items:

@@ -2,8 +2,11 @@
 
 The pullback of a cospan is the fibered product computed independently on
 nodes and edges: all pairs ``(x, y)`` whose images in the shared target
-coincide, labeled with the meet of the component labels.  Constructed ids
-render the pair as ``"x|y"``.
+coincide, labeled with the meet of the component labels.  It is a hash
+join: the right foot is grouped by image, so the cost is linear in the
+feet plus the output.  Constructed ids render the pair as ``"x|y"``; ids
+that themselves contain ``|`` can render two pairs alike, which raises
+:class:`~pbpoplus.errors.SquareError` rather than dropping an element.
 
 The pushout of a span is the disjoint union of the two feet quotiented by
 the equivalence generated by identifying the two images of each apex
@@ -81,19 +84,28 @@ def pullback(c: Cospan) -> LimitResult:
     lat = B.lattice
     meet = lat.meet
 
+    # Fibres of C keep id order, so pairs are made in (B id, C id) order.
+    c_by_node: dict[str, list[str]] = {}
+    for cn in C.sorted_nodes:
+        c_by_node.setdefault(g.node_map[cn], []).append(cn)
+    c_by_edge: dict[str, list[str]] = {}
+    for ec in C.sorted_edges:
+        c_by_edge.setdefault(g.edge_map[ec], []).append(ec)
+
     node_naming: dict[str, tuple] = {}
     node_labels: dict[str, str] = {}
     left_nodes: dict[str, str] = {}
     right_nodes: dict[str, str] = {}
     for b in B.sorted_nodes:
-        fb = f.node_map[b]
-        for cn in C.sorted_nodes:
-            if g.node_map[cn] == fb:
-                nid = pair_id(b, cn)
-                node_naming[nid] = (b, cn)
-                node_labels[nid] = meet([B.node_labels[b], C.node_labels[cn]])
-                left_nodes[nid] = b
-                right_nodes[nid] = cn
+        for cn in c_by_node.get(f.node_map[b], ()):
+            nid = pair_id(b, cn)
+            if nid in node_naming:
+                raise SquareError(f"id-collision: pairs {node_naming[nid]} and "
+                                  f"{(b, cn)} both render as node {nid!r}")
+            node_naming[nid] = (b, cn)
+            node_labels[nid] = meet([B.node_labels[b], C.node_labels[cn]])
+            left_nodes[nid] = b
+            right_nodes[nid] = cn
 
     edge_naming: dict[str, tuple] = {}
     edge_labels: dict[str, str] = {}
@@ -102,16 +114,17 @@ def pullback(c: Cospan) -> LimitResult:
     left_edges: dict[str, str] = {}
     right_edges: dict[str, str] = {}
     for eb in B.sorted_edges:
-        feb = f.edge_map[eb]
-        for ec in C.sorted_edges:
-            if g.edge_map[ec] == feb:
-                eid = pair_id(eb, ec)
-                edge_naming[eid] = (eb, ec)
-                edge_labels[eid] = meet([B.edge_labels[eb], C.edge_labels[ec]])
-                src[eid] = pair_id(B.src[eb], C.src[ec])
-                tgt[eid] = pair_id(B.tgt[eb], C.tgt[ec])
-                left_edges[eid] = eb
-                right_edges[eid] = ec
+        for ec in c_by_edge.get(f.edge_map[eb], ()):
+            eid = pair_id(eb, ec)
+            if eid in edge_naming:
+                raise SquareError(f"id-collision: pairs {edge_naming[eid]} and "
+                                  f"{(eb, ec)} both render as edge {eid!r}")
+            edge_naming[eid] = (eb, ec)
+            edge_labels[eid] = meet([B.edge_labels[eb], C.edge_labels[ec]])
+            src[eid] = pair_id(B.src[eb], C.src[ec])
+            tgt[eid] = pair_id(B.tgt[eb], C.tgt[ec])
+            left_edges[eid] = eb
+            right_edges[eid] = ec
 
     obj = LabeledGraph(
         lattice=lat,

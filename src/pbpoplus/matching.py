@@ -12,12 +12,20 @@ of the host into the context part of the type graph.  This produces the
 same set as filtering every host-to-type homomorphism through the strong
 match check (the naive route is kept for cross-checking in tests), but
 stays fast when the host has many interchangeable pattern occurrences.
+
+The backtracking search places nodes one at a time.  A node with several
+candidates that is joined by an edge to a node placed earlier is anchored
+on it: only the neighbours of the anchor's image, in the edge's direction,
+are tried, intersected with the node's label-compatible candidates and
+sorted.  Anchoring only skips candidates that could never complete the
+edge, so results and their order are those of the plain search; it is the
+unrooted form of rooted matching in GP 2 (Bak & Plump, 2012).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .errors import LatticeError, MorphismError, RuleError
 from .graph import GraphMorphism, LabeledGraph, compose, identity
@@ -92,6 +100,38 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
     edges = list(dom.sorted_edges)
     incident = dom.incident_edges
 
+    # Anchor: an edge from a node with several candidates to one placed
+    # earlier.  The node's image must then be a neighbour of the anchor's
+    # image, so only those neighbours that are static candidates are tried.
+    anchors: dict[str, tuple[str, bool]] = {}
+    placed: set[str] = set()
+    for n in nodes:
+        if len(candidates[n]) > 1:
+            for e in incident[n]:
+                s, t = dom_src[e], dom_tgt[e]
+                if s in placed:
+                    anchors[n] = (s, True)
+                    break
+                if t in placed:
+                    anchors[n] = (t, False)
+                    break
+        placed.add(n)
+    candidate_sets = {n: frozenset(candidates[n]) for n in anchors}
+    cod_incident = cod.incident_edges
+
+    def node_targets(n: str, nm: dict[str, str]) -> Sequence[str]:
+        anchor = anchors.get(n)
+        if anchor is None:
+            return candidates[n]
+        p, outgoing = anchor
+        image = nm[p]
+        static = candidate_sets[n]
+        if outgoing:
+            near = {cod_tgt[c] for c in cod_incident[image] if cod_src[c] == image}
+        else:
+            near = {cod_src[c] for c in cod_incident[image] if cod_tgt[c] == image}
+        return sorted(near & static)
+
     def assign_edges(i: int, nm: dict[str, str], em: dict[str, str],
                      used_edges: set[str]) -> Iterator[GraphMorphism]:
         if i == len(edges):
@@ -112,7 +152,7 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
             yield from assign_edges(0, nm, {}, set())
             return
         n = nodes[i]
-        for c in candidates[n]:
+        for c in node_targets(n, nm):
             if injective and c in used:
                 continue
             nm[n] = c

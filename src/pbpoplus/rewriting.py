@@ -32,8 +32,8 @@ from .errors import (InternalMediatorError, MorphismError, Report, RuleError,
                      StrongMatchError)
 from .graph import (GraphMorphism, LabeledGraph, compose, identity,
                     validate_morphism)
-from .limits import (Cospan, Span, is_pullback_square, is_pushout_square,
-                     pair_id, pullback, pushout)
+from .limits import (Cospan, Span, _maps_equal, is_pullback_square,
+                     is_pushout_square, pair_id, pullback, pushout)
 from .matching import Match, check_strong_match, iter_matches
 
 
@@ -315,10 +315,6 @@ class RewriteTrace:
     u: GraphMorphism      # K -> G_K
     u_prime: GraphMorphism  # G_K -> K'
     w: GraphMorphism      # R -> G_R
-
-
-def _maps_equal(f: GraphMorphism, g: GraphMorphism) -> bool:
-    return f.node_map == g.node_map and f.edge_map == g.edge_map
 
 
 def verify_trace(trace: RewriteTrace) -> Report:

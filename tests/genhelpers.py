@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 
 from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, LabelLattice,
-                      Match, RhsSpec, Span, bdd_lattice, complete_rule,
-                      compose, identity, preimage, unit_lattice)
+                      LatticeError, Match, RhsSpec, Span, UnknownLabelError,
+                      bdd_lattice, complete_rule, compose, identity, preimage,
+                      unit_lattice)
 
 
 def diamond_lattice() -> LabelLattice:
@@ -448,3 +449,82 @@ def random_truth_table(rng: random.Random, variables: list[str]):
 
     bits = "".join(rng.choice("01") for _ in range(2 ** len(variables)))
     return TruthTable.from_bits(bits, variables)
+
+
+# ------------------------------------------------ reference kernels
+
+
+def reference_join(lat: LabelLattice, labels) -> str:
+    """Least upper bound by a fresh scan of ``lat.order``, with the errors of
+    :meth:`LabelLattice.join`; the reference for its memoised result."""
+    items = list(labels)
+    for x in items:
+        if x not in lat.elements:
+            raise UnknownLabelError(f"label {x!r} is not in the lattice")
+    if not items:
+        if lat.bottom is None:
+            raise LatticeError("join of no labels needs a bottom element")
+        return lat.bottom
+    uppers = [u for u in lat.sorted_elements()
+              if all((x, u) in lat.order for x in items)]
+    least = [u for u in uppers if all((u, v) in lat.order for v in uppers)]
+    if len(least) != 1:
+        raise LatticeError(f"no unique supremum for {sorted(items)}")
+    return least[0]
+
+
+def reference_meet(lat: LabelLattice, labels) -> str:
+    """Greatest lower bound by a fresh scan of ``lat.order``; see
+    :func:`reference_join`."""
+    items = list(labels)
+    for x in items:
+        if x not in lat.elements:
+            raise UnknownLabelError(f"label {x!r} is not in the lattice")
+    if not items:
+        if lat.top is None:
+            raise LatticeError("meet of no labels needs a top element")
+        return lat.top
+    lowers = [l for l in lat.sorted_elements()
+              if all((l, x) in lat.order for x in items)]
+    greatest = [l for l in lowers if all((v, l) in lat.order for v in lowers)]
+    if len(greatest) != 1:
+        raise LatticeError(f"no unique infimum for {sorted(items)}")
+    return greatest[0]
+
+
+def reference_homomorphisms(g: LabeledGraph, h: LabeledGraph,
+                            injective: bool = False) -> list[GraphMorphism]:
+    """Every morphism ``g -> h`` by unpruned backtracking: nodes in id order,
+    each tried against every node of ``h``, then edges in id order.  The
+    output is therefore in lexicographic order of the assignment."""
+    leq = g.lattice.leq
+    nodes, edges = g.sorted_nodes, g.sorted_edges
+    found: list[GraphMorphism] = []
+
+    def place_edges(i: int, nm: dict[str, str], em: dict[str, str]) -> None:
+        if i == len(edges):
+            found.append(GraphMorphism(g, h, dict(nm), dict(em)))
+            return
+        e = edges[i]
+        for c in h.sorted_edges:
+            if (h.src[c] == nm[g.src[e]] and h.tgt[c] == nm[g.tgt[e]]
+                    and leq(g.edge_labels[e], h.edge_labels[c])
+                    and not (injective and c in em.values())):
+                em[e] = c
+                place_edges(i + 1, nm, em)
+                del em[e]
+
+    def place_nodes(i: int, nm: dict[str, str]) -> None:
+        if i == len(nodes):
+            place_edges(0, nm, {})
+            return
+        n = nodes[i]
+        for c in h.sorted_nodes:
+            if (leq(g.node_labels[n], h.node_labels[c])
+                    and not (injective and c in nm.values())):
+                nm[n] = c
+                place_nodes(i + 1, nm)
+                del nm[n]
+
+    place_nodes(0, {})
+    return found

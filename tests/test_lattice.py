@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from pbpoplus import (LabelLattice, LatticeError, UnknownLabelError,
                       bdd_lattice, unit_lattice, validate_lattice)
 
+from genhelpers import reference_join, reference_meet
+
 
 def test_bdd_lattice_shape():
     lat = bdd_lattice(["p", "q"])
@@ -126,3 +128,45 @@ def test_join_meet_idempotent_commutative_associative():
     for a, b, c in itertools.islice(itertools.product(elems, repeat=3), 0, None, 7):
         assert lat.join([lat.join([a, b]), c]) == lat.join([a, b, c])
         assert lat.meet([lat.meet([a, b]), c]) == lat.meet([a, b, c])
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type of the exception it raised."""
+    try:
+        return ("ok", fn(*args))
+    except (LatticeError, UnknownLabelError) as exc:
+        return ("raised", type(exc))
+
+
+@st.composite
+def small_posets(draw):
+    """Up to five elements under a random relation: many are not lattices,
+    and cycles make some not even antisymmetric."""
+    elems = [f"e{i}" for i in range(draw(st.integers(min_value=1, max_value=5)))]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(elems), st.sampled_from(elems)),
+                          max_size=8))
+    top = draw(st.none() | st.sampled_from(elems))
+    bottom = draw(st.none() | st.sampled_from(elems))
+    return LabelLattice.from_order(elems, pairs, top=top, bottom=bottom)
+
+
+@given(small_posets())
+@settings(max_examples=150, deadline=None)
+def test_cached_bounds_match_scan_on_small_posets(lat):
+    elems = lat.sorted_elements()
+    queries = [subset for k in range(len(elems) + 1)
+               for subset in itertools.combinations(elems, k)]
+    queries += [("nope",), (elems[0], "nope")]
+    for _ in range(2):  # the first pass fills the cache, the second hits it
+        for q in queries:
+            assert outcome(lat.join, q) == outcome(reference_join, lat, q)
+            assert outcome(lat.meet, q) == outcome(reference_meet, lat, q)
+
+
+def test_cached_bounds_match_scan_on_bdd_lattice():
+    lat = bdd_lattice([f"v{i}" for i in range(16)])
+    pairs = list(itertools.product(lat.sorted_elements(), repeat=2))
+    for _ in range(2):
+        for pair in pairs:
+            assert lat.join(pair) == reference_join(lat, pair)
+            assert lat.meet(pair) == reference_meet(lat, pair)

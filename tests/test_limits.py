@@ -159,6 +159,17 @@ def test_pullback_pair_naming(unit):
     assert pb.node_naming["x|y"] == ("x", "y")
 
 
+def test_pullback_rejects_colliding_pair_ids(unit):
+    # ("a|b", "c") and ("a", "b|c") both render as "a|b|c"; four pairs
+    # exist, so a three-node result would be wrong.
+    d = LabeledGraph.build(unit, {"t": "*"})
+    b = LabeledGraph.build(unit, {"a|b": "*", "a": "*"})
+    c = LabeledGraph.build(unit, {"c": "*", "b|c": "*"})
+    with pytest.raises(SquareError, match="id-collision"):
+        pullback(Cospan(GraphMorphism(b, d, {"a|b": "t", "a": "t"}, {}),
+                        GraphMorphism(c, d, {"c": "t", "b|c": "t"}, {})))
+
+
 # ------------------------------------------------------------ preimage
 
 

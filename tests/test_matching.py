@@ -3,12 +3,16 @@ import random
 import pytest
 
 from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, MorphismError,
-                      Span, check_strong_match, compose,
+                      Span, build_decision_tree, check_strong_match, compose,
                       enumerate_homomorphisms, find_matches, identity,
-                      is_pullback_square, naive_find_matches, unit_lattice,
-                      validate_morphism, verify_match_square)
+                      is_pullback_square, naive_find_matches, reduce_bdd,
+                      reduction_rules, unit_lattice, validate_morphism,
+                      verify_match_square)
+from pbpoplus.matching import _hom_search
 
-from genhelpers import random_graph, random_host_with_match, random_rule
+from genhelpers import (corpus_lattices, random_graph, random_host_with_match,
+                        random_rule, random_truth_table,
+                        reference_homomorphisms)
 
 
 def two_color_type(unit):
@@ -202,3 +206,41 @@ def test_one_point_identity_typing_degenerates_to_iso_search(unit):
     bigger = LabeledGraph.build(unit, {"p": "*", "q": "*", "r": "*"},
                                 {"e": ("p", "q", "*")})
     assert find_matches(rule, bigger) == []
+
+
+def assignments(morphisms):
+    return [(f.node_map, f.edge_map) for f in morphisms]
+
+
+def test_hom_search_agrees_with_unanchored_reference():
+    rng = random.Random(31)
+    lattices = corpus_lattices()
+    found = 0
+    for i in range(600):
+        lat = lattices[i % len(lattices)]
+        g = random_graph(rng, lat, max_nodes=4, max_edges=5, prefix="g")
+        h = random_graph(rng, lat, max_nodes=5, max_edges=9, prefix="h")
+        for injective in (False, True):
+            expected = assignments(reference_homomorphisms(g, h, injective))
+            assert assignments(enumerate_homomorphisms(g, h, injective)) == expected
+            # The lexicographic search must produce that order unsorted.
+            assert assignments(_hom_search(g, h, injective, lex=True)) == expected
+            found += len(expected)
+    assert found > 1000
+
+
+def test_find_matches_agrees_with_naive_on_bdd_hosts():
+    rng = random.Random(41)
+    variables = ["p", "q", "r"]
+    found = 0
+    for _ in range(3):
+        tree = build_decision_tree(random_truth_table(rng, variables))
+        _, result = reduce_bdd(tree)
+        # Two thirds in, where the exponential naive route stays affordable.
+        host = result.traces[2 * len(result.traces) // 3].g_in
+        for rule in reduction_rules(variables, tree.graph.lattice):
+            fast = find_matches(rule, host, check_rule=False)
+            slow = naive_find_matches(rule, host)
+            assert [m.sort_key() for m in fast] == [m.sort_key() for m in slow]
+            found += len(fast)
+    assert found > 0
