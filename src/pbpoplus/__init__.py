@@ -27,7 +27,7 @@ from .limits import (Cospan, LimitResult, PreimageResult, Span,
                      is_pushout_square, preimage, pullback,
                      pullback_mediators, pushout, pushout_mediators)
 from .matching import (Match, check_strong_match, enumerate_homomorphisms,
-                       find_matches, naive_find_matches, verify_match_square)
+                       find_matches, verify_match_square)
 from .rewriting import (NormalizeResult, PbpoRule, RewriteTrace, RhsSpec,
                         ToyPbRule, ToyPbTrace, ToyPoRule, ToyPoTrace,
                         complete_rule, normalize, pbpo_step, toypb_step,

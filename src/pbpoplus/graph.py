@@ -133,6 +133,11 @@ class GraphMorphism:
     def edge_image(self) -> frozenset[str]:
         return frozenset(self.edge_map.values())
 
+    @cached_property
+    def _report(self) -> Report:
+        """:func:`validate_morphism`, kept: morphisms are values."""
+        return validate_morphism(self)
+
 
 def identity(g: LabeledGraph) -> GraphMorphism:
     return GraphMorphism(g, g, {n: n for n in g.nodes}, {e: e for e in g.edges})
@@ -222,6 +227,14 @@ def validate_morphism(f: GraphMorphism) -> Report:
     if extra_edges:
         report.add("bad-domain", f"map defined on foreign edges {sorted(extra_edges)}")
     return report
+
+
+def _require_valid(error: type[Exception], code: str,
+                   *named: tuple[str, GraphMorphism]) -> None:
+    """Raise ``error`` for the first of the named morphisms that is invalid."""
+    for name, f in named:
+        if not f._report.ok:
+            raise error(f"{code}: morphism {name} is invalid: {f._report}")
 
 
 def _node_signature(g: LabeledGraph, n: str) -> tuple:

@@ -17,17 +17,20 @@ for the right), which keeps results deterministic and traceable.
 ``is_pullback_square``/``is_pushout_square`` decide the universal property
 by building the canonical limit and checking that the forced mediating
 morphism to (or from) the given corner is an isomorphism.  The exhaustive
-mediator enumeration used by the verification suite is available through
-:func:`enumerate_mediators`.
+mediator enumeration :func:`enumerate_mediators` runs on the homomorphism
+search of :mod:`~pbpoplus.matching`, its equations narrowing candidates.
+Every function here raises :class:`~pbpoplus.errors.SquareError` naming an
+invalid morphism it is given; each morphism is validated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .errors import MorphismError, NonCommutingSquareError, SquareError
-from .graph import GraphMorphism, LabeledGraph, compose, validate_morphism
+from .graph import GraphMorphism, LabeledGraph, _require_valid, compose
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,6 @@ class LimitResult:
     edge_naming: dict[str, tuple]
 
 
-def _require_valid(kind: str, f: GraphMorphism, name: str) -> None:
-    report = validate_morphism(f)
-    if not report.ok:
-        raise SquareError(f"invalid-{kind}: morphism {name} is invalid: {report}")
-
-
 def pair_id(x: str, y: str) -> str:
     return f"{x}|{y}"
 
@@ -78,8 +75,7 @@ def pair_id(x: str, y: str) -> str:
 def pullback(c: Cospan) -> LimitResult:
     """Fibered product of the cospan, with projection legs."""
     f, g = c.left, c.right
-    _require_valid("cospan", f, "left")
-    _require_valid("cospan", g, "right")
+    _require_valid(SquareError, "invalid-cospan", ("left", f), ("right", g))
     B, C = f.dom, g.dom
     lat = B.lattice
     meet = lat.meet
@@ -181,8 +177,7 @@ def _rendered(member: tuple[str, str]) -> str:
 def pushout(s: Span) -> LimitResult:
     """Quotient of the disjoint union of the feet along the shared apex."""
     f, g = s.left, s.right
-    _require_valid("span", f, "left")
-    _require_valid("span", g, "right")
+    _require_valid(SquareError, "invalid-span", ("left", f), ("right", g))
     A = f.dom
     B, C = f.cod, g.cod
     lat = B.lattice
@@ -288,15 +283,28 @@ def _maps_equal(f: GraphMorphism, g: GraphMorphism) -> bool:
     return f.node_map == g.node_map and f.edge_map == g.edge_map
 
 
+def _is_exact_bijection(x: LabeledGraph, y: LabeledGraph, node_map: dict[str, str],
+                        edge_map: dict[str, str]) -> bool:
+    """Whether maps defined on all of ``x`` are a bijection onto ``y`` that
+    keeps every label."""
+    return (len(x.nodes) == len(y.nodes) == len(set(node_map.values()))
+            and len(x.edges) == len(y.edges) == len(set(edge_map.values()))
+            and all(x.node_labels[a] == y.node_labels[b] for a, b in node_map.items())
+            and all(x.edge_labels[a] == y.edge_labels[b] for a, b in edge_map.items()))
+
+
 def is_pullback_square(c: Cospan, s: Span) -> bool:
     """Whether the span closes the cospan as a genuine pullback square.
 
     The span supplies the candidate corner and its two legs ``(A -> B,
-    A -> C)``; the cospan is ``(B -> D, C -> D)``.  Raises on a
-    non-commuting square, which is distinct from a negative answer.
+    A -> C)``; the cospan is ``(B -> D, C -> D)``.  Raises on an invalid
+    leg and on a non-commuting square, which is distinct from a negative
+    answer.
     """
     p, q = s.left, s.right
     f, g = c.left, c.right
+    _require_valid(SquareError, "invalid-square", ("span.left", p), ("span.right", q),
+                   ("cospan.left", f), ("cospan.right", g))
     if p.cod != f.dom or q.cod != g.dom:
         raise SquareError("square legs do not line up with the cospan")
     if not _maps_equal(compose(p, f), compose(q, g)):
@@ -305,31 +313,21 @@ def is_pullback_square(c: Cospan, s: Span) -> bool:
     pair_index = {v: k for k, v in canon.node_naming.items()}
     pair_eindex = {v: k for k, v in canon.edge_naming.items()}
     A = p.dom
-    node_map = {}
-    for a in A.nodes:
-        node_map[a] = pair_index[(p.node_map[a], q.node_map[a])]
-    edge_map = {}
-    for e in A.edges:
-        edge_map[e] = pair_eindex[(p.edge_map[e], q.edge_map[e])]
+    node_map = {a: pair_index[(p.node_map[a], q.node_map[a])] for a in A.nodes}
+    edge_map = {e: pair_eindex[(p.edge_map[e], q.edge_map[e])] for e in A.edges}
     # The forced mediator is always label-compatible; the corner is a
     # pullback exactly when it is bijective and label-exact.
-    if len(set(node_map.values())) != len(canon.object.nodes) or len(node_map) != len(A.nodes):
-        return False
-    if len(set(edge_map.values())) != len(canon.object.edges) or len(edge_map) != len(A.edges):
-        return False
-    for a, img in node_map.items():
-        if A.node_labels[a] != canon.object.node_labels[img]:
-            return False
-    for e, img in edge_map.items():
-        if A.edge_labels[e] != canon.object.edge_labels[img]:
-            return False
-    return True
+    return _is_exact_bijection(A, canon.object, node_map, edge_map)
 
 
 def is_pushout_square(s: Span, c: Cospan) -> bool:
-    """Whether the cospan closes the span as a genuine pushout square."""
+    """Whether the cospan closes the span as a genuine pushout square.
+
+    Raises on an invalid leg and on a non-commuting square."""
     f, g = s.left, s.right
     p, q = c.left, c.right
+    _require_valid(SquareError, "invalid-square", ("span.left", f), ("span.right", g),
+                   ("cospan.left", p), ("cospan.right", q))
     if f.cod != p.dom or g.cod != q.dom:
         raise SquareError("square legs do not line up with the span")
     if not _maps_equal(compose(f, p), compose(g, q)):
@@ -337,39 +335,16 @@ def is_pushout_square(s: Span, c: Cospan) -> bool:
     canon = pushout(s)
     D = p.cod
 
-    def forced_image(members: tuple, for_edges: bool) -> Optional[str]:
-        value: Optional[str] = None
-        for side, ident in members:
-            leg = p if side == "0" else q
-            img = (leg.edge_map if for_edges else leg.node_map)[ident]
-            if value is None:
-                value = img
-            elif value != img:
-                return None
-        return value
+    def forced_image(members: tuple, maps: dict[str, dict[str, str]]) -> str:
+        images = {maps[side][ident] for side, ident in members}
+        assert len(images) == 1, "commuting cospan disagrees on a pushout class"
+        return images.pop()
 
-    node_map = {}
-    for rep, members in canon.node_naming.items():
-        img = forced_image(members, for_edges=False)
-        assert img is not None, "commuting cospan disagrees on a pushout class"
-        node_map[rep] = img
-    edge_map = {}
-    for rep, members in canon.edge_naming.items():
-        img = forced_image(members, for_edges=True)
-        assert img is not None, "commuting cospan disagrees on a pushout class"
-        edge_map[rep] = img
-
-    if len(set(node_map.values())) != len(D.nodes) or len(node_map) != len(D.nodes):
-        return False
-    if len(set(edge_map.values())) != len(D.edges) or len(edge_map) != len(D.edges):
-        return False
-    for rep, img in node_map.items():
-        if canon.object.node_labels[rep] != D.node_labels[img]:
-            return False
-    for rep, img in edge_map.items():
-        if canon.object.edge_labels[rep] != D.edge_labels[img]:
-            return False
-    return True
+    node_maps = {"0": p.node_map, "1": q.node_map}
+    edge_maps = {"0": p.edge_map, "1": q.edge_map}
+    node_map = {rep: forced_image(ms, node_maps) for rep, ms in canon.node_naming.items()}
+    edge_map = {rep: forced_image(ms, edge_maps) for rep, ms in canon.edge_naming.items()}
+    return _is_exact_bijection(canon.object, D, node_map, edge_map)
 
 
 def enumerate_mediators(dom: LabeledGraph,
@@ -382,95 +357,40 @@ def enumerate_mediators(dom: LabeledGraph,
     ``pre`` entries ``(p, q)`` require ``x . p = q`` (with ``p`` into
     ``dom``); ``post`` entries ``(p, q)`` require ``p . x = q`` (with ``p``
     out of ``cod``).  Used by the verification suite to confirm existence
-    and uniqueness of mediating morphisms; the equations prune the search
-    without sacrificing exhaustiveness.
+    and uniqueness of mediating morphisms.  A pre-equation pins ``x(p(a))``
+    to ``q(a)``, a post-equation confines ``x(y)`` to the fibre of ``p``
+    over ``q(y)``; the shared homomorphism search then yields the first
+    ``limit`` mediators in lexicographic order of their assignment.
     """
-    leq = dom.lattice.leq
-    forced_nodes: dict[str, str] = {}
-    forced_edges: dict[str, str] = {}
+    from .matching import _hom_search
+
+    for kind, equations in (("pre", pre), ("post", post)):
+        for i, (p_m, q_m) in enumerate(equations):
+            _require_valid(SquareError, "invalid-equation",
+                           (f"{kind}[{i}].p", p_m), (f"{kind}[{i}].q", q_m))
+    if not (all(p.cod == dom and q.dom == p.dom for p, q in pre)
+            and all(p.dom == cod and q.dom == dom for p, q in post)):
+        raise SquareError("invalid-equation: an equation is not attached to dom and cod")
+    node_pools: dict[str, frozenset[str]] = {}
+    edge_pools: dict[str, frozenset[str]] = {}
     for p_m, q_m in pre:
-        for a in p_m.dom.nodes:
-            key, val = p_m.node_map[a], q_m.node_map[a]
-            if forced_nodes.setdefault(key, val) != val:
-                return []
-        for e in p_m.dom.edges:
-            key, val = p_m.edge_map[e], q_m.edge_map[e]
-            if forced_edges.setdefault(key, val) != val:
-                return []
-
-    def node_candidates(n: str) -> list[str]:
-        if n in forced_nodes:
-            cands = [forced_nodes[n]]
-        else:
-            cands = list(cod.sorted_nodes)
-        out = []
-        for c in cands:
-            if c not in cod.nodes:
-                return []
-            if not leq(dom.node_labels[n], cod.node_labels[c]):
-                continue
-            if any(p_m.node_map[c] != q_m.node_map[n] for p_m, q_m in post):
-                continue
-            out.append(c)
-        return out
-
-    def edge_candidates(e: str, node_map: dict[str, str]) -> list[str]:
-        s_img, t_img = node_map[dom.src[e]], node_map[dom.tgt[e]]
-        if e in forced_edges:
-            cands = [forced_edges[e]]
-        else:
-            cands = list(cod.sorted_edges)
-        out = []
-        for c in cands:
-            if c not in cod.edges:
-                return []
-            if cod.src[c] != s_img or cod.tgt[c] != t_img:
-                continue
-            if not leq(dom.edge_labels[e], cod.edge_labels[c]):
-                continue
-            if any(p_m.edge_map[c] != q_m.edge_map[e] for p_m, q_m in post):
-                continue
-            out.append(c)
-        return out
-
-    results: list[GraphMorphism] = []
-    nodes = list(dom.sorted_nodes)
-    edges = list(dom.sorted_edges)
-
-    def assign_edges(i: int, node_map: dict[str, str], edge_map: dict[str, str]) -> bool:
-        if limit is not None and len(results) >= limit:
-            return True
-        if i == len(edges):
-            results.append(GraphMorphism(dom, cod, dict(node_map), dict(edge_map)))
-            return limit is not None and len(results) >= limit
-        e = edges[i]
-        for c in edge_candidates(e, node_map):
-            edge_map[e] = c
-            if assign_edges(i + 1, node_map, edge_map):
-                return True
-            del edge_map[e]
-        return False
-
-    def assign_nodes(i: int, node_map: dict[str, str]) -> bool:
-        if i == len(nodes):
-            return assign_edges(0, node_map, {})
-        n = nodes[i]
-        for c in node_candidates(n):
-            node_map[n] = c
-            # Prune: any edge with both endpoints placed needs a target edge.
-            ok = True
-            for e in edges:
-                if dom.src[e] in node_map and dom.tgt[e] in node_map:
-                    if not edge_candidates(e, node_map):
-                        ok = False
-                        break
-            if ok and assign_nodes(i + 1, node_map):
-                return True
-            del node_map[n]
-        return False
-
-    assign_nodes(0, {})
-    return results
+        for pools, p_map, q_map in ((node_pools, p_m.node_map, q_m.node_map),
+                                    (edge_pools, p_m.edge_map, q_m.edge_map)):
+            for a, key in p_map.items():
+                pinned = frozenset((q_map[a],))
+                if pools.setdefault(key, pinned) != pinned:
+                    return []
+    for p_m, q_m in post:
+        for pools, p_map, q_map in ((node_pools, p_m.node_map, q_m.node_map),
+                                    (edge_pools, p_m.edge_map, q_m.edge_map)):
+            fibres: dict[str, set[str]] = {}
+            for c, img in p_map.items():
+                fibres.setdefault(img, set()).add(c)
+            for y, img in q_map.items():
+                fibre = fibres.get(img, set())
+                pools[y] = pools[y] & fibre if y in pools else frozenset(fibre)
+    found = _hom_search(dom, cod, False, node_pools, edge_pools, lex=True)
+    return list(islice(found, limit))
 
 
 def pushout_mediators(result: LimitResult, candidate: Cospan,

@@ -10,26 +10,31 @@ injective as well.
 injective embeddings of the pattern and then over adherences of the rest
 of the host into the context part of the type graph.  This produces the
 same set as filtering every host-to-type homomorphism through the strong
-match check (the naive route is kept for cross-checking in tests), but
-stays fast when the host has many interchangeable pattern occurrences.
+match check (that naive route lives in the test suite, for
+cross-checking), but stays fast when the host has many interchangeable
+pattern occurrences.
 
-The backtracking search places nodes one at a time.  A node with several
-candidates that is joined by an edge to a node placed earlier is anchored
-on it: only the neighbours of the anchor's image, in the edge's direction,
-are tried, intersected with the node's label-compatible candidates and
-sorted.  Anchoring only skips candidates that could never complete the
-edge, so results and their order are those of the plain search; it is the
-unrooted form of rooted matching in GP 2 (Bak & Plump, 2012).
+One backtracking search serves plain enumeration, adherence extension and
+the mediator enumeration of :mod:`~pbpoplus.limits`; callers confine
+elements through per-element candidate maps.  It places nodes one at a
+time.  A node with several candidates that is joined by an edge to a node
+placed earlier is anchored on it: only the neighbours of the anchor's
+image, in the edge's direction, are tried, intersected with the node's
+label-compatible candidates and sorted.  Anchoring only skips candidates
+that could never complete the edge, so results and their order are those
+of the plain search; it is the unrooted form of rooted matching in GP 2
+(Bak & Plump, 2012).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Sequence
 
-from .errors import LatticeError, MorphismError, RuleError
-from .graph import GraphMorphism, LabeledGraph, compose, identity
-from .limits import Cospan, Span, is_pullback_square, pullback
+from .errors import LatticeError, MorphismError, NonCommutingSquareError
+from .graph import GraphMorphism, LabeledGraph, identity
+from .limits import (Cospan, Span, _is_exact_bijection, is_pullback_square,
+                     pullback)
 
 if TYPE_CHECKING:
     from .rewriting import PbpoRule
@@ -51,45 +56,43 @@ class Match:
 
 
 def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
-                allowed_nodes: Optional[frozenset[str]] = None,
-                allowed_edges: Optional[frozenset[str]] = None,
-                forced_nodes: Optional[dict[str, str]] = None,
-                forced_edges: Optional[dict[str, str]] = None,
+                node_pools: Optional[Mapping[str, Collection[str]]] = None,
+                edge_pools: Optional[Mapping[str, Collection[str]]] = None,
                 lex: bool = False) -> Iterator[GraphMorphism]:
-    """Backtracking core shared by plain enumeration and adherence extension.
+    """Backtracking core shared by plain enumeration, adherence extension
+    and mediator enumeration.
 
-    ``allowed_*`` restrict images of non-forced elements; ``forced_*`` pin
-    images outright.  With ``lex`` the nodes are processed in id order and
-    results come out lexicographically sorted by assignment; otherwise the
+    ``node_pools``/``edge_pools`` map an element of ``dom`` to the elements
+    of ``cod`` its image must come from; an element without an entry may go
+    anywhere.  With ``lex`` the nodes are processed in id order and results
+    come out lexicographically sorted by assignment; otherwise the
     most-constrained node goes first and callers sort.
     """
     above = dom.lattice._above
-    forced_nodes = forced_nodes or {}
-    forced_edges = forced_edges or {}
+    node_pools = node_pools or {}
+    edge_pools = edge_pools or {}
     node_labels, edge_labels = dom.node_labels, dom.edge_labels
     cod_nlab, cod_elab = cod.node_labels, cod.edge_labels
     cod_src, cod_tgt = cod.src, cod.tgt
     dom_src, dom_tgt = dom.src, dom.tgt
+    cod_edges = cod.edges
+
+    # Nodes that share a pool and a label share their candidates.
+    shared: dict[tuple[int, str], tuple[str, ...]] = {}
 
     def base_node_targets(n: str) -> tuple[str, ...]:
-        up = above[node_labels[n]]
-        if n in forced_nodes:
-            cand = forced_nodes[n]
-            return (cand,) if cod_nlab[cand] in up else ()
-        pool = allowed_nodes if allowed_nodes is not None else cod.nodes
-        return tuple(c for c in sorted(pool) if cod_nlab[c] in up)
+        pool = node_pools[n] if n in node_pools else cod.sorted_nodes
+        key = (id(pool), node_labels[n])
+        if key not in shared:
+            up = above[node_labels[n]]
+            shared[key] = tuple(c for c in sorted(pool) if cod_nlab.get(c) in up)
+        return shared[key]
 
     candidates = {n: base_node_targets(n) for n in dom.nodes}
 
     def edge_targets(e: str, nm: dict[str, str]) -> tuple[str, ...]:
         up = above[edge_labels[e]]
-        if e in forced_edges:
-            cand = forced_edges[e]
-            if (cod_src[cand] != nm[dom_src[e]] or cod_tgt[cand] != nm[dom_tgt[e]]
-                    or cod_elab[cand] not in up):
-                return ()
-            return (cand,)
-        pool = allowed_edges if allowed_edges is not None else cod.edges
+        pool = edge_pools[e] if e in edge_pools else cod_edges
         return tuple(c for c in cod.edges_between(nm[dom_src[e]], nm[dom_tgt[e]])
                      if c in pool and cod_elab[c] in up)
 
@@ -202,16 +205,8 @@ def check_strong_match(t_l: GraphMorphism, alpha: GraphMorphism) -> Optional[Mat
     G = alpha.dom
     pb = pullback(Cospan(alpha, t_l))
     proj_g, proj_l = pb.left_leg, pb.right_leg
-    if len(pb.object.nodes) != len(L.nodes) or len(pb.object.edges) != len(L.edges):
+    if not _is_exact_bijection(pb.object, L, proj_l.node_map, proj_l.edge_map):
         return None
-    if not proj_l.is_injective():
-        return None
-    for nid in pb.object.nodes:
-        if pb.object.node_labels[nid] != L.node_labels[proj_l.node_map[nid]]:
-            return None
-    for eid in pb.object.edges:
-        if pb.object.edge_labels[eid] != L.edge_labels[proj_l.edge_map[eid]]:
-            return None
     inv_nodes = {v: k for k, v in proj_l.node_map.items()}
     inv_edges = {v: k for k, v in proj_l.edge_map.items()}
     m = GraphMorphism(
@@ -228,31 +223,27 @@ def _adherences_for(m: GraphMorphism, t_l: GraphMorphism,
     """Adherences compatible with ``m``: the pattern image is pinned onto the
     typed pattern, everything else must land in the context part."""
     l_prime = t_l.cod
-    pattern_nodes = frozenset(t_l.node_map.values())
-    pattern_edges = frozenset(t_l.edge_map.values())
-    context_nodes = l_prime.nodes - pattern_nodes
-    context_edges = l_prime.edges - pattern_edges
-    forced_nodes = {m.node_map[l]: t_l.node_map[l] for l in t_l.dom.nodes}
-    forced_edges = {m.edge_map[e]: t_l.edge_map[e] for e in t_l.dom.edges}
-    yield from _hom_search(
-        g, l_prime, injective=False,
-        allowed_nodes=context_nodes, allowed_edges=context_edges,
-        forced_nodes=forced_nodes, forced_edges=forced_edges, lex=True)
+    node_pools: dict[str, Collection[str]] = dict.fromkeys(
+        g.nodes, l_prime.nodes - t_l.node_image())
+    node_pools.update((m.node_map[l], (t,)) for l, t in t_l.node_map.items())
+    edge_pools: dict[str, Collection[str]] = dict.fromkeys(
+        g.edges, l_prime.edges - t_l.edge_image())
+    edge_pools.update((m.edge_map[e], (t,)) for e, t in t_l.edge_map.items())
+    yield from _hom_search(g, l_prime, False, node_pools, edge_pools, lex=True)
 
 
 def iter_matches(rule: "PbpoRule", g: LabeledGraph,
                  check_rule: bool = True) -> Iterator[Match]:
     """Strong matches in ascending :meth:`Match.sort_key` order, lazily.
 
-    ``check_rule=False`` skips rule validation; drivers that validate the
-    rule set once up front use it to avoid repeating the work per step.
+    ``check_rule=False`` skips the rule check.  The rule's validation
+    report is kept on the rule, so after the first call the check is a
+    lookup either way.
     """
     if check_rule:
-        from .rewriting import validate_rule
+        from .rewriting import _require_valid_rule
 
-        rule_report = validate_rule(rule)
-        if not rule_report.ok:
-            raise RuleError(f"invalid-rule: {rule_report}")
+        _require_valid_rule(rule)
     if g.lattice != rule.L.lattice:
         raise LatticeError("host graph must share the rule lattice")
     for m in _hom_search(rule.L, g, injective=True, lex=True):
@@ -270,24 +261,13 @@ def find_matches(rule: "PbpoRule", g: LabeledGraph,
     return matches
 
 
-def naive_find_matches(rule: "PbpoRule", g: LabeledGraph) -> list[Match]:
-    """Reference implementation: filter every adherence through the strong
-    match check.  Exponential in host size; used to cross-check
-    :func:`find_matches` on small instances."""
-    matches = []
-    for alpha in enumerate_homomorphisms(g, rule.Lp):
-        match = check_strong_match(rule.tL, alpha)
-        if match is not None:
-            matches.append(match)
-    matches.sort(key=Match.sort_key)
-    return matches
-
-
 def verify_match_square(match: Match) -> bool:
-    """Re-check the defining pullback square of a strong match."""
-    square_ok = is_pullback_square(
-        Cospan(match.alpha, match.typing),
-        Span(match.m, identity(match.typing.dom)))
-    commutes = compose(match.m, match.alpha).node_map == match.typing.node_map \
-        and compose(match.m, match.alpha).edge_map == match.typing.edge_map
-    return square_ok and commutes
+    """Whether ``alpha . m = typing`` and that square is a pullback.
+
+    A square that does not commute is a negative answer; invalid or
+    mismatched morphisms raise :class:`~pbpoplus.errors.SquareError`."""
+    try:
+        return is_pullback_square(Cospan(match.alpha, match.typing),
+                                  Span(match.m, identity(match.typing.dom)))
+    except NonCommutingSquareError:
+        return False

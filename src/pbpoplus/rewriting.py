@@ -19,22 +19,28 @@ pattern):
 
 The embedding ``u : K -> G_K`` is uniquely determined by ``tK = u' . u``
 together with the middle square; it is computed in closed form from the
-pullback pair naming and then every defining property is re-checked, so an
-invalid rule or match surfaces as an error rather than a wrong graph.
+pullback pair naming.  :func:`pbpo_step` always checks every property of
+the step exactly once, so an invalid rule or match is an error, never a
+wrong graph.  At entry: the rule, ``m``, ``alpha`` and the match square.
+After the construction, in code shared with :func:`verify_trace`: the
+validity of ``g_L, g_R, u, u', w``, ``u' . u = tK``, ``u`` injective, and
+that the middle (``u`` is the pullback of ``m`` along ``g_L``), deletion
+and addition squares commute and, only then, are limits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .errors import (InternalMediatorError, MorphismError, Report, RuleError,
+from .errors import (InternalMediatorError, MorphismError,
+                     NonCommutingSquareError, Report, RuleError,
                      StrongMatchError)
-from .graph import (GraphMorphism, LabeledGraph, compose, identity,
-                    validate_morphism)
-from .limits import (Cospan, Span, _maps_equal, is_pullback_square,
+from .graph import GraphMorphism, LabeledGraph, _require_valid, compose, identity
+from .limits import (Cospan, Span, _maps_equal, _UnionFind, is_pullback_square,
                      is_pushout_square, pair_id, pullback, pushout)
-from .matching import Match, check_strong_match, iter_matches
+from .matching import Match, iter_matches
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,16 @@ class PbpoRule:
     lp: GraphMorphism  # K' -> L'
     name: str = ""
 
+    @cached_property
+    def _report(self) -> Report:
+        """:func:`validate_rule` of this rule, computed on first use."""
+        return validate_rule(self)
+
+
+def _require_valid_rule(rule: PbpoRule) -> None:
+    if not rule._report.ok:
+        raise RuleError(f"invalid-rule: {rule.name or '?'}: {rule._report}")
+
 
 def validate_rule(rule: PbpoRule) -> Report:
     """Morphism validity, lattice agreement, injective typing, and the left
@@ -133,35 +149,37 @@ def validate_rule(rule: PbpoRule) -> Report:
     for label, g in (("K", rule.K), ("R", rule.R), ("Lp", rule.Lp), ("Kp", rule.Kp)):
         if g.lattice != lat:
             report.add("lattice-mismatch", f"graph {label} uses a different lattice")
-    expected = {
-        "l": (rule.l, rule.K, rule.L),
-        "r": (rule.r, rule.K, rule.R),
-        "tL": (rule.tL, rule.L, rule.Lp),
-        "tK": (rule.tK, rule.K, rule.Kp),
-        "lp": (rule.lp, rule.Kp, rule.Lp),
-    }
-    for name, (f, dom, cod) in expected.items():
+    for name, f, dom, cod in (("l", rule.l, rule.K, rule.L), ("r", rule.r, rule.K, rule.R),
+                              ("tL", rule.tL, rule.L, rule.Lp),
+                              ("tK", rule.tK, rule.K, rule.Kp),
+                              ("lp", rule.lp, rule.Kp, rule.Lp)):
         if f.dom != dom or f.cod != cod:
             report.add("bad-arrangement", f"morphism {name} does not connect its graphs")
-            continue
-        sub = validate_morphism(f)
-        if not sub.ok:
-            report.extend(sub, prefix=f"{name}: ")
+        else:
+            report.extend(f._report, prefix=f"{name}: ")
     if not report.ok:
         return report
     if not rule.tL.is_injective():
         report.add("non-injective-typing", "tL must be injective in this engine")
     if not rule.tK.is_injective():
         report.add("non-injective-typing", "tK must be injective in this engine")
-    left = compose(rule.l, rule.tL)
-    bottom = compose(rule.tK, rule.lp)
-    if left.node_map != bottom.node_map or left.edge_map != bottom.edge_map:
-        report.add("left-square-commutation", "tL . l differs from l' . tK")
-        return report
-    if not is_pullback_square(Cospan(rule.tL, rule.lp), Span(rule.l, rule.tK)):
-        report.add("left-square-pullback",
-                   "the interface is not the full preimage of the typed pattern")
+    _check_square(report, is_pullback_square, Cospan(rule.tL, rule.lp),
+                  Span(rule.l, rule.tK),
+                  ("left-square-commutation", "tL . l differs from l' . tK"),
+                  ("left-square-pullback",
+                   "the interface is not the full preimage of the typed pattern"))
     return report
+
+
+def _check_square(report: Report, is_limit, square_a, square_b,
+                  commutes: tuple[str, str], universal: tuple[str, str]) -> None:
+    """Add ``commutes`` to the report if the square does not commute, else
+    ``universal`` if it lacks its universal property."""
+    try:
+        if not is_limit(square_a, square_b):
+            report.add(*universal)
+    except NonCommutingSquareError:
+        report.add(*commutes)
 
 
 @dataclass(frozen=True)
@@ -180,37 +198,19 @@ class RhsSpec:
 
 def _rhs_from_spec(k: LabeledGraph, spec: RhsSpec) -> tuple[LabeledGraph, GraphMorphism]:
     lat = k.lattice
-    node_class: dict[str, str] = {n: n for n in k.nodes}
 
-    def resolve(x: str) -> str:
-        while node_class[x] != x:
-            x = node_class[x]
-        return x
+    def classes(ids: frozenset[str], groups, kind: str) -> dict[str, str]:
+        # Each class is represented by its smallest id.
+        uf = _UnionFind(ids)
+        for group in groups:
+            for ident in group:
+                if ident not in ids:
+                    raise RuleError(f"r-spec-ill-formed: unknown interface {kind} {ident!r}")
+                uf.union(group[0], ident)
+        return {x: uf.find(x) for x in ids}
 
-    for group in spec.merge_nodes:
-        for ident in group:
-            if ident not in k.nodes:
-                raise RuleError(f"r-spec-ill-formed: unknown interface node {ident!r}")
-        reps = sorted(resolve(x) for x in group)
-        for other in reps[1:]:
-            node_class[other] = reps[0]
-    node_rep = {n: resolve(n) for n in k.nodes}
-
-    edge_class: dict[str, str] = {e: e for e in k.edges}
-
-    def eresolve(x: str) -> str:
-        while edge_class[x] != x:
-            x = edge_class[x]
-        return x
-
-    for group in spec.merge_edges:
-        for ident in group:
-            if ident not in k.edges:
-                raise RuleError(f"r-spec-ill-formed: unknown interface edge {ident!r}")
-        reps = sorted(eresolve(x) for x in group)
-        for other in reps[1:]:
-            edge_class[other] = reps[0]
-    edge_rep = {e: eresolve(e) for e in k.edges}
+    node_rep = classes(k.nodes, spec.merge_nodes, "node")
+    edge_rep = classes(k.edges, spec.merge_edges, "edge")
     for e in k.edges:
         rep = edge_rep[e]
         if (node_rep[k.src[e]] != node_rep[k.src[rep]]
@@ -293,9 +293,7 @@ def complete_rule(l_pattern: LabeledGraph, t_l: GraphMorphism,
     rhs, r = _rhs_from_spec(k, r_spec or RhsSpec())
     rule = PbpoRule(L=l_pattern, K=k, R=rhs, Lp=t_l.cod, Kp=l_prime_map.dom,
                     l=l, r=r, tL=t_l, tK=t_k, lp=l_prime_map, name=name)
-    report = validate_rule(rule)
-    if not report.ok:
-        raise RuleError(f"invalid-rule: {report}")
+    _require_valid_rule(rule)
     return rule
 
 
@@ -317,95 +315,113 @@ class RewriteTrace:
     w: GraphMorphism      # R -> G_R
 
 
-def verify_trace(trace: RewriteTrace) -> Report:
-    """Re-check every defining property of a completed step."""
+def _check_match(report: Report, m: GraphMorphism, alpha: GraphMorphism,
+                 t_l: GraphMorphism) -> None:
+    _check_square(report, is_pullback_square, Cospan(alpha, t_l),
+                  Span(m, identity(t_l.dom)),
+                  ("match-square", "alpha . m differs from tL"),
+                  ("match-square", "the strong-match square is not a pullback"))
+
+
+def _check_step(trace: RewriteTrace) -> Report:
+    """Every property of a step beyond its match, each checked once; the
+    arrangement of the trace and the match are established by the caller."""
     report = Report()
-    for name, mor in (("m", trace.m), ("alpha", trace.alpha), ("g_l", trace.g_l),
-                      ("g_r", trace.g_r), ("u", trace.u),
-                      ("u_prime", trace.u_prime), ("w", trace.w)):
-        sub = validate_morphism(mor)
-        if not sub.ok:
-            report.extend(sub, prefix=f"{name}: ")
+    for name in ("g_l", "g_r", "u", "u_prime", "w"):
+        report.extend(getattr(trace, name)._report, prefix=f"{name}: ")
     if not report.ok:
         return report
     rule = trace.rule
-    if not _maps_equal(compose(trace.m, trace.alpha), rule.tL):
-        report.add("match-square", "alpha . m differs from tL")
     if not _maps_equal(compose(trace.u, trace.u_prime), rule.tK):
         report.add("mediator", "u' . u differs from tK")
-    if not _maps_equal(compose(trace.u, trace.g_l), compose(rule.l, trace.m)):
-        report.add("middle-square", "g_L . u differs from m . l")
-    if not _maps_equal(compose(trace.u, trace.g_r), compose(rule.r, trace.w)):
-        report.add("right-square", "g_R . u differs from w . r")
-    if not _maps_equal(compose(trace.g_l, trace.alpha),
-                       compose(trace.u_prime, rule.lp)):
-        report.add("middle-square", "alpha . g_L differs from l' . u'")
     if not trace.u.is_injective():
         report.add("mediator", "interface embedding u is not injective")
-    if not is_pullback_square(Cospan(trace.alpha, rule.tL),
-                              Span(trace.m, identity(rule.L))):
-        report.add("match-square", "the strong-match square is not a pullback")
-    if not is_pullback_square(Cospan(trace.alpha, rule.lp),
-                              Span(trace.g_l, trace.u_prime)):
-        report.add("middle-square", "the deletion square is not a pullback")
-    if not is_pushout_square(Span(trace.u, rule.r),
-                             Cospan(trace.g_r, trace.w)):
-        report.add("right-square", "the addition square is not a pushout")
+    _check_square(report, is_pullback_square, Cospan(trace.m, trace.g_l),
+                  Span(rule.l, trace.u),
+                  ("middle-square", "g_L . u differs from m . l"),
+                  ("mediator", "u is not the pullback of m along g_L"))
+    _check_square(report, is_pullback_square, Cospan(trace.alpha, rule.lp),
+                  Span(trace.g_l, trace.u_prime),
+                  ("middle-square", "alpha . g_L differs from l' . u'"),
+                  ("middle-square", "the deletion square is not a pullback"))
+    _check_square(report, is_pushout_square, Span(trace.u, rule.r),
+                  Cospan(trace.g_r, trace.w),
+                  ("right-square", "g_R . u differs from w . r"),
+                  ("right-square", "the addition square is not a pushout"))
     return report
 
 
-def pbpo_step(rule: PbpoRule, match: Match, step: int = 0,
-              verify: bool = True) -> tuple[LabeledGraph, RewriteTrace]:
+def verify_trace(trace: RewriteTrace) -> Report:
+    """Re-check every defining property of a completed step.  An invalid rule
+    or morphism, or one that does not connect the trace's graphs, ends the
+    check; a square that does not commute is reported, not decided."""
+    rule = trace.rule
+    report = Report()
+    report.extend(rule._report, prefix="rule: ")
+    for name, dom, cod in (("m", rule.L, trace.g_in), ("alpha", trace.g_in, rule.Lp),
+                           ("g_l", trace.g_mid, trace.g_in),
+                           ("g_r", trace.g_mid, trace.g_out),
+                           ("u", rule.K, trace.g_mid), ("u_prime", trace.g_mid, rule.Kp),
+                           ("w", rule.R, trace.g_out)):
+        mor = getattr(trace, name)
+        if mor.dom != dom or mor.cod != cod:
+            report.add("bad-arrangement", f"morphism {name} does not connect its graphs")
+    for name in ("m", "alpha"):
+        report.extend(getattr(trace, name)._report, prefix=f"{name}: ")
+    if report.ok:
+        _check_match(report, trace.m, trace.alpha, rule.tL)
+        report.extend(_check_step(trace))
+    return report
+
+
+def pbpo_step(rule: PbpoRule, match: Match,
+              step: int = 0) -> tuple[LabeledGraph, RewriteTrace]:
     """Apply one PBPO+ step at a strong match.
 
     Host-derived elements of the result keep the smallest interface pair id
     of their merge class; elements created by the replacement get ids
     prefixed with the step index, so repeated runs produce identical traces.
-    With ``verify`` on (the default) every square property of the completed
-    trace is re-checked before it is returned.
+    An invalid rule raises :class:`RuleError`, an invalid or mismatched
+    match :class:`MorphismError`, a match that is not strong
+    :class:`StrongMatchError`; a completed step that fails any property
+    raises :class:`InternalMediatorError`.
     """
-    recheck = check_strong_match(rule.tL, match.alpha)
-    if recheck is None or not _maps_equal(recheck.m, match.m):
-        raise StrongMatchError(
-            "strong-match-failure: the supplied match is not a strong match for the rule")
-    g_host = match.alpha.dom
+    _require_valid_rule(rule)
+    m, alpha = match.m, match.alpha
+    if m.dom != rule.L or alpha.cod != rule.Lp or m.cod != alpha.dom:
+        raise MorphismError("typing-mismatch: the match does not connect L, the host and L'")
+    _require_valid(MorphismError, "invalid-match", ("m", m), ("alpha", alpha))
+    report = Report()
+    _check_match(report, m, alpha, rule.tL)
+    if not report.ok:
+        raise StrongMatchError("strong-match-failure: the supplied match is not "
+                               f"a strong match for the rule: {report}")
+    g_host = alpha.dom
 
-    mid = pullback(Cospan(match.alpha, rule.lp))
+    mid = pullback(Cospan(alpha, rule.lp))
     g_mid = mid.object
     g_l, u_prime = mid.left_leg, mid.right_leg
 
     # The unique embedding of the interface: over pair ids it is forced to
-    # (m(l(k)), tK(k)) by the two commutation requirements.  Everything the
-    # pullback route would establish is verified afterwards.
-    u_nodes: dict[str, str] = {}
-    for k_node in rule.K.sorted_nodes:
-        cand = pair_id(match.m.node_map[rule.l.node_map[k_node]],
-                       rule.tK.node_map[k_node])
-        if cand not in g_mid.nodes:
-            raise InternalMediatorError(
-                f"internal-mediator-failure: interface node {k_node!r} has no image")
-        u_nodes[k_node] = cand
-    u_edges: dict[str, str] = {}
-    for k_edge in rule.K.sorted_edges:
-        cand = pair_id(match.m.edge_map[rule.l.edge_map[k_edge]],
-                       rule.tK.edge_map[k_edge])
-        if cand not in g_mid.edges:
-            raise InternalMediatorError(
-                f"internal-mediator-failure: interface edge {k_edge!r} has no image")
-        u_edges[k_edge] = cand
-    u = GraphMorphism(rule.K, g_mid, u_nodes, u_edges)
-    if not validate_morphism(u).ok:
-        raise InternalMediatorError("internal-mediator-failure: embedding is not a morphism")
-    if not _maps_equal(compose(u, u_prime), rule.tK):
-        raise InternalMediatorError("internal-mediator-failure: tK differs from u' . u")
-    if not u.is_injective():
-        raise InternalMediatorError("internal-mediator-failure: u is not injective")
-    if not is_pullback_square(Cospan(match.m, g_l), Span(rule.l, u)):
-        raise InternalMediatorError(
-            "internal-mediator-failure: u is not the pullback of m along g_L")
+    # (m(l(k)), tK(k)) by the two commutation requirements.  Its defining
+    # properties are checked with the rest of the step.
+    def embed(kind: str, ids, l_map, m_map, tk_map, present) -> dict[str, str]:
+        images = {k: pair_id(m_map[l_map[k]], tk_map[k]) for k in ids}
+        for k in ids:
+            if images[k] not in present:
+                raise InternalMediatorError(
+                    f"internal-mediator-failure: interface {kind} {k!r} has no image")
+        return images
+
+    u = GraphMorphism(
+        rule.K, g_mid,
+        embed("node", rule.K.sorted_nodes, rule.l.node_map, m.node_map,
+              rule.tK.node_map, g_mid.nodes),
+        embed("edge", rule.K.sorted_edges, rule.l.edge_map, m.edge_map,
+              rule.tK.edge_map, g_mid.edges))
+    _require_valid(InternalMediatorError, "internal-mediator-failure", ("u", u))
 
     out = pushout(Span(u, rule.r))
-
     # Rename: classes touching the interface keep their smallest host pair
     # id; replacement-only classes are stamped with the step index.
     taken: set[str] = set()
@@ -434,12 +450,11 @@ def pbpo_step(rule: PbpoRule, match: Match, step: int = 0,
                       {e: edge_rename[out.right_leg.edge_map[e]] for e in rule.R.edges})
 
     trace = RewriteTrace(rule=rule, g_in=g_host, g_mid=g_mid, g_out=g_out,
-                         m=match.m, alpha=match.alpha, g_l=g_l, g_r=g_r,
+                         m=m, alpha=alpha, g_l=g_l, g_r=g_r,
                          u=u, u_prime=u_prime, w=w)
-    if verify:
-        report = verify_trace(trace)
-        if not report.ok:
-            raise InternalMediatorError(f"internal-mediator-failure: {report}")
+    report = _check_step(trace)
+    if not report.ok:
+        raise InternalMediatorError(f"internal-mediator-failure: {report}")
     return g_out, trace
 
 
@@ -459,19 +474,15 @@ class NormalizeResult:
 
 
 def normalize(g: LabeledGraph, rules: Sequence[PbpoRule],
-              strategy: str = "first-rule-first-match",
               max_steps: Optional[int] = None) -> NormalizeResult:
     """Repeatedly apply the first rule that matches, at its first match.
 
-    Runs until no rule matches or the step budget is exhausted; hitting the
-    budget is reported through the result, not raised.
+    Every rule is validated up front.  Runs until no rule matches or the
+    step budget is exhausted; hitting the budget is reported through the
+    result, not raised.
     """
-    if strategy != "first-rule-first-match":
-        raise ValueError(f"unknown strategy {strategy!r}")
     for rule in rules:
-        report = validate_rule(rule)
-        if not report.ok:
-            raise RuleError(f"invalid-rule: {rule.name or '?'}: {report}")
+        _require_valid_rule(rule)
     traces: list[RewriteTrace] = []
     current = g
     while max_steps is None or len(traces) < max_steps:

@@ -11,7 +11,8 @@ import random
 
 from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, LabelLattice,
                       LatticeError, Match, RhsSpec, Span, UnknownLabelError,
-                      bdd_lattice, complete_rule, compose, identity, preimage,
+                      bdd_lattice, check_strong_match, complete_rule, compose,
+                      enumerate_homomorphisms, identity, preimage,
                       unit_lattice)
 
 
@@ -528,3 +529,16 @@ def reference_homomorphisms(g: LabeledGraph, h: LabeledGraph,
 
     place_nodes(0, {})
     return found
+
+
+def naive_find_matches(rule, g: LabeledGraph) -> list[Match]:
+    """Reference implementation: filter every adherence through the strong
+    match check.  Exponential in host size; used to cross-check
+    :func:`pbpoplus.find_matches` on small instances."""
+    matches = []
+    for alpha in enumerate_homomorphisms(g, rule.Lp):
+        match = check_strong_match(rule.tL, alpha)
+        if match is not None:
+            matches.append(match)
+    matches.sort(key=Match.sort_key)
+    return matches

@@ -9,8 +9,9 @@ from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, MorphismError,
                       pullback, pullback_mediators, pushout,
                       pushout_mediators, unit_lattice, validate_morphism)
 
-from genhelpers import (add_isolated_node, diamond_lattice, pullback_candidates,
-                        pushout_candidates, random_cospan, random_span)
+from genhelpers import (add_isolated_node, corpus_lattices, diamond_lattice,
+                        pullback_candidates, pushout_candidates, random_cospan,
+                        random_span, reference_homomorphisms)
 
 
 def g1(lat, label=None, ident="a", loop=False):
@@ -306,3 +307,92 @@ def test_pullback_injectivity_stability(lat2):
             assert pb.left_leg.is_injective()
         if cospan.left.is_injective():
             assert pb.right_leg.is_injective()
+
+
+# ------------------------------------------- validation and mediators
+
+
+def test_square_checks_reject_invalid_legs(unit):
+    x = LabeledGraph.build(unit, {"a": "*"})
+    bad = GraphMorphism(x, x, {"a": "zzz"}, {})
+    with pytest.raises(SquareError, match="invalid-square"):
+        is_pullback_square(Cospan(identity(x), identity(x)), Span(bad, identity(x)))
+    with pytest.raises(SquareError, match="invalid-square"):
+        is_pushout_square(Span(identity(x), identity(x)), Cospan(bad, identity(x)))
+    with pytest.raises(SquareError, match="invalid-equation"):
+        enumerate_mediators(x, x, pre=[(bad, identity(x))])
+
+
+def test_pullback_square_rejects_a_corner_that_is_too_large(unit):
+    # Both nodes of the corner sit over the one node of the pullback of
+    # (id, id): the forced mediator is onto but not injective.
+    x = LabeledGraph.build(unit, {"x": "*"})
+    two = LabeledGraph.build(unit, {"a1": "*", "a2": "*"})
+    p = GraphMorphism(two, x, {"a1": "x", "a2": "x"}, {})
+    assert not is_pullback_square(Cospan(identity(x), identity(x)), Span(p, p))
+
+
+def filtered_reference(dom, cod, pre=(), post=()):
+    """Every morphism ``dom -> cod`` by brute force, kept when it satisfies
+    the equations; in the lexicographic order of the assignment."""
+    def same(f, g):
+        return f.node_map == g.node_map and f.edge_map == g.edge_map
+
+    return [x for x in reference_homomorphisms(dom, cod, False)
+            if all(same(compose(p, x), q) for p, q in pre)
+            and all(same(compose(x, p), q) for p, q in post)]
+
+
+def test_mediators_agree_with_filtered_reference():
+    rng = random.Random(61)
+    lattices = corpus_lattices()
+    problems = []
+    for i in range(80):
+        lat = lattices[i % len(lattices)]
+        span = random_span(rng, lat)
+        po = pushout(span)
+        for cand, _ in pushout_candidates(rng, span, po):
+            problems.append((po.object, cand.left.cod,
+                             [(po.left_leg, cand.left), (po.right_leg, cand.right)], []))
+            # Back from the candidate corner: often several mediators.
+            problems.append((cand.left.cod, po.object,
+                             [(cand.left, po.left_leg), (cand.right, po.right_leg)], []))
+        cospan = random_cospan(rng, lat)
+        pb = pullback(cospan)
+        for cand, _ in pullback_candidates(rng, cospan, pb):
+            problems.append((cand.left.dom, pb.object, [],
+                             [(pb.left_leg, cand.left), (pb.right_leg, cand.right)]))
+            problems.append((pb.object, cand.left.dom, [],
+                             [(cand.left, pb.left_leg), (cand.right, pb.right_leg)]))
+    checked = several = 0
+    for dom, cod, pre, post in problems:
+        if len(cod.nodes) ** len(dom.nodes) * max(1, len(cod.edges)) ** len(dom.edges) > 20000:
+            continue  # beyond the unpruned reference
+        expected = filtered_reference(dom, cod, pre, post)
+        for limit in (None, 1, 2, 3):
+            got = enumerate_mediators(dom, cod, pre=pre, post=post, limit=limit)
+            assert ([(f.node_map, f.edge_map) for f in got]
+                    == [(f.node_map, f.edge_map) for f in expected[:limit]])
+        checked += 1
+        several += len(expected) >= 2
+    assert checked >= 1000 and several >= 20, (checked, several)
+    # The wrappers hand their equations through unchanged.
+    span = random_span(rng, lattices[0])
+    po = pushout(span)
+    for cand, _ in pushout_candidates(rng, span, po):
+        assert pushout_mediators(po, cand, limit=2) == enumerate_mediators(
+            po.object, cand.left.cod,
+            pre=[(po.left_leg, cand.left), (po.right_leg, cand.right)], limit=2)
+
+
+def test_mediators_with_unsatisfiable_pins(unit):
+    dom = LabeledGraph.build(unit, {"a": "*"})
+    cod = LabeledGraph.build(unit, {"b1": "*", "b2": "*"})
+    outside = LabeledGraph.build(unit, {"z": "*"})
+    to_b1 = GraphMorphism(dom, cod, {"a": "b1"}, {})
+    to_b2 = GraphMorphism(dom, cod, {"a": "b2"}, {})
+    to_z = GraphMorphism(dom, outside, {"a": "z"}, {})
+    assert len(enumerate_mediators(dom, cod)) == 2
+    assert enumerate_mediators(dom, cod, pre=[(identity(dom), to_z)]) == []
+    assert enumerate_mediators(
+        dom, cod, pre=[(identity(dom), to_b1), (identity(dom), to_b2)]) == []

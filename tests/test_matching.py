@@ -5,14 +5,13 @@ import pytest
 from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, MorphismError,
                       Span, build_decision_tree, check_strong_match, compose,
                       enumerate_homomorphisms, find_matches, identity,
-                      is_pullback_square, naive_find_matches, reduce_bdd,
-                      reduction_rules, unit_lattice, validate_morphism,
-                      verify_match_square)
+                      is_pullback_square, reduce_bdd, reduction_rules,
+                      unit_lattice, validate_morphism, verify_match_square)
 from pbpoplus.matching import _hom_search
 
-from genhelpers import (corpus_lattices, random_graph, random_host_with_match,
-                        random_rule, random_truth_table,
-                        reference_homomorphisms)
+from genhelpers import (corpus_lattices, naive_find_matches, random_graph,
+                        random_host_with_match, random_rule,
+                        random_truth_table, reference_homomorphisms)
 
 
 def two_color_type(unit):

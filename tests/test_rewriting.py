@@ -1,13 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 
-from pbpoplus import (GraphMorphism, LabeledGraph, MorphismError, PbpoRule,
-                      RhsSpec, RuleError, StrongMatchError, ToyPbRule,
-                      ToyPoRule, complete_rule, find_matches, identity,
-                      is_isomorphic, normalize, pbpo_step, toypb_step,
-                      toypo_step, validate_morphism, validate_rule,
-                      verify_trace)
+from pbpoplus import (GraphMorphism, LabeledGraph, Match, MorphismError,
+                      PbpoRule, RhsSpec, RuleError, StrongMatchError,
+                      ToyPbRule, ToyPoRule, TruthTable, build_decision_tree,
+                      complete_rule, compose, find_matches, identity,
+                      is_isomorphic, leaf_rule, normalize, pbpo_step,
+                      toypb_step, toypo_step, validate_morphism,
+                      validate_rule, verify_match_square, verify_trace)
 
 from genhelpers import random_host_with_match, random_rule
 
@@ -321,3 +323,116 @@ def test_toypb_agrees_with_pbpo_on_desk_fixture(unit):
     result, trace = pbpo_step(rule, match)
     assert is_isomorphic(pb_result, result) is not None
     assert verify_trace(trace).ok
+
+
+# ------------------------------------------------ step verification
+
+
+@pytest.fixture
+def leaf_steps():
+    """Two LEAF_0 steps at different matches of one decision tree."""
+    tree = build_decision_tree(TruthTable.from_bits("0001", ["p", "q"]))
+    rule = leaf_rule("0", tree.graph.lattice)
+    first, second = find_matches(rule, tree.graph)[:2]
+    return rule, first, second, pbpo_step(rule, first)[1], pbpo_step(rule, second)[1]
+
+
+def with_node(g, ident, label):
+    """``g`` plus one isolated node."""
+    return LabeledGraph.build(
+        g.lattice, {**g.node_labels, ident: label},
+        {e: (g.src[e], g.tgt[e], g.edge_labels[e]) for e in g.edges})
+
+
+def retarget(f, dom=None, cod=None, node_changes=()):
+    return GraphMorphism(dom or f.dom, cod or f.cod,
+                         {**f.node_map, **dict(node_changes)}, dict(f.edge_map))
+
+
+def test_verify_match_square_answers_instead_of_raising(leaf_steps):
+    rule, first, second, _, _ = leaf_steps
+    assert verify_match_square(first)
+    crossed = Match(m=second.m, alpha=first.alpha, typing=rule.tL)
+    assert not verify_match_square(crossed)
+
+
+def test_verify_trace_reports_each_corrupted_field(leaf_steps):
+    rule, first, second, trace, _ = leaf_steps
+    assert verify_trace(trace).ok
+    assert trace.u.node_map == {"u": "d00|u", "v": "d01|v"}
+    kp_swap = GraphMorphism(rule.Kp, rule.Kp, {"u": "v", "v": "u", "c": "c"},
+                            {"cu": "cv", "cv": "cu", "cc": "cc"})
+    corruptions = {
+        "m": (second.m, "match-square"),
+        "alpha": (second.alpha, "match-square"),
+        # A leaf image moved: its incoming edge no longer lands on it.
+        "g_l": (retarget(trace.g_l, node_changes={"d00|u": "d01"}), "target-commutation"),
+        "g_r": (retarget(trace.g_r, node_changes={"d10|c": "d00|u"}), "target-commutation"),
+        # Valid morphisms that break one equation each.
+        "u": (retarget(trace.u, node_changes={"u": "d01|v", "v": "d00|u"}), "mediator"),
+        "u_prime": (compose(trace.u_prime, kp_swap), "middle-square"),
+        "w": (retarget(trace.w, node_changes={"u": "d10|c"}), "right-square"),
+    }
+    for name, (bad, code) in corruptions.items():
+        report = verify_trace(dataclasses.replace(trace, **{name: bad}))
+        assert not report.ok and code in report.codes(), (name, str(report))
+
+
+def test_verify_trace_reports_a_morphism_between_other_graphs(leaf_steps):
+    _, _, _, trace, other = leaf_steps
+    report = verify_trace(dataclasses.replace(trace, g_l=other.g_l))
+    assert report.codes() == {"bad-arrangement"}
+
+
+def test_step_rejects_rule_with_dangling_replacement(leaf_steps):
+    rule, first, _, trace, _ = leaf_steps
+    bad_r = GraphMorphism(rule.K, rule.R, {**rule.r.node_map, "u": "zzz"},
+                          dict(rule.r.edge_map))
+    bad_rule = dataclasses.replace(rule, r=bad_r)
+    with pytest.raises(RuleError, match="invalid-rule"):
+        pbpo_step(bad_rule, first)
+    report = verify_trace(dataclasses.replace(trace, rule=bad_rule))
+    assert "bad-target" in report.codes()
+
+
+def test_verify_trace_reports_each_universal_property(leaf_steps):
+    """Traces whose squares all commute but lack one universal property."""
+    rule, _, _, trace, _ = leaf_steps
+
+    def messages(bad):
+        return {v.message for v in verify_trace(bad).violations}
+
+    # The host gets a second node typed onto the pattern node v.
+    alpha = GraphMorphism(trace.g_in, rule.Lp, {**trace.alpha.node_map, "d10": "v"},
+                          {**trace.alpha.edge_map, "e10": "cv"})
+    assert "the strong-match square is not a pullback" in messages(
+        dataclasses.replace(trace, alpha=alpha))
+
+    # G_R gets a node that nothing maps onto.
+    g_out = with_node(trace.g_out, "y", "0")
+    addition = dataclasses.replace(trace, g_out=g_out,
+                                   g_r=retarget(trace.g_r, cod=g_out),
+                                   w=retarget(trace.w, cod=g_out))
+    assert messages(addition) == {"the addition square is not a pushout"}
+
+    # G_K gets a second copy of a context leaf.
+    g_mid = with_node(trace.g_mid, "x", "0")
+    deletion = dataclasses.replace(
+        trace, g_mid=g_mid, u=retarget(trace.u, cod=g_mid),
+        g_l=retarget(trace.g_l, dom=g_mid, node_changes={"x": "d10"}),
+        u_prime=retarget(trace.u_prime, dom=g_mid, node_changes={"x": "c"}),
+        g_r=retarget(trace.g_r, dom=g_mid, node_changes={"x": "d10|c"}))
+    assert messages(deletion) == {"the deletion square is not a pullback",
+                                  "the addition square is not a pushout"}
+
+    # ... or a second copy of the interface node over the matched leaf.
+    middle = dataclasses.replace(
+        deletion,
+        g_l=retarget(trace.g_l, dom=g_mid, node_changes={"x": "d00"}),
+        u_prime=retarget(trace.u_prime, dom=g_mid, node_changes={"x": "u"}),
+        g_r=retarget(trace.g_r, dom=g_mid, node_changes={"x": "d00|u"}))
+    assert "u is not the pullback of m along g_L" in messages(middle)
+
+    non_injective = dataclasses.replace(
+        trace, u=retarget(trace.u, node_changes={"v": "d00|u"}))
+    assert "interface embedding u is not injective" in messages(non_injective)
