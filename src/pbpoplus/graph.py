@@ -181,11 +181,43 @@ def validate_graph(g: LabeledGraph) -> Report:
     return report
 
 
+def _is_valid(f: GraphMorphism) -> bool:
+    """One pass over the maps: whether :func:`validate_morphism` would find
+    nothing.  Every lookup tolerates malformed graphs, so a defect of any
+    kind answers ``False`` rather than raising."""
+    dom, cod = f.dom, f.cod
+    node_map, edge_map = f.node_map, f.edge_map
+    if node_map.keys() != dom.nodes or edge_map.keys() != dom.edges:
+        return False
+    above = dom.lattice._above
+    dom_labels, cod_labels, cod_nodes = dom.node_labels, cod.node_labels, cod.nodes
+    for n, v in node_map.items():
+        up = above.get(dom_labels.get(n))
+        if up is None or v not in cod_nodes or cod_labels.get(v) not in up:
+            return False
+    dom_src, dom_tgt, cod_src, cod_tgt = dom.src, dom.tgt, cod.src, cod.tgt
+    dom_labels, cod_labels, cod_edges = dom.edge_labels, cod.edge_labels, cod.edges
+    for e, img in edge_map.items():
+        up = above.get(dom_labels.get(e))
+        s_img = node_map.get(dom_src.get(e))
+        t_img = node_map.get(dom_tgt.get(e))
+        if (up is None or img not in cod_edges or cod_labels.get(img) not in up
+                or s_img is None or cod_src.get(img) != s_img
+                or t_img is None or cod_tgt.get(img) != t_img):
+            return False
+    return True
+
+
 def validate_morphism(f: GraphMorphism) -> Report:
-    """Report commutation failures and label-condition failures by element."""
+    """Report commutation failures and label-condition failures by element.
+
+    A valid morphism is recognised in one pass; any defect re-runs the
+    element-by-element check, which names every violation."""
     report = Report()
     if f.dom.lattice != f.cod.lattice:
         report.add("lattice-mismatch", "dom and cod use different lattices")
+        return report
+    if _is_valid(f):
         return report
     leq = f.dom.lattice.leq
     for n in f.dom.sorted_nodes:

@@ -12,15 +12,22 @@ The pushout of a span is the disjoint union of the two feet quotiented by
 the equivalence generated by identifying the two images of each apex
 element, labeled with the join of each class.  Constructed ids are the
 smallest tagged member of the class (``"0:x"`` for the left foot, ``"1:y"``
-for the right), which keeps results deterministic and traceable.
+for the right), which keeps results deterministic and traceable.  Only the
+apex image can merge, so only it goes through the union-find; every other
+element is a singleton class ``((side, x),)`` that keeps its own label, and
+the cost outside the apex image is one pass over the feet.
 
-``is_pullback_square``/``is_pushout_square`` decide the universal property
-by building the canonical limit and checking that the forced mediating
-morphism to (or from) the given corner is an isomorphism.  The exhaustive
-mediator enumeration :func:`enumerate_mediators` runs on the homomorphism
-search of :mod:`~pbpoplus.matching`, its equations narrowing candidates.
-Every function here raises :class:`~pbpoplus.errors.SquareError` naming an
-invalid morphism it is given; each morphism is validated once.
+``is_pullback_square``/``is_pushout_square`` validate the legs, check that
+the square commutes and build the canonical limit; a private core then
+decides the universal property by checking that the forced mediating
+morphism to (or from) the given corner is an isomorphism.  A caller that
+already holds the canonical limit of the square's cospan (or span), as a
+rewrite step does, hands it to the core instead of rebuilding it.  The
+exhaustive mediator enumeration :func:`enumerate_mediators` runs on the
+homomorphism search of :mod:`~pbpoplus.matching`, its equations narrowing
+candidates.  Every function here raises
+:class:`~pbpoplus.errors.SquareError` naming an invalid morphism it is
+given; each morphism is validated once.
 """
 
 from __future__ import annotations
@@ -29,8 +36,10 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .errors import MorphismError, NonCommutingSquareError, SquareError
+from .errors import (MorphismError, NonCommutingSquareError, SquareError,
+                     UnknownLabelError)
 from .graph import GraphMorphism, LabeledGraph, _require_valid, compose
+from .lattice import LabelLattice
 
 
 @dataclass(frozen=True)
@@ -169,9 +178,51 @@ class _UnionFind:
         return out
 
 
-def _rendered(member: tuple[str, str]) -> str:
-    side, ident = member
-    return f"{side}:{ident}"
+def _glue(lat: LabelLattice, feet_ids: dict[str, tuple[str, ...]],
+          feet_labels: dict[str, dict[str, str]], legs: dict[str, dict[str, str]],
+          apex_ids):
+    """Classes of one sort of element (nodes or edges) of the pushout.
+
+    ``feet_ids`` are each foot's sorted ids under its tag ``"0"``/``"1"``,
+    ``legs`` the two leg maps of that sort.  Only images of the apex can
+    merge, so only they enter the union-find; every other element is a
+    singleton class that keeps its own label, which, like the join of a
+    larger class, must be an element of the lattice.  Classes come in the
+    order of their smallest tagged member.  Returns the naming and labels
+    keyed by representative, and each foot's map from id to representative.
+    """
+    glued = {side: set(leg.values()) for side, leg in legs.items()}
+    uf = _UnionFind([(side, x) for side, ids in glued.items() for x in ids])
+    for a in apex_ids:
+        uf.union(("0", legs["0"][a]), ("1", legs["1"][a]))
+    classes = uf.classes()
+    elements, join = lat.elements, lat.join
+    naming: dict[str, tuple] = {}
+    labels: dict[str, str] = {}
+    reps: dict[str, dict[str, str]] = {"0": {}, "1": {}}
+    for side, ids in feet_ids.items():
+        side_glued, side_labels, side_reps = glued[side], feet_labels[side], reps[side]
+        for x in ids:
+            if x not in side_glued:
+                rep = f"{side}:{x}"
+                naming[rep] = ((side, x),)
+                labels[rep] = label = side_labels[x]
+                if label not in elements:
+                    raise UnknownLabelError(f"label {label!r} is not in the lattice")
+                side_reps[x] = rep
+                continue
+            # A glued element opens its class only as the class root, which
+            # union-by-smaller-tag makes the smallest member.
+            members = classes.get((side, x))
+            if members is None:
+                continue
+            members = tuple(sorted(members))
+            rep = f"{side}:{x}"
+            naming[rep] = members
+            labels[rep] = join(feet_labels[m_side][ident] for m_side, ident in members)
+            for m_side, ident in members:
+                reps[m_side][ident] = rep
+    return naming, labels, reps
 
 
 def pushout(s: Span) -> LimitResult:
@@ -179,51 +230,24 @@ def pushout(s: Span) -> LimitResult:
     f, g = s.left, s.right
     _require_valid(SquareError, "invalid-span", ("left", f), ("right", g))
     A = f.dom
-    B, C = f.cod, g.cod
-    lat = B.lattice
-    join = lat.join
+    lat = f.cod.lattice
+    feet = {"0": f.cod, "1": g.cod}
 
-    node_items = [("0", n) for n in B.sorted_nodes] + [("1", n) for n in C.sorted_nodes]
-    edge_items = [("0", e) for e in B.sorted_edges] + [("1", e) for e in C.sorted_edges]
-    nodes_uf = _UnionFind(node_items)
-    edges_uf = _UnionFind(edge_items)
-    for a in A.sorted_nodes:
-        nodes_uf.union(("0", f.node_map[a]), ("1", g.node_map[a]))
-    for e in A.sorted_edges:
-        edges_uf.union(("0", f.edge_map[e]), ("1", g.edge_map[e]))
-
-    def label_of(member: tuple[str, str], is_edge: bool) -> str:
-        side, ident = member
-        foot = B if side == "0" else C
-        return foot.edge_labels[ident] if is_edge else foot.node_labels[ident]
-
-    node_rep: dict[tuple[str, str], str] = {}
-    node_naming: dict[str, tuple] = {}
-    node_labels: dict[str, str] = {}
-    for root, members in nodes_uf.classes().items():
-        members = sorted(members)
-        rep = _rendered(members[0])
-        node_naming[rep] = tuple(members)
-        node_labels[rep] = join(label_of(m, is_edge=False) for m in members)
-        for m in members:
-            node_rep[m] = rep
-
-    edge_rep: dict[tuple[str, str], str] = {}
-    edge_naming: dict[str, tuple] = {}
-    edge_labels: dict[str, str] = {}
+    node_naming, node_labels, node_reps = _glue(
+        lat, {side: foot.sorted_nodes for side, foot in feet.items()},
+        {side: foot.node_labels for side, foot in feet.items()},
+        {"0": f.node_map, "1": g.node_map}, A.sorted_nodes)
+    edge_naming, edge_labels, edge_reps = _glue(
+        lat, {side: foot.sorted_edges for side, foot in feet.items()},
+        {side: foot.edge_labels for side, foot in feet.items()},
+        {"0": f.edge_map, "1": g.edge_map}, A.sorted_edges)
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
-    for root, members in edges_uf.classes().items():
-        members = sorted(members)
-        rep = _rendered(members[0])
-        edge_naming[rep] = tuple(members)
-        edge_labels[rep] = join(label_of(m, is_edge=True) for m in members)
+    for rep, members in edge_naming.items():
         side, ident = members[0]
-        foot = B if side == "0" else C
-        src[rep] = node_rep[(side, foot.src[ident])]
-        tgt[rep] = node_rep[(side, foot.tgt[ident])]
-        for m in members:
-            edge_rep[m] = rep
+        foot = feet[side]
+        src[rep] = node_reps[side][foot.src[ident]]
+        tgt[rep] = node_reps[side][foot.tgt[ident]]
 
     obj = LabeledGraph(
         lattice=lat,
@@ -234,14 +258,8 @@ def pushout(s: Span) -> LimitResult:
         node_labels=node_labels,
         edge_labels=edge_labels,
     )
-    left_leg = GraphMorphism(
-        B, obj,
-        {n: node_rep[("0", n)] for n in B.nodes},
-        {e: edge_rep[("0", e)] for e in B.edges})
-    right_leg = GraphMorphism(
-        C, obj,
-        {n: node_rep[("1", n)] for n in C.nodes},
-        {e: edge_rep[("1", e)] for e in C.edges})
+    left_leg = GraphMorphism(f.cod, obj, node_reps["0"], edge_reps["0"])
+    right_leg = GraphMorphism(g.cod, obj, node_reps["1"], edge_reps["1"])
     return LimitResult(obj, left_leg, right_leg, node_naming, edge_naming)
 
 
@@ -293,6 +311,23 @@ def _is_exact_bijection(x: LabeledGraph, y: LabeledGraph, node_map: dict[str, st
             and all(x.edge_labels[a] == y.edge_labels[b] for a, b in edge_map.items()))
 
 
+def _commutes(s: Span, c: Cospan) -> bool:
+    """Whether the square of the span and the cospan commutes."""
+    return _maps_equal(compose(s.left, c.left), compose(s.right, c.right))
+
+
+def _require_square(s: Span, c: Cospan, lined_up_with: str) -> None:
+    """Raise on an invalid or misplaced leg, and on a square that does not
+    commute."""
+    _require_valid(SquareError, "invalid-square", ("span.left", s.left),
+                   ("span.right", s.right), ("cospan.left", c.left),
+                   ("cospan.right", c.right))
+    if s.left.cod != c.left.dom or s.right.cod != c.right.dom:
+        raise SquareError(f"invalid-square: square legs do not line up with the {lined_up_with}")
+    if not _commutes(s, c):
+        raise NonCommutingSquareError("candidate square does not commute")
+
+
 def is_pullback_square(c: Cospan, s: Span) -> bool:
     """Whether the span closes the cospan as a genuine pullback square.
 
@@ -301,15 +336,14 @@ def is_pullback_square(c: Cospan, s: Span) -> bool:
     leg and on a non-commuting square, which is distinct from a negative
     answer.
     """
+    _require_square(s, c, "cospan")
+    return _is_pullback(pullback(c), s)
+
+
+def _is_pullback(canon: LimitResult, s: Span) -> bool:
+    """Whether the corner of ``s`` is a pullback, given ``canon``, the
+    pullback of the cospan that ``s`` closes into a commuting square."""
     p, q = s.left, s.right
-    f, g = c.left, c.right
-    _require_valid(SquareError, "invalid-square", ("span.left", p), ("span.right", q),
-                   ("cospan.left", f), ("cospan.right", g))
-    if p.cod != f.dom or q.cod != g.dom:
-        raise SquareError("square legs do not line up with the cospan")
-    if not _maps_equal(compose(p, f), compose(q, g)):
-        raise NonCommutingSquareError("candidate square does not commute")
-    canon = pullback(c)
     pair_index = {v: k for k, v in canon.node_naming.items()}
     pair_eindex = {v: k for k, v in canon.edge_naming.items()}
     A = p.dom
@@ -324,16 +358,14 @@ def is_pushout_square(s: Span, c: Cospan) -> bool:
     """Whether the cospan closes the span as a genuine pushout square.
 
     Raises on an invalid leg and on a non-commuting square."""
-    f, g = s.left, s.right
+    _require_square(s, c, "span")
+    return _is_pushout(pushout(s), c)
+
+
+def _is_pushout(canon: LimitResult, c: Cospan) -> bool:
+    """Whether the corner of ``c`` is a pushout, given ``canon``, the
+    pushout of the span that ``c`` closes into a commuting square."""
     p, q = c.left, c.right
-    _require_valid(SquareError, "invalid-square", ("span.left", f), ("span.right", g),
-                   ("cospan.left", p), ("cospan.right", q))
-    if f.cod != p.dom or g.cod != q.dom:
-        raise SquareError("square legs do not line up with the span")
-    if not _maps_equal(compose(f, p), compose(g, q)):
-        raise NonCommutingSquareError("candidate square does not commute")
-    canon = pushout(s)
-    D = p.cod
 
     def forced_image(members: tuple, maps: dict[str, dict[str, str]]) -> str:
         images = {maps[side][ident] for side, ident in members}
@@ -344,7 +376,7 @@ def is_pushout_square(s: Span, c: Cospan) -> bool:
     edge_maps = {"0": p.edge_map, "1": q.edge_map}
     node_map = {rep: forced_image(ms, node_maps) for rep, ms in canon.node_naming.items()}
     edge_map = {rep: forced_image(ms, edge_maps) for rep, ms in canon.edge_naming.items()}
-    return _is_exact_bijection(canon.object, D, node_map, edge_map)
+    return _is_exact_bijection(canon.object, p.cod, node_map, edge_map)
 
 
 def enumerate_mediators(dom: LabeledGraph,

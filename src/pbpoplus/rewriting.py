@@ -25,7 +25,10 @@ wrong graph.  At entry: the rule, ``m``, ``alpha`` and the match square.
 After the construction, in code shared with :func:`verify_trace`: the
 validity of ``g_L, g_R, u, u', w``, ``u' . u = tK``, ``u`` injective, and
 that the middle (``u`` is the pullback of ``m`` along ``g_L``), deletion
-and addition squares commute and, only then, are limits.
+and addition squares commute and, only then, are limits.  The step hands
+the pullback and the pushout it built to that check, which decides the
+deletion and addition squares over them; :func:`verify_trace` builds its
+own.  A step thus builds one pushout and one deletion pullback.
 """
 
 from __future__ import annotations
@@ -34,12 +37,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .errors import (InternalMediatorError, MorphismError,
-                     NonCommutingSquareError, Report, RuleError,
+from .errors import (InternalMediatorError, MorphismError, Report, RuleError,
                      StrongMatchError)
 from .graph import GraphMorphism, LabeledGraph, _require_valid, compose, identity
-from .limits import (Cospan, Span, _maps_equal, _UnionFind, is_pullback_square,
-                     is_pushout_square, pair_id, pullback, pushout)
+from .limits import (Cospan, LimitResult, Span, _commutes, _is_pullback, _is_pushout,
+                     _maps_equal, _UnionFind, pair_id, pullback, pushout)
 from .matching import Match, iter_matches
 
 
@@ -163,23 +165,24 @@ def validate_rule(rule: PbpoRule) -> Report:
         report.add("non-injective-typing", "tL must be injective in this engine")
     if not rule.tK.is_injective():
         report.add("non-injective-typing", "tK must be injective in this engine")
-    _check_square(report, is_pullback_square, Cospan(rule.tL, rule.lp),
-                  Span(rule.l, rule.tK),
+    typed, interface = Cospan(rule.tL, rule.lp), Span(rule.l, rule.tK)
+    _check_square(report, interface, typed,
+                  lambda: _is_pullback(pullback(typed), interface),
                   ("left-square-commutation", "tL . l differs from l' . tK"),
                   ("left-square-pullback",
                    "the interface is not the full preimage of the typed pattern"))
     return report
 
 
-def _check_square(report: Report, is_limit, square_a, square_b,
+def _check_square(report: Report, span: Span, cospan: Cospan, is_limit,
                   commutes: tuple[str, str], universal: tuple[str, str]) -> None:
-    """Add ``commutes`` to the report if the square does not commute, else
-    ``universal`` if it lacks its universal property."""
-    try:
-        if not is_limit(square_a, square_b):
-            report.add(*universal)
-    except NonCommutingSquareError:
+    """Add ``commutes`` to the report if the square of valid, lined-up legs
+    does not commute, else ``universal`` if ``is_limit()`` is false: only a
+    commuting square has its universal property decided."""
+    if not _commutes(span, cospan):
         report.add(*commutes)
+    elif not is_limit():
+        report.add(*universal)
 
 
 @dataclass(frozen=True)
@@ -317,15 +320,21 @@ class RewriteTrace:
 
 def _check_match(report: Report, m: GraphMorphism, alpha: GraphMorphism,
                  t_l: GraphMorphism) -> None:
-    _check_square(report, is_pullback_square, Cospan(alpha, t_l),
-                  Span(m, identity(t_l.dom)),
+    typed, pattern = Cospan(alpha, t_l), Span(m, identity(t_l.dom))
+    _check_square(report, pattern, typed, lambda: _is_pullback(pullback(typed), pattern),
                   ("match-square", "alpha . m differs from tL"),
                   ("match-square", "the strong-match square is not a pullback"))
 
 
-def _check_step(trace: RewriteTrace) -> Report:
+def _check_step(trace: RewriteTrace, mid: Optional[LimitResult] = None,
+                out: Optional[LimitResult] = None) -> Report:
     """Every property of a step beyond its match, each checked once; the
-    arrangement of the trace and the match are established by the caller."""
+    arrangement of the trace and the match are established by the caller.
+
+    ``mid`` and ``out`` are ``pullback(Cospan(alpha, l'))`` and
+    ``pushout(Span(u, r))`` when the caller holds them; the deletion and
+    addition squares are decided over them rather than over a rebuilt copy.
+    """
     report = Report()
     for name in ("g_l", "g_r", "u", "u_prime", "w"):
         report.extend(getattr(trace, name)._report, prefix=f"{name}: ")
@@ -336,16 +345,19 @@ def _check_step(trace: RewriteTrace) -> Report:
         report.add("mediator", "u' . u differs from tK")
     if not trace.u.is_injective():
         report.add("mediator", "interface embedding u is not injective")
-    _check_square(report, is_pullback_square, Cospan(trace.m, trace.g_l),
-                  Span(rule.l, trace.u),
+    matched, interface = Cospan(trace.m, trace.g_l), Span(rule.l, trace.u)
+    _check_square(report, interface, matched,
+                  lambda: _is_pullback(pullback(matched), interface),
                   ("middle-square", "g_L . u differs from m . l"),
                   ("mediator", "u is not the pullback of m along g_L"))
-    _check_square(report, is_pullback_square, Cospan(trace.alpha, rule.lp),
-                  Span(trace.g_l, trace.u_prime),
+    deletion, kept = Cospan(trace.alpha, rule.lp), Span(trace.g_l, trace.u_prime)
+    _check_square(report, kept, deletion,
+                  lambda: _is_pullback(mid or pullback(deletion), kept),
                   ("middle-square", "alpha . g_L differs from l' . u'"),
                   ("middle-square", "the deletion square is not a pullback"))
-    _check_square(report, is_pushout_square, Span(trace.u, rule.r),
-                  Cospan(trace.g_r, trace.w),
+    addition, glued = Span(trace.u, rule.r), Cospan(trace.g_r, trace.w)
+    _check_square(report, addition, glued,
+                  lambda: _is_pushout(out or pushout(addition), glued),
                   ("right-square", "g_R . u differs from w . r"),
                   ("right-square", "the addition square is not a pushout"))
     return report
@@ -452,7 +464,7 @@ def pbpo_step(rule: PbpoRule, match: Match,
     trace = RewriteTrace(rule=rule, g_in=g_host, g_mid=g_mid, g_out=g_out,
                          m=m, alpha=alpha, g_l=g_l, g_r=g_r,
                          u=u, u_prime=u_prime, w=w)
-    report = _check_step(trace)
+    report = _check_step(trace, mid, out)
     if not report.ok:
         raise InternalMediatorError(f"internal-mediator-failure: {report}")
     return g_out, trace

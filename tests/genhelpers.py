@@ -10,10 +10,13 @@ from __future__ import annotations
 import random
 
 from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, LabelLattice,
-                      LatticeError, Match, RhsSpec, Span, UnknownLabelError,
-                      bdd_lattice, check_strong_match, complete_rule, compose,
+                      LatticeError, LimitResult, Match, Report, RhsSpec, Span,
+                      SquareError, UnknownLabelError, bdd_lattice,
+                      check_strong_match, complete_rule, compose,
                       enumerate_homomorphisms, identity, preimage,
                       unit_lattice)
+from pbpoplus.graph import _require_valid
+from pbpoplus.limits import _UnionFind
 
 
 def diamond_lattice() -> LabelLattice:
@@ -542,3 +545,130 @@ def naive_find_matches(rule, g: LabeledGraph) -> list[Match]:
             matches.append(match)
     matches.sort(key=Match.sort_key)
     return matches
+
+
+def reference_pushout(s: Span) -> LimitResult:
+    """The pushout with every element of both feet in the union-find: the
+    reference for :func:`pbpoplus.pushout`, which quotients only the apex
+    image.  Classes, their order, ids, labels and legs must agree."""
+    f, g = s.left, s.right
+    _require_valid(SquareError, "invalid-span", ("left", f), ("right", g))
+    A = f.dom
+    B, C = f.cod, g.cod
+    lat = B.lattice
+    join = lat.join
+
+    node_items = [("0", n) for n in B.sorted_nodes] + [("1", n) for n in C.sorted_nodes]
+    edge_items = [("0", e) for e in B.sorted_edges] + [("1", e) for e in C.sorted_edges]
+    nodes_uf = _UnionFind(node_items)
+    edges_uf = _UnionFind(edge_items)
+    for a in A.sorted_nodes:
+        nodes_uf.union(("0", f.node_map[a]), ("1", g.node_map[a]))
+    for e in A.sorted_edges:
+        edges_uf.union(("0", f.edge_map[e]), ("1", g.edge_map[e]))
+
+    def label_of(member: tuple[str, str], is_edge: bool) -> str:
+        side, ident = member
+        foot = B if side == "0" else C
+        return foot.edge_labels[ident] if is_edge else foot.node_labels[ident]
+
+    def rendered(member: tuple[str, str]) -> str:
+        side, ident = member
+        return f"{side}:{ident}"
+
+    node_rep: dict[tuple[str, str], str] = {}
+    node_naming: dict[str, tuple] = {}
+    node_labels: dict[str, str] = {}
+    for root, members in nodes_uf.classes().items():
+        members = sorted(members)
+        rep = rendered(members[0])
+        node_naming[rep] = tuple(members)
+        node_labels[rep] = join(label_of(m, is_edge=False) for m in members)
+        for m in members:
+            node_rep[m] = rep
+
+    edge_rep: dict[tuple[str, str], str] = {}
+    edge_naming: dict[str, tuple] = {}
+    edge_labels: dict[str, str] = {}
+    src: dict[str, str] = {}
+    tgt: dict[str, str] = {}
+    for root, members in edges_uf.classes().items():
+        members = sorted(members)
+        rep = rendered(members[0])
+        edge_naming[rep] = tuple(members)
+        edge_labels[rep] = join(label_of(m, is_edge=True) for m in members)
+        side, ident = members[0]
+        foot = B if side == "0" else C
+        src[rep] = node_rep[(side, foot.src[ident])]
+        tgt[rep] = node_rep[(side, foot.tgt[ident])]
+        for m in members:
+            edge_rep[m] = rep
+
+    obj = LabeledGraph(
+        lattice=lat,
+        nodes=frozenset(node_naming),
+        edges=frozenset(edge_naming),
+        src=src,
+        tgt=tgt,
+        node_labels=node_labels,
+        edge_labels=edge_labels,
+    )
+    left_leg = GraphMorphism(
+        B, obj,
+        {n: node_rep[("0", n)] for n in B.nodes},
+        {e: edge_rep[("0", e)] for e in B.edges})
+    right_leg = GraphMorphism(
+        C, obj,
+        {n: node_rep[("1", n)] for n in C.nodes},
+        {e: edge_rep[("1", e)] for e in C.edges})
+    return LimitResult(obj, left_leg, right_leg, node_naming, edge_naming)
+
+
+def reference_validate_morphism(f: GraphMorphism) -> Report:
+    """The element-by-element check alone: the reference for
+    :func:`pbpoplus.validate_morphism`, which first tries one pass that
+    only recognises a valid morphism."""
+    report = Report()
+    if f.dom.lattice != f.cod.lattice:
+        report.add("lattice-mismatch", "dom and cod use different lattices")
+        return report
+    leq = f.dom.lattice.leq
+    for n in f.dom.sorted_nodes:
+        v = f.node_map.get(n)
+        if v is None:
+            report.add("unmapped-node", f"node {n!r} has no image")
+        elif v not in f.cod.nodes:
+            report.add("bad-target", f"node {n!r} maps to unknown node {v!r}")
+        elif not leq(f.dom.node_labels[n], f.cod.node_labels[v]):
+            report.add("label-condition",
+                       f"node {n!r}: {f.dom.node_labels[n]!r} is not below "
+                       f"{f.cod.node_labels[v]!r} at {v!r}")
+    for e in f.dom.sorted_edges:
+        img = f.edge_map.get(e)
+        if img is None:
+            report.add("unmapped-edge", f"edge {e!r} has no image")
+            continue
+        if img not in f.cod.edges:
+            report.add("bad-target", f"edge {e!r} maps to unknown edge {img!r}")
+            continue
+        s_img = f.node_map.get(f.dom.src[e])
+        t_img = f.node_map.get(f.dom.tgt[e])
+        if s_img is not None and f.cod.src[img] != s_img:
+            report.add("source-commutation",
+                       f"edge {e!r}: image source {f.cod.src[img]!r} differs "
+                       f"from mapped source {s_img!r}")
+        if t_img is not None and f.cod.tgt[img] != t_img:
+            report.add("target-commutation",
+                       f"edge {e!r}: image target {f.cod.tgt[img]!r} differs "
+                       f"from mapped target {t_img!r}")
+        if not leq(f.dom.edge_labels[e], f.cod.edge_labels[img]):
+            report.add("label-condition",
+                       f"edge {e!r}: {f.dom.edge_labels[e]!r} is not below "
+                       f"{f.cod.edge_labels[img]!r} at {img!r}")
+    extra_nodes = set(f.node_map) - f.dom.nodes
+    extra_edges = set(f.edge_map) - f.dom.edges
+    if extra_nodes:
+        report.add("bad-domain", f"map defined on foreign nodes {sorted(extra_nodes)}")
+    if extra_edges:
+        report.add("bad-domain", f"map defined on foreign edges {sorted(extra_edges)}")
+    return report

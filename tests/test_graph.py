@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbpoplus import (GraphMorphism, LabeledGraph, LatticeError,
-                      MorphismError, bdd_lattice, compose, disjoint_union,
-                      identity, is_isomorphic, unit_lattice, validate_graph,
-                      validate_morphism)
+from pbpoplus import (EngineError, GraphMorphism, LabeledGraph, LatticeError,
+                      MorphismError, Report, bdd_lattice, compose,
+                      disjoint_union, identity, is_isomorphic, unit_lattice,
+                      validate_graph, validate_morphism)
 
-from genhelpers import diamond_lattice, random_graph
+from genhelpers import (corpus_lattices, diamond_lattice, random_graph,
+                        random_morphism_into, reference_validate_morphism)
 
 
 def chain(lat, n, label=None):
@@ -55,6 +56,91 @@ def test_label_condition_direction(lat2):
     assert validate_morphism(GraphMorphism(low, high, {"a": "b"}, {})).ok
     report = validate_morphism(GraphMorphism(low, bottom, {"a": "c"}, {}))
     assert "label-condition" in report.codes()
+
+
+def corrupted(rng, f):
+    """Copies of the valid morphism ``f``, each with one kind of defect."""
+    dom, cod = f.dom, f.cod
+    lat = dom.lattice
+    out = []
+
+    def changed(g, **changes):
+        fields = dict(nodes=g.nodes, edges=g.edges, src=g.src, tgt=g.tgt,
+                      node_labels=g.node_labels, edge_labels=g.edge_labels)
+        fields.update(changes)
+        return LabeledGraph(lattice=lat, **fields)
+
+    def add(kind, node_map=None, edge_map=None, new_dom=None, new_cod=None):
+        out.append((kind, GraphMorphism(new_dom or dom, new_cod or cod,
+                                        f.node_map if node_map is None else node_map,
+                                        f.edge_map if edge_map is None else edge_map)))
+
+    if dom.nodes:
+        n = rng.choice(dom.sorted_nodes)
+        v = f.node_map[n]
+        add("missing-image", node_map={k: x for k, x in f.node_map.items() if k != n})
+        add("outside-cod", node_map={**f.node_map, n: "zzz"})
+        if cod.node_labels[v] != lat.top:
+            add("label-down", new_dom=changed(dom, node_labels={**dom.node_labels, n: lat.top}))
+        add("foreign-label", new_dom=changed(dom, node_labels={**dom.node_labels, n: "weird"}))
+        add("foreign-label", new_cod=changed(cod, node_labels={**cod.node_labels, v: "weird"}))
+        # A stray id that has a label in cod but is not one of its nodes.
+        add("outside-cod", node_map={**f.node_map, n: "stray"},
+            new_cod=changed(cod, node_labels={**cod.node_labels, "stray": lat.top}))
+    if dom.edges:
+        e = rng.choice(dom.sorted_edges)
+        img = f.edge_map[e]
+        add("missing-image", edge_map={k: x for k, x in f.edge_map.items() if k != e})
+        add("outside-cod", edge_map={**f.edge_map, e: "zzz"})
+        add("outside-cod", edge_map={**f.edge_map, e: "stray"}, new_cod=changed(
+            cod, src={**cod.src, "stray": cod.src[img]}, tgt={**cod.tgt, "stray": cod.tgt[img]},
+            edge_labels={**cod.edge_labels, "stray": lat.top}))
+        elsewhere = [c for c in cod.sorted_edges
+                     if (cod.src[c], cod.tgt[c]) != (cod.src[img], cod.tgt[img])]
+        if elsewhere:
+            add("broken-endpoint", edge_map={**f.edge_map, e: rng.choice(elsewhere)})
+        if cod.edge_labels[img] != lat.top:
+            add("label-down", new_dom=changed(dom, edge_labels={**dom.edge_labels, e: lat.top}))
+        add("dangling-dom-edge", new_dom=changed(dom, src={**dom.src, e: "ghost"}))
+    if cod.nodes:
+        add("extra-key", node_map={**f.node_map, "extra": rng.choice(cod.sorted_nodes)})
+    if cod.edges:
+        add("extra-key", edge_map={**f.edge_map, "extra": rng.choice(cod.sorted_edges)})
+    return out
+
+
+def outcome(validate, f):
+    try:
+        return validate(f)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
+def test_validate_morphism_agrees_with_detailed_reference():
+    """The one-pass check answers exactly as the element-by-element loop,
+    on valid morphisms, on each kind of defect and on arbitrary maps."""
+    rng = random.Random(29)
+    tried: dict[str, int] = {}
+    flagged: dict[str, int] = {}
+    for lat in corpus_lattices():
+        for _ in range(120):
+            cod = random_graph(rng, lat, max_nodes=5, max_edges=7, prefix="d")
+            f = random_morphism_into(rng, cod, max_nodes=5, max_edges=7)
+            other = random_graph(rng, lat, max_nodes=4, max_edges=5, prefix="a")
+            arbitrary = GraphMorphism(
+                other, cod,
+                {n: rng.choice(cod.sorted_nodes) for n in other.nodes} if cod.nodes else {},
+                {e: rng.choice(cod.sorted_edges) for e in other.edges} if cod.edges else {})
+            for kind, g in [("valid", f), ("arbitrary", arbitrary)] + corrupted(rng, f):
+                got = outcome(validate_morphism, g)
+                assert got == outcome(reference_validate_morphism, g), (kind, g)
+                tried[kind] = tried.get(kind, 0) + 1
+                flagged[kind] = flagged.get(kind, 0) + (not isinstance(got, Report) or not got.ok)
+    assert flagged["valid"] == 0
+    for kind in ("missing-image", "outside-cod", "broken-endpoint", "label-down",
+                 "foreign-label", "extra-key", "arbitrary"):
+        assert flagged[kind] >= 20, (kind, tried, flagged)
+    assert tried["dangling-dom-edge"] >= 20
 
 
 def test_compose_identity_neutral(lat2):

@@ -3,15 +3,17 @@ import random
 import pytest
 
 from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, MorphismError,
-                      NonCommutingSquareError, Span, SquareError, compose,
-                      enumerate_mediators, identity, is_isomorphic,
-                      is_pullback_square, is_pushout_square, preimage,
-                      pullback, pullback_mediators, pushout,
-                      pushout_mediators, unit_lattice, validate_morphism)
+                      NonCommutingSquareError, Span, SquareError,
+                      UnknownLabelError, compose, enumerate_mediators,
+                      identity, is_isomorphic, is_pullback_square,
+                      is_pushout_square, preimage, pullback,
+                      pullback_mediators, pushout, pushout_mediators,
+                      unit_lattice, validate_morphism)
 
 from genhelpers import (add_isolated_node, corpus_lattices, diamond_lattice,
                         pullback_candidates, pushout_candidates, random_cospan,
-                        random_span, reference_homomorphisms)
+                        random_graph, random_morphism_out_of, random_span,
+                        reference_homomorphisms, reference_pushout)
 
 
 def g1(lat, label=None, ident="a", loop=False):
@@ -103,6 +105,45 @@ def test_pushout_invalid_span_rejected(lat2):
     bad = GraphMorphism(g, h, {"a": "b"}, {})  # label decreases
     with pytest.raises(SquareError, match="invalid-span"):
         pushout(Span(bad, identity(g)))
+
+
+def test_pushout_rejects_a_foreign_label_outside_the_apex_image(unit):
+    empty = LabeledGraph.empty(unit)
+    foot = LabeledGraph.build(unit, {"x": "weird"})
+    span = Span(GraphMorphism(empty, foot, {}, {}), identity(empty))
+    with pytest.raises(UnknownLabelError, match="'weird'"):
+        pushout(span)
+
+
+def test_pushout_agrees_with_reference():
+    """Gluing only the apex image gives the classes, ids, labels, legs and
+    namings (member order included) of the full union-find."""
+    rng = random.Random(83)
+    seen = {"merged": 0, "loops": 0, "parallel": 0, "non-injective": 0}
+    for lat in corpus_lattices():
+        for i in range(150):
+            if i % 3:
+                span = random_span(rng, lat)
+            else:
+                apex = random_graph(rng, lat, max_nodes=5, max_edges=8, prefix="s")
+                span = Span(random_morphism_out_of(rng, apex, prefix="L"),
+                            random_morphism_out_of(rng, apex, prefix="R"))
+            got, want = pushout(span), reference_pushout(span)
+            assert got.object == want.object
+            for field in ("node_labels", "edge_labels", "src", "tgt"):
+                assert (list(getattr(got.object, field).items())
+                        == list(getattr(want.object, field).items()))
+            assert list(got.node_naming.items()) == list(want.node_naming.items())
+            assert list(got.edge_naming.items()) == list(want.edge_naming.items())
+            assert got.left_leg == want.left_leg and got.right_leg == want.right_leg
+            feet = (span.left.cod, span.right.cod)
+            seen["merged"] += any(len(ms) > 2 for ms in want.node_naming.values())
+            seen["loops"] += any(g.src[e] == g.tgt[e] for g in feet for e in g.edges)
+            seen["parallel"] += any(len(es) > 1 for g in feet
+                                    for es in g.edges_by_endpoints.values())
+            seen["non-injective"] += not (span.left.is_injective()
+                                          and span.right.is_injective())
+    assert min(seen.values()) >= 20, seen
 
 
 # ------------------------------------------------------------ pullback
@@ -321,6 +362,17 @@ def test_square_checks_reject_invalid_legs(unit):
         is_pushout_square(Span(identity(x), identity(x)), Cospan(bad, identity(x)))
     with pytest.raises(SquareError, match="invalid-equation"):
         enumerate_mediators(x, x, pre=[(bad, identity(x))])
+
+
+def test_square_checks_name_misaligned_legs(unit):
+    x = LabeledGraph.build(unit, {"a": "*"})
+    y = LabeledGraph.build(unit, {"b": "*"})
+    to_y = GraphMorphism(x, y, {"a": "b"}, {})
+    # The span's legs end in y, the cospan's start from x.
+    with pytest.raises(SquareError, match="invalid-square: .*line up with the cospan"):
+        is_pullback_square(Cospan(identity(x), identity(x)), Span(to_y, to_y))
+    with pytest.raises(SquareError, match="invalid-square: .*line up with the span"):
+        is_pushout_square(Span(to_y, to_y), Cospan(identity(x), identity(x)))
 
 
 def test_pullback_square_rejects_a_corner_that_is_too_large(unit):

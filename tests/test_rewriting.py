@@ -3,15 +3,18 @@ import random
 
 import pytest
 
-from pbpoplus import (GraphMorphism, LabeledGraph, Match, MorphismError,
-                      PbpoRule, RhsSpec, RuleError, StrongMatchError,
-                      ToyPbRule, ToyPoRule, TruthTable, build_decision_tree,
-                      complete_rule, compose, find_matches, identity,
-                      is_isomorphic, leaf_rule, normalize, pbpo_step,
+from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, Match,
+                      MorphismError, PbpoRule, RhsSpec, RuleError, Span,
+                      StrongMatchError, ToyPbRule, ToyPoRule, TruthTable,
+                      bdd_lattice, build_decision_tree, complete_rule, compose,
+                      find_matches, identity, is_isomorphic, leaf_rule,
+                      normalize, pbpo_step, pullback, pushout, reduce_bdd,
                       toypb_step, toypo_step, validate_morphism,
                       validate_rule, verify_match_square, verify_trace)
 
-from genhelpers import random_host_with_match, random_rule
+from pbpoplus.rewriting import _check_step
+
+from genhelpers import random_host_with_match, random_rule, random_truth_table
 
 
 # --------------------------------------------------------------- ToyPO
@@ -356,13 +359,12 @@ def test_verify_match_square_answers_instead_of_raising(leaf_steps):
     assert not verify_match_square(crossed)
 
 
-def test_verify_trace_reports_each_corrupted_field(leaf_steps):
-    rule, first, second, trace, _ = leaf_steps
-    assert verify_trace(trace).ok
-    assert trace.u.node_map == {"u": "d00|u", "v": "d01|v"}
+def corrupted_fields(rule, second, trace):
+    """Each morphism of a ``leaf_steps`` trace replaced in turn by a wrong
+    one, with the code that :func:`verify_trace` must report for it."""
     kp_swap = GraphMorphism(rule.Kp, rule.Kp, {"u": "v", "v": "u", "c": "c"},
                             {"cu": "cv", "cv": "cu", "cc": "cc"})
-    corruptions = {
+    return {
         "m": (second.m, "match-square"),
         "alpha": (second.alpha, "match-square"),
         # A leaf image moved: its incoming edge no longer lands on it.
@@ -373,7 +375,13 @@ def test_verify_trace_reports_each_corrupted_field(leaf_steps):
         "u_prime": (compose(trace.u_prime, kp_swap), "middle-square"),
         "w": (retarget(trace.w, node_changes={"u": "d10|c"}), "right-square"),
     }
-    for name, (bad, code) in corruptions.items():
+
+
+def test_verify_trace_reports_each_corrupted_field(leaf_steps):
+    rule, first, second, trace, _ = leaf_steps
+    assert verify_trace(trace).ok
+    assert trace.u.node_map == {"u": "d00|u", "v": "d01|v"}
+    for name, (bad, code) in corrupted_fields(rule, second, trace).items():
         report = verify_trace(dataclasses.replace(trace, **{name: bad}))
         assert not report.ok and code in report.codes(), (name, str(report))
 
@@ -395,25 +403,19 @@ def test_step_rejects_rule_with_dangling_replacement(leaf_steps):
     assert "bad-target" in report.codes()
 
 
-def test_verify_trace_reports_each_universal_property(leaf_steps):
-    """Traces whose squares all commute but lack one universal property."""
-    rule, _, _, trace, _ = leaf_steps
-
-    def messages(bad):
-        return {v.message for v in verify_trace(bad).violations}
-
+def lacking_universal_property(rule, trace):
+    """Variants of a ``leaf_steps`` trace whose squares all commute but
+    lack one universal property, and one whose ``u`` is not injective."""
     # The host gets a second node typed onto the pattern node v.
     alpha = GraphMorphism(trace.g_in, rule.Lp, {**trace.alpha.node_map, "d10": "v"},
                           {**trace.alpha.edge_map, "e10": "cv"})
-    assert "the strong-match square is not a pullback" in messages(
-        dataclasses.replace(trace, alpha=alpha))
+    match = dataclasses.replace(trace, alpha=alpha)
 
     # G_R gets a node that nothing maps onto.
     g_out = with_node(trace.g_out, "y", "0")
     addition = dataclasses.replace(trace, g_out=g_out,
                                    g_r=retarget(trace.g_r, cod=g_out),
                                    w=retarget(trace.w, cod=g_out))
-    assert messages(addition) == {"the addition square is not a pushout"}
 
     # G_K gets a second copy of a context leaf.
     g_mid = with_node(trace.g_mid, "x", "0")
@@ -422,8 +424,6 @@ def test_verify_trace_reports_each_universal_property(leaf_steps):
         g_l=retarget(trace.g_l, dom=g_mid, node_changes={"x": "d10"}),
         u_prime=retarget(trace.u_prime, dom=g_mid, node_changes={"x": "c"}),
         g_r=retarget(trace.g_r, dom=g_mid, node_changes={"x": "d10|c"}))
-    assert messages(deletion) == {"the deletion square is not a pullback",
-                                  "the addition square is not a pushout"}
 
     # ... or a second copy of the interface node over the matched leaf.
     middle = dataclasses.replace(
@@ -431,8 +431,56 @@ def test_verify_trace_reports_each_universal_property(leaf_steps):
         g_l=retarget(trace.g_l, dom=g_mid, node_changes={"x": "d00"}),
         u_prime=retarget(trace.u_prime, dom=g_mid, node_changes={"x": "u"}),
         g_r=retarget(trace.g_r, dom=g_mid, node_changes={"x": "d00|u"}))
-    assert "u is not the pullback of m along g_L" in messages(middle)
 
     non_injective = dataclasses.replace(
         trace, u=retarget(trace.u, node_changes={"v": "d00|u"}))
-    assert "interface embedding u is not injective" in messages(non_injective)
+    return {"match": match, "addition": addition, "deletion": deletion,
+            "middle": middle, "non_injective": non_injective}
+
+
+def test_verify_trace_reports_each_universal_property(leaf_steps):
+    rule, _, _, trace, _ = leaf_steps
+    bad = lacking_universal_property(rule, trace)
+
+    def messages(name):
+        return {v.message for v in verify_trace(bad[name]).violations}
+
+    assert "the strong-match square is not a pullback" in messages("match")
+    assert messages("addition") == {"the addition square is not a pushout"}
+    assert messages("deletion") == {"the deletion square is not a pullback",
+                                    "the addition square is not a pushout"}
+    assert "u is not the pullback of m along g_L" in messages("middle")
+    assert "interface embedding u is not injective" in messages("non_injective")
+
+
+def held_limits(trace):
+    """The limits ``pbpo_step`` holds for the deletion and addition squares
+    of ``trace``: those of its own cospan and span."""
+    return (pullback(Cospan(trace.alpha, trace.rule.lp)),
+            pushout(Span(trace.u, trace.rule.r)))
+
+
+def test_held_limits_give_the_rebuilt_verdict(leaf_steps):
+    """Deciding the squares over the limits a step holds answers exactly as
+    rebuilding them, on real steps and on traces that fail each check."""
+    rule, _, second, trace, _ = leaf_steps
+    traces = [dataclasses.replace(trace, **{name: bad})
+              for name, (bad, _) in corrupted_fields(rule, second, trace).items()]
+    traces += lacking_universal_property(rule, trace).values()
+    failing = len(traces)
+    rng = random.Random(41)
+    for n in (2, 3, 4):
+        for _ in range(2):
+            traces += reduce_bdd(build_decision_tree(
+                random_truth_table(rng, [f"x{i}" for i in range(n)])))[1].traces
+    lat = bdd_lattice(["x1", "x2"])
+    for _ in range(10):
+        step_rule = random_rule(rng, lat)
+        traces.append(pbpo_step(step_rule, random_host_with_match(rng, step_rule)[1])[1])
+    reports = [(_check_step(t, *held_limits(t)), _check_step(t)) for t in traces]
+    assert all(held == rebuilt for held, rebuilt in reports)
+    assert all(held.ok for held, _ in reports[failing:])
+    # Some failing traces commute and are decided over the held limits.
+    messages = {v.message for held, _ in reports[:failing] for v in held.violations}
+    assert {"the deletion square is not a pullback",
+            "the addition square is not a pushout"} <= messages
