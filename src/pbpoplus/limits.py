@@ -3,10 +3,12 @@
 The pullback of a cospan is the fibered product computed independently on
 nodes and edges: all pairs ``(x, y)`` whose images in the shared target
 coincide, labeled with the meet of the component labels.  It is a hash
-join: the right foot is grouped by image, so the cost is linear in the
-feet plus the output.  Constructed ids render the pair as ``"x|y"``; ids
-that themselves contain ``|`` can render two pairs alike, which raises
-:class:`~pbpoplus.errors.SquareError` rather than dropping an element.
+join: the smaller foot is grouped by image and the other looked up, so the
+cost is linear in the feet plus the output, and a pullback of a small foot
+against a host-sized one builds no host-sized table.  Constructed ids
+render the pair as ``"x|y"``; ids that themselves contain ``|`` can render
+two pairs alike, which raises :class:`~pbpoplus.errors.SquareError` rather
+than dropping an element.
 
 The pushout of a span is the disjoint union of the two feet quotiented by
 the equivalence generated by identifying the two images of each apex
@@ -81,6 +83,24 @@ def pair_id(x: str, y: str) -> str:
     return f"{x}|{y}"
 
 
+def _fibre_pairs(b_ids: tuple[str, ...], c_ids: tuple[str, ...],
+                 f_map: dict[str, str], g_map: dict[str, str]) -> list[tuple[str, str]]:
+    """Pairs ``(b, c)`` with ``f(b) = g(c)`` in (b, c) order, from sorted
+    ids: a hash join that groups the smaller side by image and looks the
+    other side up."""
+    if len(c_ids) <= len(b_ids):
+        c_by_image: dict[str, list[str]] = {}
+        for c in c_ids:
+            c_by_image.setdefault(g_map[c], []).append(c)
+        return [(b, c) for b in b_ids for c in c_by_image.get(f_map[b], ())]
+    b_by_image: dict[str, list[str]] = {}
+    for b in b_ids:
+        b_by_image.setdefault(f_map[b], []).append(b)
+    pairs = [(b, c) for c, image in g_map.items() for b in b_by_image.get(image, ())]
+    pairs.sort()
+    return pairs
+
+
 def pullback(c: Cospan) -> LimitResult:
     """Fibered product of the cospan, with projection legs."""
     f, g = c.left, c.right
@@ -89,28 +109,19 @@ def pullback(c: Cospan) -> LimitResult:
     lat = B.lattice
     meet = lat.meet
 
-    # Fibres of C keep id order, so pairs are made in (B id, C id) order.
-    c_by_node: dict[str, list[str]] = {}
-    for cn in C.sorted_nodes:
-        c_by_node.setdefault(g.node_map[cn], []).append(cn)
-    c_by_edge: dict[str, list[str]] = {}
-    for ec in C.sorted_edges:
-        c_by_edge.setdefault(g.edge_map[ec], []).append(ec)
-
     node_naming: dict[str, tuple] = {}
     node_labels: dict[str, str] = {}
     left_nodes: dict[str, str] = {}
     right_nodes: dict[str, str] = {}
-    for b in B.sorted_nodes:
-        for cn in c_by_node.get(f.node_map[b], ()):
-            nid = pair_id(b, cn)
-            if nid in node_naming:
-                raise SquareError(f"id-collision: pairs {node_naming[nid]} and "
-                                  f"{(b, cn)} both render as node {nid!r}")
-            node_naming[nid] = (b, cn)
-            node_labels[nid] = meet([B.node_labels[b], C.node_labels[cn]])
-            left_nodes[nid] = b
-            right_nodes[nid] = cn
+    for b, cn in _fibre_pairs(B.sorted_nodes, C.sorted_nodes, f.node_map, g.node_map):
+        nid = pair_id(b, cn)
+        if nid in node_naming:
+            raise SquareError(f"id-collision: pairs {node_naming[nid]} and "
+                              f"{(b, cn)} both render as node {nid!r}")
+        node_naming[nid] = (b, cn)
+        node_labels[nid] = meet([B.node_labels[b], C.node_labels[cn]])
+        left_nodes[nid] = b
+        right_nodes[nid] = cn
 
     edge_naming: dict[str, tuple] = {}
     edge_labels: dict[str, str] = {}
@@ -118,18 +129,17 @@ def pullback(c: Cospan) -> LimitResult:
     tgt: dict[str, str] = {}
     left_edges: dict[str, str] = {}
     right_edges: dict[str, str] = {}
-    for eb in B.sorted_edges:
-        for ec in c_by_edge.get(f.edge_map[eb], ()):
-            eid = pair_id(eb, ec)
-            if eid in edge_naming:
-                raise SquareError(f"id-collision: pairs {edge_naming[eid]} and "
-                                  f"{(eb, ec)} both render as edge {eid!r}")
-            edge_naming[eid] = (eb, ec)
-            edge_labels[eid] = meet([B.edge_labels[eb], C.edge_labels[ec]])
-            src[eid] = pair_id(B.src[eb], C.src[ec])
-            tgt[eid] = pair_id(B.tgt[eb], C.tgt[ec])
-            left_edges[eid] = eb
-            right_edges[eid] = ec
+    for eb, ec in _fibre_pairs(B.sorted_edges, C.sorted_edges, f.edge_map, g.edge_map):
+        eid = pair_id(eb, ec)
+        if eid in edge_naming:
+            raise SquareError(f"id-collision: pairs {edge_naming[eid]} and "
+                              f"{(eb, ec)} both render as edge {eid!r}")
+        edge_naming[eid] = (eb, ec)
+        edge_labels[eid] = meet([B.edge_labels[eb], C.edge_labels[ec]])
+        src[eid] = pair_id(B.src[eb], C.src[ec])
+        tgt[eid] = pair_id(B.tgt[eb], C.tgt[ec])
+        left_edges[eid] = eb
+        right_edges[eid] = ec
 
     obj = LabeledGraph(
         lattice=lat,
@@ -368,6 +378,9 @@ def _is_pushout(canon: LimitResult, c: Cospan) -> bool:
     p, q = c.left, c.right
 
     def forced_image(members: tuple, maps: dict[str, dict[str, str]]) -> str:
+        if len(members) == 1:
+            side, ident = members[0]
+            return maps[side][ident]
         images = {maps[side][ident] for side, ident in members}
         assert len(images) == 1, "commuting cospan disagrees on a pushout class"
         return images.pop()

@@ -16,25 +16,43 @@ pattern occurrences.
 
 One backtracking search serves plain enumeration, adherence extension and
 the mediator enumeration of :mod:`~pbpoplus.limits`; callers confine
-elements through per-element candidate maps.  It places nodes one at a
-time.  A node with several candidates that is joined by an edge to a node
-placed earlier is anchored on it: only the neighbours of the anchor's
-image, in the edge's direction, are tried, intersected with the node's
-label-compatible candidates and sorted.  Anchoring only skips candidates
-that could never complete the edge, so results and their order are those
-of the plain search; it is the unrooted form of rooted matching in GP 2
-(Bak & Plump, 2012).
+elements through per-element candidate maps.  It starts with a forced
+pass: every node with exactly one candidate (after pools and labels) is
+placed, and every edge between placed nodes gets its targets, once for all
+results; edges with the same pool, label and endpoint images share them.
+A node or edge without candidates, or two forced elements on one image
+under injectivity, ends the search there.  For an adherence of a BDD host
+every element is forced, so finding it is one pass over the host.
+
+The remaining nodes are searched one at a time on an explicit stack of
+candidate iterators, so the depth of the search is not bounded by the
+interpreter's recursion limit.  A node with several candidates that is
+joined by an edge to a node placed earlier is anchored on it: only the
+neighbours of the anchor's image, in the edge's direction, are tried,
+intersected with the node's label-compatible candidates and sorted.  Once
+every node is placed, an edge with exactly one target takes it and the
+remaining edges are searched on a stack in the same way.  A forced element
+has the same image in every result and anchoring only skips candidates
+that could never complete an edge, so results and their order are those of
+the plain search; this is the unrooted form of rooted matching in GP 2
+(Bak & Plump, 2012), where an element whose image is forced costs no
+search.
+
+A :class:`Match` keeps the pullback of its adherence against its typing;
+:func:`check_strong_match` hands over the one it decided, so a rewrite step
+at a match found here decides its match square without rebuilding it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Sequence
 
 from .errors import LatticeError, MorphismError, NonCommutingSquareError
 from .graph import GraphMorphism, LabeledGraph, identity
-from .limits import (Cospan, Span, _is_exact_bijection, is_pullback_square,
-                     pullback)
+from .limits import (Cospan, LimitResult, Span, _is_exact_bijection,
+                     is_pullback_square, pullback)
 
 if TYPE_CHECKING:
     from .rewriting import PbpoRule
@@ -54,6 +72,12 @@ class Match:
                 tuple(sorted(self.alpha.node_map.items())),
                 tuple(sorted(self.alpha.edge_map.items())))
 
+    @cached_property
+    def _pullback(self) -> LimitResult:
+        """``pullback(Cospan(alpha, typing))``, kept: a match is a value.
+        :func:`check_strong_match` seeds it with the pullback it decided."""
+        return pullback(Cospan(self.alpha, self.typing))
+
 
 def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
                 node_pools: Optional[Mapping[str, Collection[str]]] = None,
@@ -66,7 +90,10 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
     of ``cod`` its image must come from; an element without an entry may go
     anywhere.  With ``lex`` the nodes are processed in id order and results
     come out lexicographically sorted by assignment; otherwise the
-    most-constrained node goes first and callers sort.
+    most-constrained node goes first and callers sort.  Elements with a
+    single candidate are placed before the search and take part in no
+    backtracking; the search itself runs on an explicit stack, so its
+    depth is not bounded by the interpreter's recursion limit.
     """
     above = dom.lattice._above
     node_pools = node_pools or {}
@@ -75,54 +102,109 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
     cod_nlab, cod_elab = cod.node_labels, cod.edge_labels
     cod_src, cod_tgt = cod.src, cod.tgt
     dom_src, dom_tgt = dom.src, dom.tgt
-    cod_edges = cod.edges
+    cod_nodes, cod_edges = cod.sorted_nodes, cod.edges
 
     # Nodes that share a pool and a label share their candidates.
     shared: dict[tuple[int, str], tuple[str, ...]] = {}
+    candidates: dict[str, tuple[str, ...]] = {}
+    for n in dom.nodes:
+        label = node_labels[n]
+        pool = node_pools.get(n, cod_nodes)
+        key = (id(pool), label)
+        found = shared.get(key)
+        if found is None:
+            up = above[label]
+            ordered = pool if pool is cod_nodes else sorted(pool)  # already sorted
+            found = shared[key] = tuple(c for c in ordered if cod_nlab.get(c) in up)
+        candidates[n] = found
 
-    def base_node_targets(n: str) -> tuple[str, ...]:
-        pool = node_pools[n] if n in node_pools else cod.sorted_nodes
-        key = (id(pool), node_labels[n])
-        if key not in shared:
-            up = above[node_labels[n]]
-            shared[key] = tuple(c for c in sorted(pool) if cod_nlab.get(c) in up)
-        return shared[key]
+    # Edges that share a pool, a label and endpoint images share their
+    # targets.
+    shared_targets: dict[tuple, tuple[str, ...]] = {}
 
-    candidates = {n: base_node_targets(n) for n in dom.nodes}
-
-    def edge_targets(e: str, nm: dict[str, str]) -> tuple[str, ...]:
-        up = above[edge_labels[e]]
-        pool = edge_pools[e] if e in edge_pools else cod_edges
-        return tuple(c for c in cod.edges_between(nm[dom_src[e]], nm[dom_tgt[e]])
-                     if c in pool and cod_elab[c] in up)
+    def edge_targets(e: str) -> tuple[str, ...]:
+        s, t = nm[dom_src[e]], nm[dom_tgt[e]]
+        pool = edge_pools.get(e, cod_edges)
+        key = (id(pool), edge_labels[e], s, t)
+        found = shared_targets.get(key)
+        if found is None:
+            up = above[edge_labels[e]]
+            found = shared_targets[key] = tuple(
+                c for c in cod.edges_between(s, t) if c in pool and cod_elab[c] in up)
+        return found
 
     if lex:
-        nodes = list(dom.sorted_nodes)
+        nodes = dom.sorted_nodes
     else:
         nodes = sorted(dom.sorted_nodes, key=lambda n: (len(candidates[n]), n))
-    edges = list(dom.sorted_edges)
-    incident = dom.incident_edges
+    edges = dom.sorted_edges
+
+    # Forced pass: a node with one candidate is placed, and an edge between
+    # placed nodes gets its targets, once for every result.  The maps are
+    # keyed in result order from the start, so results list them as the
+    # search visits them.
+    nm: dict[str, Optional[str]] = dict.fromkeys(nodes)
+    used: set[str] = set()
+    placed: set[str] = set()
+    rest: list[str] = []
+    for n in nodes:
+        cands = candidates[n]
+        if len(cands) != 1:
+            if not cands:
+                return
+            rest.append(n)
+            continue
+        c = cands[0]
+        if injective:
+            if c in used:
+                return
+            used.add(c)
+        nm[n] = c
+        placed.add(n)
+    em: dict[str, Optional[str]] = dict.fromkeys(edges)
+    used_edges: set[str] = set()
+    open_edges: list[str] = []
+    for e in edges:
+        if dom_src[e] not in placed or dom_tgt[e] not in placed:
+            open_edges.append(e)
+            continue
+        targets = edge_targets(e)
+        if len(targets) != 1:
+            if not targets:
+                return
+            open_edges.append(e)
+            continue
+        c = targets[0]
+        if injective:
+            if c in used_edges:
+                return
+            used_edges.add(c)
+        em[e] = c
 
     # Anchor: an edge from a node with several candidates to one placed
     # earlier.  The node's image must then be a neighbour of the anchor's
     # image, so only those neighbours that are static candidates are tried.
+    # Placing a node closes the edges whose other endpoint is placed; each
+    # of them needs a target.
+    incident = dom.incident_edges
     anchors: dict[str, tuple[str, bool]] = {}
-    placed: set[str] = set()
-    for n in nodes:
-        if len(candidates[n]) > 1:
-            for e in incident[n]:
-                s, t = dom_src[e], dom_tgt[e]
-                if s in placed:
-                    anchors[n] = (s, True)
-                    break
-                if t in placed:
-                    anchors[n] = (t, False)
-                    break
+    closing: list[tuple[str, ...]] = []
+    for n in rest:
+        for e in incident[n]:
+            s, t = dom_src[e], dom_tgt[e]
+            if s in placed:
+                anchors[n] = (s, True)
+                break
+            if t in placed:
+                anchors[n] = (t, False)
+                break
         placed.add(n)
+        closing.append(tuple(e for e in incident[n]
+                             if dom_src[e] in placed and dom_tgt[e] in placed))
     candidate_sets = {n: frozenset(candidates[n]) for n in anchors}
     cod_incident = cod.incident_edges
 
-    def node_targets(n: str, nm: dict[str, str]) -> Sequence[str]:
+    def node_targets(n: str) -> Sequence[str]:
         anchor = anchors.get(n)
         if anchor is None:
             return candidates[n]
@@ -135,43 +217,73 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
             near = {cod_src[c] for c in cod_incident[image] if cod_tgt[c] == image}
         return sorted(near & static)
 
-    def assign_edges(i: int, nm: dict[str, str], em: dict[str, str],
-                     used_edges: set[str]) -> Iterator[GraphMorphism]:
-        if i == len(edges):
-            yield GraphMorphism(dom, cod, dict(nm), dict(em))
-            return
-        e = edges[i]
-        for c in edge_targets(e, nm):
-            if injective and c in used_edges:
+    def assign_edges() -> Iterator[GraphMorphism]:
+        """Complete the placed nodes ``nm`` with every edge assignment."""
+        edge_map = dict(em)
+        taken = set(used_edges)
+        search: list[tuple[str, tuple[str, ...]]] = []
+        for e in open_edges:
+            targets = edge_targets(e)
+            if len(targets) != 1:
+                search.append((e, targets))
                 continue
-            em[e] = c
-            used_edges.add(c)
-            yield from assign_edges(i + 1, nm, em, used_edges)
-            used_edges.discard(c)
-            del em[e]
-
-    def assign_nodes(i: int, nm: dict[str, str], used: set[str]) -> Iterator[GraphMorphism]:
-        if i == len(nodes):
-            yield from assign_edges(0, nm, {}, set())
+            c = targets[0]
+            if injective:
+                if c in taken:
+                    return
+                taken.add(c)
+            edge_map[e] = c
+        if not search:
+            yield GraphMorphism(dom, cod, dict(nm), edge_map)
             return
-        n = nodes[i]
-        for c in node_targets(n, nm):
+        depth = len(search)
+        stack = [iter(search[0][1])]
+        while stack:
+            i = len(stack) - 1
+            for c in stack[i]:
+                if not (injective and c in taken):
+                    break
+            else:
+                stack.pop()
+                if injective and i:
+                    taken.discard(edge_map[search[i - 1][0]])
+                continue
+            edge_map[search[i][0]] = c
+            if i + 1 == depth:
+                yield GraphMorphism(dom, cod, dict(nm), dict(edge_map))
+                continue
+            if injective:
+                taken.add(c)
+            stack.append(iter(search[i + 1][1]))
+
+    if not rest:
+        yield from assign_edges()
+        return
+    depth = len(rest)
+    stack = [iter(node_targets(rest[0]))]
+    while stack:
+        i = len(stack) - 1
+        n = rest[i]
+        for c in stack[i]:
             if injective and c in used:
                 continue
             nm[n] = c
-            # Only edges closed off by this assignment need a viability look.
-            ok = True
-            for e in incident[n]:
-                if dom_src[e] in nm and dom_tgt[e] in nm and not edge_targets(e, nm):
-                    ok = False
+            for e in closing[i]:
+                if not edge_targets(e):
                     break
-            if ok:
-                used.add(c)
-                yield from assign_nodes(i + 1, nm, used)
-                used.discard(c)
-            del nm[n]
-
-    yield from assign_nodes(0, {}, set())
+            else:
+                break  # every edge this placement closes has a target
+        else:
+            stack.pop()
+            if injective and i:
+                used.discard(nm[rest[i - 1]])
+            continue
+        if i + 1 == depth:
+            yield from assign_edges()
+            continue
+        if injective:
+            used.add(c)
+        stack.append(iter(node_targets(rest[i + 1])))
 
 
 def enumerate_homomorphisms(g: LabeledGraph, h: LabeledGraph,
@@ -196,6 +308,7 @@ def check_strong_match(t_l: GraphMorphism, alpha: GraphMorphism) -> Optional[Mat
     Computes the pullback of ``(alpha, t_l)`` and checks that the
     projection onto the pattern is a label-exact bijection; the other
     projection composed with its inverse is the induced match morphism.
+    The match keeps the pullback as :attr:`Match._pullback`.
     """
     if alpha.cod != t_l.cod:
         raise MorphismError("typing-mismatch: adherence and typing target different graphs")
@@ -215,7 +328,9 @@ def check_strong_match(t_l: GraphMorphism, alpha: GraphMorphism) -> Optional[Mat
         {e: proj_g.edge_map[inv_edges[e]] for e in L.edges})
     # Injective typing forces an injective match morphism.
     assert m.is_injective(), "strong match produced a non-injective match morphism"
-    return Match(m=m, alpha=alpha, typing=t_l)
+    match = Match(m=m, alpha=alpha, typing=t_l)
+    match.__dict__["_pullback"] = pb
+    return match
 
 
 def _adherences_for(m: GraphMorphism, t_l: GraphMorphism,

@@ -28,7 +28,9 @@ that the middle (``u`` is the pullback of ``m`` along ``g_L``), deletion
 and addition squares commute and, only then, are limits.  The step hands
 the pullback and the pushout it built to that check, which decides the
 deletion and addition squares over them; :func:`verify_trace` builds its
-own.  A step thus builds one pushout and one deletion pullback.
+own.  The match square is decided over the pullback that a match found by
+:func:`~pbpoplus.matching.iter_matches` keeps from its strong-match check.
+A step thus builds one pushout and one deletion pullback.
 """
 
 from __future__ import annotations
@@ -319,9 +321,14 @@ class RewriteTrace:
 
 
 def _check_match(report: Report, m: GraphMorphism, alpha: GraphMorphism,
-                 t_l: GraphMorphism) -> None:
+                 t_l: GraphMorphism, match: Optional[Match] = None) -> None:
+    """The match square.  When ``match`` (of ``m`` and ``alpha``) is typed by
+    ``t_l`` itself, its universal property is decided over the pullback the
+    match keeps, which a match found by :func:`iter_matches` already holds."""
     typed, pattern = Cospan(alpha, t_l), Span(m, identity(t_l.dom))
-    _check_square(report, pattern, typed, lambda: _is_pullback(pullback(typed), pattern),
+    held = match is not None and match.typing is t_l
+    _check_square(report, pattern, typed,
+                  lambda: _is_pullback(match._pullback if held else pullback(typed), pattern),
                   ("match-square", "alpha . m differs from tL"),
                   ("match-square", "the strong-match square is not a pullback"))
 
@@ -404,7 +411,7 @@ def pbpo_step(rule: PbpoRule, match: Match,
         raise MorphismError("typing-mismatch: the match does not connect L, the host and L'")
     _require_valid(MorphismError, "invalid-match", ("m", m), ("alpha", alpha))
     report = Report()
-    _check_match(report, m, alpha, rule.tL)
+    _check_match(report, m, alpha, rule.tL, match)
     if not report.ok:
         raise StrongMatchError("strong-match-failure: the supplied match is not "
                                f"a strong match for the rule: {report}")
@@ -439,11 +446,16 @@ def pbpo_step(rule: PbpoRule, match: Match,
     taken: set[str] = set()
 
     def fresh_name(members: tuple) -> str:
-        host_ids = sorted(ident for side, ident in members if side == "0")
-        if host_ids:
-            cand = host_ids[0]
+        if len(members) == 1:
+            # Every class outside the image of the interface is a singleton.
+            side, ident = members[0]
+            cand = ident if side == "0" else f"{step}:{ident}"
         else:
-            cand = f"{step}:{sorted(ident for _, ident in members)[0]}"
+            host_ids = sorted(ident for side, ident in members if side == "0")
+            if host_ids:
+                cand = host_ids[0]
+            else:
+                cand = f"{step}:{sorted(ident for _, ident in members)[0]}"
         while cand in taken:
             cand += "'"
         taken.add(cand)

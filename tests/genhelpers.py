@@ -16,7 +16,7 @@ from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, LabelLattice,
                       enumerate_homomorphisms, identity, preimage,
                       unit_lattice)
 from pbpoplus.graph import _require_valid
-from pbpoplus.limits import _UnionFind
+from pbpoplus.limits import _UnionFind, pair_id
 
 
 def diamond_lattice() -> LabelLattice:
@@ -545,6 +545,78 @@ def naive_find_matches(rule, g: LabeledGraph) -> list[Match]:
             matches.append(match)
     matches.sort(key=Match.sort_key)
     return matches
+
+
+def reference_pullback(c: Cospan) -> LimitResult:
+    """The pullback with the right foot always grouped by image: the
+    reference for :func:`pbpoplus.pullback`, which groups the smaller foot.
+    Object (with insertion order), legs, namings and errors must agree."""
+    f, g = c.left, c.right
+    _require_valid(SquareError, "invalid-cospan", ("left", f), ("right", g))
+    B, C = f.dom, g.dom
+    lat = B.lattice
+    meet = lat.meet
+
+    # Fibres of C keep id order, so pairs are made in (B id, C id) order.
+    c_by_node: dict[str, list[str]] = {}
+    for cn in C.sorted_nodes:
+        c_by_node.setdefault(g.node_map[cn], []).append(cn)
+    c_by_edge: dict[str, list[str]] = {}
+    for ec in C.sorted_edges:
+        c_by_edge.setdefault(g.edge_map[ec], []).append(ec)
+
+    node_naming: dict[str, tuple] = {}
+    node_labels: dict[str, str] = {}
+    left_nodes: dict[str, str] = {}
+    right_nodes: dict[str, str] = {}
+    for b in B.sorted_nodes:
+        for cn in c_by_node.get(f.node_map[b], ()):
+            nid = pair_id(b, cn)
+            if nid in node_naming:
+                raise SquareError(f"id-collision: pairs {node_naming[nid]} and "
+                                  f"{(b, cn)} both render as node {nid!r}")
+            node_naming[nid] = (b, cn)
+            node_labels[nid] = meet([B.node_labels[b], C.node_labels[cn]])
+            left_nodes[nid] = b
+            right_nodes[nid] = cn
+
+    edge_naming: dict[str, tuple] = {}
+    edge_labels: dict[str, str] = {}
+    src: dict[str, str] = {}
+    tgt: dict[str, str] = {}
+    left_edges: dict[str, str] = {}
+    right_edges: dict[str, str] = {}
+    for eb in B.sorted_edges:
+        for ec in c_by_edge.get(f.edge_map[eb], ()):
+            eid = pair_id(eb, ec)
+            if eid in edge_naming:
+                raise SquareError(f"id-collision: pairs {edge_naming[eid]} and "
+                                  f"{(eb, ec)} both render as edge {eid!r}")
+            edge_naming[eid] = (eb, ec)
+            edge_labels[eid] = meet([B.edge_labels[eb], C.edge_labels[ec]])
+            src[eid] = pair_id(B.src[eb], C.src[ec])
+            tgt[eid] = pair_id(B.tgt[eb], C.tgt[ec])
+            left_edges[eid] = eb
+            right_edges[eid] = ec
+
+    obj = LabeledGraph(
+        lattice=lat,
+        nodes=frozenset(node_naming),
+        edges=frozenset(edge_naming),
+        src=src,
+        tgt=tgt,
+        node_labels=node_labels,
+        edge_labels=edge_labels,
+    )
+    left_leg = GraphMorphism(obj, B, left_nodes, left_edges)
+    right_leg = GraphMorphism(obj, C, right_nodes, right_edges)
+
+    # Monomorphisms are stable under pullback; a violation is an engine bug.
+    if g.is_injective():
+        assert left_leg.is_injective(), "pullback of an injective leg lost injectivity"
+    if f.is_injective():
+        assert right_leg.is_injective(), "pullback of an injective leg lost injectivity"
+    return LimitResult(obj, left_leg, right_leg, node_naming, edge_naming)
 
 
 def reference_pushout(s: Span) -> LimitResult:

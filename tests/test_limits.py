@@ -12,8 +12,10 @@ from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, MorphismError,
 
 from genhelpers import (add_isolated_node, corpus_lattices, diamond_lattice,
                         pullback_candidates, pushout_candidates, random_cospan,
-                        random_graph, random_morphism_out_of, random_span,
-                        reference_homomorphisms, reference_pushout)
+                        random_graph, random_morphism_into,
+                        random_morphism_out_of, random_span,
+                        reference_homomorphisms, reference_pullback,
+                        reference_pushout)
 
 
 def g1(lat, label=None, ident="a", loop=False):
@@ -210,6 +212,60 @@ def test_pullback_rejects_colliding_pair_ids(unit):
     with pytest.raises(SquareError, match="id-collision"):
         pullback(Cospan(GraphMorphism(b, d, {"a|b": "t", "a": "t"}, {}),
                         GraphMorphism(c, d, {"c": "t", "b|c": "t"}, {})))
+
+
+def assert_same_limit(got, want):
+    """Equal objects, legs and namings, dict insertion order included."""
+    assert got.object == want.object
+    for field in ("node_labels", "edge_labels", "src", "tgt"):
+        assert (list(getattr(got.object, field).items())
+                == list(getattr(want.object, field).items()))
+    assert list(got.node_naming.items()) == list(want.node_naming.items())
+    assert list(got.edge_naming.items()) == list(want.edge_naming.items())
+    for got_leg, want_leg in ((got.left_leg, want.left_leg), (got.right_leg, want.right_leg)):
+        assert got_leg == want_leg
+        assert list(got_leg.node_map.items()) == list(want_leg.node_map.items())
+        assert list(got_leg.edge_map.items()) == list(want_leg.edge_map.items())
+
+
+def test_pullback_agrees_with_reference():
+    """Grouping the smaller foot gives the pairs, ids, labels, legs and
+    namings of grouping the right foot, in the same order."""
+    rng = random.Random(97)
+    seen = {"left-smaller": 0, "right-smaller": 0, "fibres": 0}
+    sizes = (1, 3, 8)
+    for lat in corpus_lattices():
+        for _ in range(150):
+            target = random_graph(rng, lat, max_nodes=4, max_edges=6, prefix="d")
+            left_size, right_size = rng.choice(sizes), rng.choice(sizes)
+            cospan = Cospan(
+                random_morphism_into(rng, target, left_size, 2 * left_size, prefix="u"),
+                random_morphism_into(rng, target, right_size, 2 * right_size, prefix="v"))
+            got = pullback(cospan)
+            assert_same_limit(got, reference_pullback(cospan))
+            b, c = cospan.left.dom, cospan.right.dom
+            seen["left-smaller"] += len(b.nodes) < len(c.nodes) and len(got.object.nodes) > 1
+            seen["right-smaller"] += len(c.nodes) < len(b.nodes) and len(got.object.nodes) > 1
+            seen["fibres"] += len(got.object.nodes) > max(len(b.nodes), len(c.nodes))
+    assert min(seen.values()) >= 30, seen
+
+
+def test_pullback_collision_agrees_with_reference(unit):
+    """Either foot may be the smaller one; the first colliding pair and its
+    message are those of the reference."""
+    d = LabeledGraph.build(unit, {"t": "*"})
+    for junk_b, junk_c in ((0, 0), (5, 0), (0, 5)):
+        b = LabeledGraph.build(unit, {"a|b": "*", "a": "*",
+                                      **{f"j{i}": "*" for i in range(junk_b)}})
+        c = LabeledGraph.build(unit, {"c": "*", "b|c": "*",
+                                      **{f"k{i}": "*" for i in range(junk_c)}})
+        cospan = Cospan(GraphMorphism(b, d, dict.fromkeys(b.nodes, "t"), {}),
+                        GraphMorphism(c, d, dict.fromkeys(c.nodes, "t"), {}))
+        with pytest.raises(SquareError, match="id-collision") as want:
+            reference_pullback(cospan)
+        with pytest.raises(SquareError, match="id-collision") as got:
+            pullback(cospan)
+        assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------------ preimage
@@ -448,3 +504,22 @@ def test_mediators_with_unsatisfiable_pins(unit):
     assert enumerate_mediators(dom, cod, pre=[(identity(dom), to_z)]) == []
     assert enumerate_mediators(
         dom, cod, pre=[(identity(dom), to_b1), (identity(dom), to_b2)]) == []
+
+
+def test_mediator_into_a_large_pullback():
+    """Every element of the apex is pinned to one fibre, so the mediator
+    search does not recurse once per element."""
+    unit = unit_lattice()
+    ids = [f"b{i:03d}" for i in range(800)]
+    chain = LabeledGraph.build(unit, dict.fromkeys(ids, "*"),
+                               {f"e{i:03d}": (ids[i], ids[i + 1], "*")
+                                for i in range(len(ids) - 1)})
+    loop = LabeledGraph.build(unit, {"t": "*"}, {"l": ("t", "t", "*")})
+    point = LabeledGraph.build(unit, {"s": "*"}, {"k": ("s", "s", "*")})
+    to_loop = GraphMorphism(chain, loop, dict.fromkeys(chain.nodes, "t"),
+                            dict.fromkeys(chain.edges, "l"))
+    pb = pullback(Cospan(to_loop, GraphMorphism(point, loop, {"s": "t"}, {"k": "l"})))
+    assert len(pb.object.nodes) + len(pb.object.edges) >= 1100
+    (mediator,) = pullback_mediators(pb, Span(pb.left_leg, pb.right_leg), limit=1)
+    assert mediator.node_map == identity(pb.object).node_map
+    assert mediator.edge_map == identity(pb.object).edge_map

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, MorphismError,
-                      Span, build_decision_tree, check_strong_match, compose,
+                      RhsSpec, Span, TruthTable, build_decision_tree,
+                      check_strong_match, complete_rule, compose,
                       enumerate_homomorphisms, find_matches, identity,
-                      is_pullback_square, reduce_bdd, reduction_rules,
-                      unit_lattice, validate_morphism, verify_match_square)
-from pbpoplus.matching import _hom_search
+                      is_pullback_square, leaf_rule, pbpo_step,
+                      reduce_bdd, reduction_rules, unit_lattice,
+                      validate_morphism, verify_match_square, verify_trace)
+from pbpoplus.matching import _hom_search, iter_matches
 
 from genhelpers import (corpus_lattices, naive_find_matches, random_graph,
                         random_host_with_match, random_rule,
@@ -243,3 +245,125 @@ def test_find_matches_agrees_with_naive_on_bdd_hosts():
             assert [m.sort_key() for m in fast] == [m.sort_key() for m in slow]
             found += len(fast)
     assert found > 0
+
+
+# ------------------------------------------------ forced pass and depth
+
+
+def pooled_reference(g, h, injective, node_pools, edge_pools):
+    """Every morphism of the unpruned reference whose images lie in the
+    pools, in the lexicographic order of the assignment."""
+    return [f for f in reference_homomorphisms(g, h, injective)
+            if all(f.node_map[n] in pool for n, pool in node_pools.items())
+            and all(f.edge_map[e] in pool for e, pool in edge_pools.items())]
+
+
+def sorted_keys(pairs):
+    return sorted(tuple(sorted(nm.items())) + tuple(sorted(em.items())) for nm, em in pairs)
+
+
+def assert_search_agrees(g, h, node_pools, edge_pools):
+    """``_hom_search`` under the pools equals the filtered reference, for
+    both injectivity modes, in lex order and, as a set, in the other;
+    returns the number of results per mode."""
+    counts = []
+    for injective in (False, True):
+        expected = assignments(pooled_reference(g, h, injective, node_pools, edge_pools))
+        got = assignments(_hom_search(g, h, injective, node_pools, edge_pools, lex=True))
+        assert got == expected
+        unordered = assignments(_hom_search(g, h, injective, node_pools, edge_pools))
+        assert sorted_keys(unordered) == sorted_keys(expected)
+        counts.append(len(expected))
+    return counts
+
+
+def test_forced_pass_agrees_with_filtered_reference():
+    """Pools that pin most elements to one image, taken from a real
+    homomorphism or drawn at random, on all corpus lattices."""
+    rng = random.Random(52)
+    lattices = corpus_lattices()
+    seen = {"mostly-forced": 0, "found": 0, "injective-cut": 0}
+    for i in range(600):
+        lat = lattices[i % len(lattices)]
+        g = random_graph(rng, lat, max_nodes=4, max_edges=5, prefix="g")
+        h = random_graph(rng, lat, max_nodes=4, max_edges=8, prefix="h")
+        homs = reference_homomorphisms(g, h)
+        pin = rng.choice(homs) if homs and i % 2 else None
+        node_pools, edge_pools = {}, {}
+        for ids, pools, cod_ids, image in (
+                (g.sorted_nodes, node_pools, h.sorted_nodes, pin and pin.node_map),
+                (g.sorted_edges, edge_pools, h.sorted_edges, pin and pin.edge_map)):
+            for x in ids:
+                r = rng.random()
+                if r < 0.7 and cod_ids:
+                    pools[x] = frozenset([image[x] if image else rng.choice(cod_ids)])
+                elif r < 0.85:
+                    pools[x] = frozenset(rng.sample(cod_ids, rng.randint(0, len(cod_ids))))
+        loose, strict = assert_search_agrees(g, h, node_pools, edge_pools)
+        forced = sum(len(pool) == 1 for pool in (*node_pools.values(), *edge_pools.values()))
+        seen["mostly-forced"] += 2 * forced > len(g.nodes) + len(g.edges) > 1
+        seen["found"] += loose > 0
+        seen["injective-cut"] += strict < loose
+    assert min(seen.values()) >= 50, seen
+
+
+def test_forced_pass_edge_cases(unit):
+    h = LabeledGraph.build(unit, {"x": "*", "y": "*"},
+                           {"f1": ("x", "y", "*"), "f2": ("x", "y", "*"),
+                            "back": ("y", "x", "*")})
+    pinned = {"a": frozenset({"x"}), "b": frozenset({"y"})}
+
+    # Two forced nodes collide: only a non-injective result.
+    two = LabeledGraph.build(unit, {"a": "*", "b": "*"})
+    assert assert_search_agrees(two, h, {"a": frozenset({"x"}), "b": frozenset({"x"})},
+                                {}) == [1, 0]
+
+    # A forced edge and an open edge compete for f1; under injectivity the
+    # open edge gets f2, whether it comes before or after the forced one.
+    for forced, open_edge in (("e1", "e2"), ("e2", "e1")):
+        g = LabeledGraph.build(unit, {"a": "*", "b": "*"},
+                               {"e1": ("a", "b", "*"), "e2": ("a", "b", "*")})
+        pools = {forced: frozenset({"f1"})}
+        assert assert_search_agrees(g, h, pinned, pools) == [2, 1]
+        (only,) = _hom_search(g, h, True, pinned, pools, lex=True)
+        assert only.edge_map == {forced: "f1", open_edge: "f2"}
+
+    # An edge between forced nodes with no target ends the search.
+    g = LabeledGraph.build(unit, {"a": "*", "b": "*"}, {"e": ("b", "a", "*"),
+                                                        "d": ("a", "b", "*")})
+    assert assert_search_agrees(g, h, pinned, {"e": frozenset({"f1"})}) == [0, 0]
+
+    # Two forced edges on one target: fine unless injective.
+    assert assert_search_agrees(g, h, pinned, {"d": frozenset({"f1"})}) == [1, 1]
+    g = LabeledGraph.build(unit, {"a": "*", "b": "*"},
+                           {"e1": ("a", "b", "*"), "e2": ("a", "b", "*")})
+    both = {"e1": frozenset({"f1"}), "e2": frozenset({"f1"})}
+    assert assert_search_agrees(g, h, pinned, both) == [1, 0]
+
+
+def test_leaf_match_and_step_on_an_eight_variable_tree():
+    """Every host element outside the pattern is forced, so neither the
+    search nor the step depends on the recursion limit."""
+    variables = [f"x{i}" for i in range(8)]
+    tree = build_decision_tree(TruthTable.from_bits("0110" * 64, variables))
+    assert len(tree.graph.nodes) == 511 and len(tree.graph.edges) == 510
+    rule = leaf_rule("0", tree.graph.lattice)
+    match = next(iter_matches(rule, tree.graph))
+    assert match.m.node_map == {"u": "d00000000", "v": "d00000011"}
+    result, trace = pbpo_step(rule, match)
+    assert len(result.nodes) == 510 and len(result.edges) == 510
+    assert verify_trace(trace).ok
+
+
+def test_first_match_with_two_context_nodes_on_a_large_host(unit):
+    """Every non-pattern node has two adherence candidates, so the search
+    backtracks over a stack as deep as the host."""
+    pattern = LabeledGraph.build(unit, {"a": "*"})
+    lprime = LabeledGraph.build(unit, {"a": "*", "c1": "*", "c2": "*"})
+    rule = complete_rule(pattern, GraphMorphism(pattern, lprime, {"a": "a"}, {}),
+                         identity(lprime), RhsSpec())
+    ids = [f"h{i:04d}" for i in range(1500)]
+    host = LabeledGraph.build(unit, dict.fromkeys(ids, "*"))
+    match = next(iter_matches(rule, host))
+    assert match.m.node_map == {"a": ids[0]}
+    assert match.alpha.node_map == {ids[0]: "a", **dict.fromkeys(ids[1:], "c1")}

@@ -9,9 +9,11 @@ from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, Match,
                       bdd_lattice, build_decision_tree, complete_rule, compose,
                       find_matches, identity, is_isomorphic, leaf_rule,
                       normalize, pbpo_step, pullback, pushout, reduce_bdd,
-                      toypb_step, toypo_step, validate_morphism,
-                      validate_rule, verify_match_square, verify_trace)
+                      reduction_rules, toypb_step, toypo_step,
+                      validate_morphism, validate_rule, verify_match_square,
+                      verify_trace)
 
+from pbpoplus import matching, rewriting
 from pbpoplus.rewriting import _check_step
 
 from genhelpers import random_host_with_match, random_rule, random_truth_table
@@ -484,3 +486,73 @@ def test_held_limits_give_the_rebuilt_verdict(leaf_steps):
     messages = {v.message for held, _ in reports[:failing] for v in held.violations}
     assert {"the deletion square is not a pullback",
             "the addition square is not a pushout"} <= messages
+
+
+# ------------------------------------------------ held match pullback
+
+
+def rebuilt_matches(rule, match):
+    """The match as found, rebuilt by hand, and rebuilt over a typing equal
+    to ``rule.tL`` that is another object."""
+    typing = GraphMorphism(rule.tL.dom, rule.tL.cod, dict(rule.tL.node_map),
+                           dict(rule.tL.edge_map))
+    assert typing == rule.tL and typing is not rule.tL
+    return {"found": match,
+            "by-hand": Match(match.m, match.alpha, rule.tL),
+            "equal-typing": Match(match.m, match.alpha, typing)}
+
+
+def test_step_at_a_rebuilt_match_gives_the_same_trace():
+    rng = random.Random(71)
+    for n in (2, 3):
+        tree = build_decision_tree(random_truth_table(rng, [f"x{i}" for i in range(n)]))
+        for rule in reduction_rules(tree.variables, tree.graph.lattice):
+            for match in find_matches(rule, tree.graph)[:2]:
+                assert "_pullback" in vars(match)  # seeded by the strong-match check
+                steps = {kind: pbpo_step(rule, m, step=3)
+                         for kind, m in rebuilt_matches(rule, match).items()}
+                result, trace = steps["found"]
+                for other_result, other_trace in steps.values():
+                    assert other_result == result and other_trace == trace
+                    assert list(other_result.node_labels.items()) == list(
+                        result.node_labels.items())
+
+
+def test_step_decides_the_match_square_over_the_held_pullback(monkeypatch, leaf_steps):
+    """A match found for the rule spares the step one pullback; a rebuilt
+    match, or one typed by an equal copy of tL, builds its own."""
+    rule, first, _, _, _ = leaf_steps
+    calls = []
+
+    def counting(cospan):
+        calls.append(cospan)
+        return pullback(cospan)
+
+    monkeypatch.setattr(matching, "pullback", counting)
+    monkeypatch.setattr(rewriting, "pullback", counting)
+    counts = {}
+    for kind, match in rebuilt_matches(rule, first).items():
+        calls.clear()
+        pbpo_step(rule, match)
+        counts[kind] = len(calls)
+    assert counts == {"found": 2, "by-hand": 3, "equal-typing": 3}
+
+
+def test_step_rejects_a_hand_built_match_that_is_not_strong(leaf_steps):
+    """A second 0-leaf typed onto the pattern leaf: the square commutes but
+    is not a pullback, whichever typing object the match carries."""
+    rule, first, _, _, _ = leaf_steps
+    host = first.alpha.dom
+    (other,) = [n for n in host.sorted_nodes if host.node_labels[n] == "0"
+                and n not in first.m.node_map.values()]
+    u = rule.tL.node_map["u"]
+    into_u = [k for k, v in rule.Lp.src.items() if rule.Lp.tgt[k] == u and v != u]
+    alpha = GraphMorphism(host, rule.Lp, {**first.alpha.node_map, other: u},
+                          {**first.alpha.edge_map,
+                           **dict.fromkeys(host.in_edges[other], into_u[0])})
+    assert validate_morphism(alpha).ok
+    for match in rebuilt_matches(rule, dataclasses.replace(first, alpha=alpha)).values():
+        if match is first:
+            continue
+        with pytest.raises(StrongMatchError, match="not a pullback"):
+            pbpo_step(rule, match)
