@@ -370,14 +370,15 @@ def reduction_rules(variables: tuple[str, ...] | list[str],
     return rules
 
 
-def reduce_bdd(b: Bdd, max_steps: Optional[int] = None
+def reduce_bdd(b: Bdd, max_steps: Optional[int] = None, keep_traces: bool = True
                ) -> tuple[Bdd, NormalizeResult]:
-    """Run the reduction rules to a fixpoint; each step removes one node."""
+    """Run the reduction rules to a fixpoint; each step removes one node.
+    ``max_steps`` and ``keep_traces`` are passed to :func:`normalize`."""
     report = validate_bdd(b.graph, b.root)
     if not report.ok:
         raise BddError(f"invalid-bdd: {report}")
     rules = reduction_rules(b.variables, b.graph.lattice)
-    result = normalize(b.graph, rules, max_steps=max_steps)
+    result = normalize(b.graph, rules, max_steps=max_steps, keep_traces=keep_traces)
     root = _find_root(result.graph)
     if root is None:
         raise BddError("invalid-bdd: reduction lost the single root")

@@ -114,7 +114,7 @@ def _cmd_bdd(args: argparse.Namespace) -> int:
         _emit_bdd(b, args)
         return 0
     tree = build_decision_tree(table)
-    reduced, result = reduce_bdd(tree)
+    reduced, result = reduce_bdd(tree, keep_traces=False)
     print(f"{len(tree.graph.nodes)} -> {len(reduced.graph.nodes)} nodes "
           f"in {result.steps} steps")
     _emit_bdd(reduced, args)
@@ -149,13 +149,15 @@ def _cmd_apply(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_normalize(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    if args.max_steps is not None and args.max_steps < 0:
+        parser.error(f"--max-steps must not be negative, got {args.max_steps}")
     ws = formats.parse_workspace(args.workspace)
     names = [n for n in args.rules.split(",") if n]
     if not names:
         parser.error("--rules needs at least one rule name")
     rules = [ws.rule(n) for n in names]
     graph = ws.graph(args.graph)
-    result = normalize(graph, rules, max_steps=args.max_steps)
+    result = normalize(graph, rules, max_steps=args.max_steps, keep_traces=False)
     print(f"{len(graph.nodes)} -> {len(result.graph.nodes)} nodes "
           f"in {result.steps} steps ({result.status})")
     sys.stdout.write(formats.serialize(result.graph))

@@ -5,19 +5,24 @@ nodes and edges: all pairs ``(x, y)`` whose images in the shared target
 coincide, labeled with the meet of the component labels.  It is a hash
 join: the smaller foot is grouped by image and the other looked up, so the
 cost is linear in the feet plus the output, and a pullback of a small foot
-against a host-sized one builds no host-sized table.  Constructed ids
-render the pair as ``"x|y"``; ids that themselves contain ``|`` can render
-two pairs alike, which raises :class:`~pbpoplus.errors.SquareError` rather
-than dropping an element.
+against a host-sized one builds no host-sized table.
 
 The pushout of a span is the disjoint union of the two feet quotiented by
 the equivalence generated by identifying the two images of each apex
-element, labeled with the join of each class.  Constructed ids are the
-smallest tagged member of the class (``"0:x"`` for the left foot, ``"1:y"``
+element, labeled with the join of each class.  Classes are keyed by their
+smallest member ``(side, id)`` (side ``"0"`` for the left foot, ``"1"``
 for the right), which keeps results deterministic and traceable.  Only the
 apex image can merge, so only it goes through the union-find; every other
 element is a singleton class ``((side, x),)`` that keeps its own label, and
 the cost outside the apex image is one pass over the feet.
+
+Both constructions work on these tuple keys and name the result's elements
+in a separate last step.  By default a pullback pair renders as ``"x|y"``
+and a pushout class as ``"0:x"``/``"1:y"``; a cospan or span may carry its
+own ``names`` instead, which is how a rewrite step builds its graphs under
+their final ids with no second join or quotient.  Two elements named alike
+raise :class:`~pbpoplus.errors.SquareError` (``id-collision``) rather than
+merge: ids that themselves contain ``|`` can render two pairs alike.
 
 ``is_pullback_square``/``is_pushout_square`` validate the legs, check that
 the square commutes and build the canonical limit; a private core then
@@ -34,9 +39,9 @@ given; each morphism is validated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (MorphismError, NonCommutingSquareError, SquareError,
                      UnknownLabelError)
@@ -44,12 +49,20 @@ from .graph import GraphMorphism, LabeledGraph, _require_valid, compose
 from .lattice import LabelLattice
 
 
+# Names the elements of one sort of a limit: called with their origins (the
+# pairs of a pullback, the class roots of a pushout) and the sort, ``"node"``
+# or ``"edge"``, it returns their ids in the same order.
+Naming = Callable[[list[tuple[str, str]], str], list[str]]
+
+
 @dataclass(frozen=True)
 class Span:
-    """Two morphisms out of a shared apex."""
+    """Two morphisms out of a shared apex; ``names``, if given, names the
+    classes of its pushout by their roots."""
 
     left: GraphMorphism
     right: GraphMorphism
+    names: Optional[Naming] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.left.dom != self.right.dom:
@@ -58,10 +71,12 @@ class Span:
 
 @dataclass(frozen=True)
 class Cospan:
-    """Two morphisms into a shared target."""
+    """Two morphisms into a shared target; ``names``, if given, names the
+    pairs of its pullback."""
 
     left: GraphMorphism
     right: GraphMorphism
+    names: Optional[Naming] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.left.cod != self.right.cod:
@@ -101,6 +116,28 @@ def _fibre_pairs(b_ids: tuple[str, ...], c_ids: tuple[str, ...],
     return pairs
 
 
+def _render_pairs(pairs: list[tuple[str, str]], kind: str) -> list[str]:
+    return [pair_id(x, y) for x, y in pairs]
+
+
+def _render_classes(roots: list[tuple[str, str]], kind: str) -> list[str]:
+    return [f"{side}:{x}" for side, x in roots]
+
+
+def _named(origins: list[tuple], ids: list[str], kind: str,
+           what: str) -> dict[str, tuple]:
+    """Id -> origin; two origins named alike raise instead of merging."""
+    naming = dict(zip(ids, origins))
+    if len(naming) < len(origins):
+        seen: dict[str, tuple] = {}
+        for origin, ident in zip(origins, ids):
+            if ident in seen:
+                raise SquareError(f"id-collision: {what} {seen[ident]} and "
+                                  f"{origin} both render as {kind} {ident!r}")
+            seen[ident] = origin
+    return naming
+
+
 def pullback(c: Cospan) -> LimitResult:
     """Fibered product of the cospan, with projection legs."""
     f, g = c.left, c.right
@@ -108,36 +145,33 @@ def pullback(c: Cospan) -> LimitResult:
     B, C = f.dom, g.dom
     lat = B.lattice
     meet = lat.meet
+    names = c.names or _render_pairs
+    node_pairs = _fibre_pairs(B.sorted_nodes, C.sorted_nodes, f.node_map, g.node_map)
+    edge_pairs = _fibre_pairs(B.sorted_edges, C.sorted_edges, f.edge_map, g.edge_map)
 
-    node_naming: dict[str, tuple] = {}
+    node_ids = names(node_pairs, "node")
+    node_naming = _named(node_pairs, node_ids, "node", "pairs")
+    node_of = dict(zip(node_pairs, node_ids))
     node_labels: dict[str, str] = {}
     left_nodes: dict[str, str] = {}
     right_nodes: dict[str, str] = {}
-    for b, cn in _fibre_pairs(B.sorted_nodes, C.sorted_nodes, f.node_map, g.node_map):
-        nid = pair_id(b, cn)
-        if nid in node_naming:
-            raise SquareError(f"id-collision: pairs {node_naming[nid]} and "
-                              f"{(b, cn)} both render as node {nid!r}")
-        node_naming[nid] = (b, cn)
-        node_labels[nid] = meet([B.node_labels[b], C.node_labels[cn]])
+    b_labels, c_labels = B.node_labels, C.node_labels
+    for nid, (b, cn) in node_naming.items():
+        node_labels[nid] = meet((b_labels[b], c_labels[cn]))
         left_nodes[nid] = b
         right_nodes[nid] = cn
 
-    edge_naming: dict[str, tuple] = {}
+    edge_naming = _named(edge_pairs, names(edge_pairs, "edge"), "edge", "pairs")
     edge_labels: dict[str, str] = {}
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
     left_edges: dict[str, str] = {}
     right_edges: dict[str, str] = {}
-    for eb, ec in _fibre_pairs(B.sorted_edges, C.sorted_edges, f.edge_map, g.edge_map):
-        eid = pair_id(eb, ec)
-        if eid in edge_naming:
-            raise SquareError(f"id-collision: pairs {edge_naming[eid]} and "
-                              f"{(eb, ec)} both render as edge {eid!r}")
-        edge_naming[eid] = (eb, ec)
-        edge_labels[eid] = meet([B.edge_labels[eb], C.edge_labels[ec]])
-        src[eid] = pair_id(B.src[eb], C.src[ec])
-        tgt[eid] = pair_id(B.tgt[eb], C.tgt[ec])
+    b_labels, c_labels = B.edge_labels, C.edge_labels
+    for eid, (eb, ec) in edge_naming.items():
+        edge_labels[eid] = meet((b_labels[eb], c_labels[ec]))
+        src[eid] = node_of[B.src[eb], C.src[ec]]
+        tgt[eid] = node_of[B.tgt[eb], C.tgt[ec]]
         left_edges[eid] = eb
         right_edges[eid] = ec
 
@@ -190,49 +224,56 @@ class _UnionFind:
 
 def _glue(lat: LabelLattice, feet_ids: dict[str, tuple[str, ...]],
           feet_labels: dict[str, dict[str, str]], legs: dict[str, dict[str, str]],
-          apex_ids):
+          apex_ids) -> tuple[list[tuple], list[str]]:
     """Classes of one sort of element (nodes or edges) of the pushout.
 
-    ``feet_ids`` are each foot's sorted ids under its tag ``"0"``/``"1"``,
+    ``feet_ids`` are each foot's sorted ids under its side ``"0"``/``"1"``,
     ``legs`` the two leg maps of that sort.  Only images of the apex can
     merge, so only they enter the union-find; every other element is a
     singleton class that keeps its own label, which, like the join of a
-    larger class, must be an element of the lattice.  Classes come in the
-    order of their smallest tagged member.  Returns the naming and labels
-    keyed by representative, and each foot's map from id to representative.
+    larger class, must be an element of the lattice.  Returns the classes,
+    each the sorted tuple of its ``(side, id)`` members, in the order of
+    their smallest member (the root), and their labels.
     """
     glued = {side: set(leg.values()) for side, leg in legs.items()}
     uf = _UnionFind([(side, x) for side, ids in glued.items() for x in ids])
     for a in apex_ids:
         uf.union(("0", legs["0"][a]), ("1", legs["1"][a]))
-    classes = uf.classes()
+    merged = uf.classes()
     elements, join = lat.elements, lat.join
-    naming: dict[str, tuple] = {}
-    labels: dict[str, str] = {}
-    reps: dict[str, dict[str, str]] = {"0": {}, "1": {}}
+    classes: list[tuple] = []
+    labels: list[str] = []
     for side, ids in feet_ids.items():
-        side_glued, side_labels, side_reps = glued[side], feet_labels[side], reps[side]
+        side_glued, side_labels = glued[side], feet_labels[side]
         for x in ids:
             if x not in side_glued:
-                rep = f"{side}:{x}"
-                naming[rep] = ((side, x),)
-                labels[rep] = label = side_labels[x]
+                label = side_labels[x]
                 if label not in elements:
                     raise UnknownLabelError(f"label {label!r} is not in the lattice")
-                side_reps[x] = rep
+                classes.append(((side, x),))
+                labels.append(label)
                 continue
             # A glued element opens its class only as the class root, which
             # union-by-smaller-tag makes the smallest member.
-            members = classes.get((side, x))
-            if members is None:
-                continue
-            members = tuple(sorted(members))
-            rep = f"{side}:{x}"
-            naming[rep] = members
-            labels[rep] = join(feet_labels[m_side][ident] for m_side, ident in members)
-            for m_side, ident in members:
-                reps[m_side][ident] = rep
-    return naming, labels, reps
+            members = merged.get((side, x))
+            if members is not None:
+                members = tuple(sorted(members))
+                classes.append(members)
+                labels.append(join(feet_labels[m_side][ident] for m_side, ident in members))
+    return classes, labels
+
+
+def _quotient(classes: list[tuple], labels: list[str], names: Naming,
+              kind: str) -> tuple[dict[str, tuple], dict[str, str], dict[str, dict[str, str]]]:
+    """Name the classes by their roots: the naming, the labels keyed by id,
+    and each foot's map from id to the id of its class."""
+    ids = names([members[0] for members in classes], kind)
+    naming = _named(classes, ids, kind, "classes")
+    reps: dict[str, dict[str, str]] = {"0": {}, "1": {}}
+    for ident, members in naming.items():
+        for side, x in members:
+            reps[side][x] = ident
+    return naming, dict(zip(ids, labels)), reps
 
 
 def pushout(s: Span) -> LimitResult:
@@ -242,15 +283,16 @@ def pushout(s: Span) -> LimitResult:
     A = f.dom
     lat = f.cod.lattice
     feet = {"0": f.cod, "1": g.cod}
+    names = s.names or _render_classes
 
-    node_naming, node_labels, node_reps = _glue(
+    node_naming, node_labels, node_reps = _quotient(*_glue(
         lat, {side: foot.sorted_nodes for side, foot in feet.items()},
         {side: foot.node_labels for side, foot in feet.items()},
-        {"0": f.node_map, "1": g.node_map}, A.sorted_nodes)
-    edge_naming, edge_labels, edge_reps = _glue(
+        {"0": f.node_map, "1": g.node_map}, A.sorted_nodes), names, "node")
+    edge_naming, edge_labels, edge_reps = _quotient(*_glue(
         lat, {side: foot.sorted_edges for side, foot in feet.items()},
         {side: foot.edge_labels for side, foot in feet.items()},
-        {"0": f.edge_map, "1": g.edge_map}, A.sorted_edges)
+        {"0": f.edge_map, "1": g.edge_map}, A.sorted_edges), names, "edge")
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
     for rep, members in edge_naming.items():

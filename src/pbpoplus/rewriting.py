@@ -18,13 +18,22 @@ pattern):
     L' <-------l'-------- K'      R
 
 The embedding ``u : K -> G_K`` is uniquely determined by ``tK = u' . u``
-together with the middle square; it is computed in closed form from the
-pullback pair naming.  :func:`pbpo_step` always checks every property of
-the step exactly once, so an invalid rule or match is an error, never a
-wrong graph.  At entry: the rule, ``m``, ``alpha`` and the match square.
-After the construction, in code shared with :func:`verify_trace`: the
-validity of ``g_L, g_R, u, u', w``, ``u' . u = tK``, ``u`` injective, and
-that the middle (``u`` is the pullback of ``m`` along ``g_L``), deletion
+together with the middle square; it is computed in closed form as the
+pullback pair ``(m(l(k)), tK(k))``, looked up in the step's own naming.
+
+Host ids survive a step.  The step hands its own naming to the one
+pullback and pushout construction of :mod:`~pbpoplus.limits`, so ``G_K``
+and ``G_R`` are built under their final ids: a host element with one copy
+in ``G_K`` keeps its id (the same ``str`` object), a merged class keeps
+the id of its smallest member, and only elements that the step duplicates
+or the replacement creates get a fresh ``"{step}:{ident}"`` stamp.  Ids
+therefore do not grow with the number of steps.
+
+:func:`pbpo_step` always checks every property of the step exactly once,
+so an invalid rule or match is an error, never a wrong graph.  At entry:
+the rule, ``m``, ``alpha`` and the match square.  After the construction,
+in code shared with :func:`verify_trace`: the validity of ``g_L, g_R, u,
+u', w``, ``u' . u = tK``, ``u`` injective, and that the middle (``u`` is the pullback of ``m`` along ``g_L``), deletion
 and addition squares commute and, only then, are limits.  The step hands
 the pullback and the pushout it built to that check, which decides the
 deletion and addition squares over them; :func:`verify_trace` builds its
@@ -35,15 +44,16 @@ A step thus builds one pushout and one deletion pullback.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .errors import (InternalMediatorError, MorphismError, Report, RuleError,
-                     StrongMatchError)
+from .errors import (EngineError, InternalMediatorError, MorphismError, Report,
+                     RuleError, StrongMatchError)
 from .graph import GraphMorphism, LabeledGraph, _require_valid, compose, identity
 from .limits import (Cospan, LimitResult, Span, _commutes, _is_pullback, _is_pushout,
-                     _maps_equal, _UnionFind, pair_id, pullback, pushout)
+                     _maps_equal, _UnionFind, pullback, pushout)
 from .matching import Match, iter_matches
 
 
@@ -138,6 +148,17 @@ class PbpoRule:
     def _report(self) -> Report:
         """:func:`validate_rule` of this rule, computed on first use."""
         return validate_rule(self)
+
+    @cached_property
+    def _alone_in_fibre(self) -> dict[str, frozenset[str]]:
+        """By sort, the elements of ``K'`` that are the only preimage of
+        their image under ``l'``: a host element typed onto that image has
+        exactly one copy in ``G_K``."""
+        alone = {}
+        for kind, lp_map in (("node", self.lp.node_map), ("edge", self.lp.edge_map)):
+            preimages = Counter(lp_map.values())
+            alone[kind] = frozenset(k for k, x in lp_map.items() if preimages[x] == 1)
+        return alone
 
 
 def _require_valid_rule(rule: PbpoRule) -> None:
@@ -393,14 +414,43 @@ def verify_trace(trace: RewriteTrace) -> Report:
     return report
 
 
+def _stamper(step: int, host: LabeledGraph):
+    """Fresh ids for the elements a step duplicates or creates.
+
+    The stamp of rule element ``ident`` is ``"{step}:{ident}"``, or, when
+    that is taken, ``"{step}:{ident}'{n}"`` with the smallest free ``n >=
+    2``.  A stamp is picked by checking that it is no id of the host, node
+    or edge, and no earlier stamp of the step, so the result's ids are
+    distinct.  It is not derived from a host id, so its length depends on
+    the step index, the rule and the host's size, never on how many steps
+    came before.
+    """
+    prefix = f"{step}:"
+    used: set[str] = set()
+
+    def stamp(ident: str) -> str:
+        base = cand = prefix + ident
+        n = 1
+        while cand in used or cand in host.nodes or cand in host.edges:
+            n += 1
+            cand = f"{base}'{n}"
+        used.add(cand)
+        return cand
+
+    return stamp
+
+
 def pbpo_step(rule: PbpoRule, match: Match,
               step: int = 0) -> tuple[LabeledGraph, RewriteTrace]:
     """Apply one PBPO+ step at a strong match.
 
-    Host-derived elements of the result keep the smallest interface pair id
-    of their merge class; elements created by the replacement get ids
-    prefixed with the step index, so repeated runs produce identical traces.
-    An invalid rule raises :class:`RuleError`, an invalid or mismatched
+    A ``G_K`` element that is the only pair over its host element (its
+    ``l'``-fibre is a singleton, as for every element of every BDD rule)
+    keeps the host's id; each copy of a duplicated element is stamped after
+    its ``K'`` element.  A class of ``G_R`` keeps the id of its smallest
+    ``G_K`` member, and an element the replacement creates is stamped after
+    its ``R`` element (see :func:`_stamper`).  Repeated runs produce
+    identical traces.  An invalid rule raises :class:`RuleError`, an invalid or mismatched
     match :class:`MorphismError`, a match that is not strong
     :class:`StrongMatchError`; a completed step that fails any property
     raises :class:`InternalMediatorError`.
@@ -416,20 +466,38 @@ def pbpo_step(rule: PbpoRule, match: Match,
         raise StrongMatchError("strong-match-failure: the supplied match is not "
                                f"a strong match for the rule: {report}")
     g_host = alpha.dom
+    stamp = _stamper(step, g_host)
+    alone = rule._alone_in_fibre
+    stamped: dict[str, dict[tuple[str, str], str]] = {"node": {}, "edge": {}}
 
-    mid = pullback(Cospan(alpha, rule.lp))
+    def kept_ids(pairs: list[tuple[str, str]], kind: str) -> list[str]:
+        # A host element with one pair keeps its id; each copy of a
+        # duplicated one is stamped after its K' element.
+        singles, copies = alone[kind], stamped[kind]
+
+        def copy(g: str, kp: str) -> str:
+            copies[g, kp] = ident = stamp(kp)
+            return ident
+
+        return [g if kp in singles else copy(g, kp) for g, kp in pairs]
+
+    mid = pullback(Cospan(alpha, rule.lp, kept_ids))
     g_mid = mid.object
     g_l, u_prime = mid.left_leg, mid.right_leg
 
-    # The unique embedding of the interface: over pair ids it is forced to
+    # The unique embedding of the interface: it is forced to the pair
     # (m(l(k)), tK(k)) by the two commutation requirements.  Its defining
     # properties are checked with the rest of the step.
     def embed(kind: str, ids, l_map, m_map, tk_map, present) -> dict[str, str]:
-        images = {k: pair_id(m_map[l_map[k]], tk_map[k]) for k in ids}
+        singles, copies = alone[kind], stamped[kind]
+        images = {}
         for k in ids:
-            if images[k] not in present:
+            g, kp = m_map[l_map[k]], tk_map[k]
+            image = g if kp in singles else copies.get((g, kp))
+            if image not in present:
                 raise InternalMediatorError(
                     f"internal-mediator-failure: interface {kind} {k!r} has no image")
+            images[k] = image
         return images
 
     u = GraphMorphism(
@@ -440,38 +508,13 @@ def pbpo_step(rule: PbpoRule, match: Match,
               rule.tK.edge_map, g_mid.edges))
     _require_valid(InternalMediatorError, "internal-mediator-failure", ("u", u))
 
-    out = pushout(Span(u, rule.r))
-    # Rename: classes touching the interface keep their smallest host pair
-    # id; replacement-only classes are stamped with the step index.
-    taken: set[str] = set()
+    def glued_ids(roots: list[tuple[str, str]], kind: str) -> list[str]:
+        # A class with a G_K member keeps the smallest one's id, its root;
+        # only elements the replacement creates are stamped.
+        return [x if side == "0" else stamp(x) for side, x in roots]
 
-    def fresh_name(members: tuple) -> str:
-        if len(members) == 1:
-            # Every class outside the image of the interface is a singleton.
-            side, ident = members[0]
-            cand = ident if side == "0" else f"{step}:{ident}"
-        else:
-            host_ids = sorted(ident for side, ident in members if side == "0")
-            if host_ids:
-                cand = host_ids[0]
-            else:
-                cand = f"{step}:{sorted(ident for _, ident in members)[0]}"
-        while cand in taken:
-            cand += "'"
-        taken.add(cand)
-        return cand
-
-    node_rename = {rep: fresh_name(members)
-                   for rep, members in sorted(out.node_naming.items())}
-    edge_rename = {rep: fresh_name(members)
-                   for rep, members in sorted(out.edge_naming.items())}
-    g_out = out.object.rename(node_rename, edge_rename)
-    g_r = GraphMorphism(g_mid, g_out,
-                        {n: node_rename[out.left_leg.node_map[n]] for n in g_mid.nodes},
-                        {e: edge_rename[out.left_leg.edge_map[e]] for e in g_mid.edges})
-    w = GraphMorphism(rule.R, g_out,
-                      {n: node_rename[out.right_leg.node_map[n]] for n in rule.R.nodes},
-                      {e: edge_rename[out.right_leg.edge_map[e]] for e in rule.R.edges})
+    out = pushout(Span(u, rule.r, glued_ids))
+    g_out, g_r, w = out.object, out.left_leg, out.right_leg
 
     trace = RewriteTrace(rule=rule, g_in=g_host, g_mid=g_mid, g_out=g_out,
                          m=m, alpha=alpha, g_l=g_l, g_r=g_r,
@@ -484,41 +527,50 @@ def pbpo_step(rule: PbpoRule, match: Match,
 
 @dataclass(frozen=True)
 class NormalizeResult:
+    """The final graph, the traces of the steps if they were kept (else
+    empty), whether no rule matches any more, and the number of steps."""
+
     graph: LabeledGraph
     traces: tuple[RewriteTrace, ...]
     reached_fixpoint: bool
+    steps: int
 
     @property
     def status(self) -> str:
         return "fixpoint" if self.reached_fixpoint else "step-limit-exceeded"
 
-    @property
-    def steps(self) -> int:
-        return len(self.traces)
-
 
 def normalize(g: LabeledGraph, rules: Sequence[PbpoRule],
-              max_steps: Optional[int] = None) -> NormalizeResult:
+              max_steps: Optional[int] = None,
+              keep_traces: bool = True) -> NormalizeResult:
     """Repeatedly apply the first rule that matches, at its first match.
 
-    Every rule is validated up front.  Runs until no rule matches or the
-    step budget is exhausted; hitting the budget is reported through the
-    result, not raised.
+    Every rule is validated up front, and a negative ``max_steps`` raises
+    ``invalid-budget``.  Runs until no rule matches or the step budget is
+    exhausted; hitting the budget is reported through the result, not
+    raised.  With ``keep_traces=False`` the traces are dropped as the run
+    goes, so its memory does not grow with the number of steps; every step
+    is still fully checked when it is made.
     """
+    if max_steps is not None and max_steps < 0:
+        raise EngineError(f"invalid-budget: max_steps must not be negative, got {max_steps}")
     for rule in rules:
         _require_valid_rule(rule)
     traces: list[RewriteTrace] = []
+    steps = 0
     current = g
-    while max_steps is None or len(traces) < max_steps:
+    while max_steps is None or steps < max_steps:
         for rule in rules:
             match = next(iter_matches(rule, current, check_rule=False), None)
             if match is not None:
-                current, trace = pbpo_step(rule, match, step=len(traces))
-                traces.append(trace)
+                current, trace = pbpo_step(rule, match, step=steps)
+                steps += 1
+                if keep_traces:
+                    traces.append(trace)
                 break
         else:
-            return NormalizeResult(current, tuple(traces), True)
+            return NormalizeResult(current, tuple(traces), True, steps)
     # Budget exhausted; a further match may or may not exist.
     more = any(next(iter_matches(rule, current, check_rule=False), None) is not None
                for rule in rules)
-    return NormalizeResult(current, tuple(traces), not more)
+    return NormalizeResult(current, tuple(traces), not more, steps)

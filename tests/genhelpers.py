@@ -744,3 +744,42 @@ def reference_validate_morphism(f: GraphMorphism) -> Report:
     if extra_edges:
         report.add("bad-domain", f"map defined on foreign edges {sorted(extra_edges)}")
     return report
+
+
+def reference_pbpo_step(rule, match: Match, step: int = 0):
+    """A PBPO+ step named the old way: the reference for
+    :func:`pbpoplus.pbpo_step`, which builds ``G_K`` and ``G_R`` under
+    their final ids.
+
+    ``G_K`` is the pair-named pullback (``"x|c"``), ``u`` is rendered from
+    its pairs, and the pushout is then renamed: a class keeps its smallest
+    host pair id, a replacement-only class is stamped ``"{step}:{id}"``,
+    and a taken name gets ``'`` appended until it is free.  Ids therefore
+    grow with every step.  Returns the result graph, unchecked.
+    """
+    m, alpha = match.m, match.alpha
+    mid = reference_pullback(Cospan(alpha, rule.lp))
+    g_mid = mid.object
+    u = GraphMorphism(
+        rule.K, g_mid,
+        {k: pair_id(m.node_map[rule.l.node_map[k]], rule.tK.node_map[k])
+         for k in rule.K.nodes},
+        {k: pair_id(m.edge_map[rule.l.edge_map[k]], rule.tK.edge_map[k])
+         for k in rule.K.edges})
+    out = reference_pushout(Span(u, rule.r))
+    taken: set[str] = set()
+
+    def fresh_name(members: tuple) -> str:
+        host_ids = sorted(ident for side, ident in members if side == "0")
+        if host_ids:
+            cand = host_ids[0]
+        else:
+            cand = f"{step}:{sorted(ident for _, ident in members)[0]}"
+        while cand in taken:
+            cand += "'"
+        taken.add(cand)
+        return cand
+
+    node_rename = {rep: fresh_name(ms) for rep, ms in sorted(out.node_naming.items())}
+    edge_rename = {rep: fresh_name(ms) for rep, ms in sorted(out.edge_naming.items())}
+    return out.object.rename(node_rename, edge_rename)

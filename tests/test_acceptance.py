@@ -156,11 +156,11 @@ def test_criterion_03_single_node_relabel_steps(replace_rule, keep_rule, lat2):
         (match2,) = find_matches(keep_rule, host_zero)
 
         out1, trace1 = pbpo_step(replace_rule, match1)  # warm-up
-        assert trace1.g_mid.node_labels == {"g|a": "bot"}
-        assert out1.node_labels == {"g|a": "x1"}
+        assert trace1.g_mid.node_labels == {"g": "bot"}
+        assert out1.node_labels == {"g": "x1"}
         out2, trace2 = pbpo_step(keep_rule, match2)
-        assert trace2.g_mid.node_labels == {"g|a": "0"}
-        assert out2.node_labels == {"g|a": "0"}
+        assert trace2.g_mid.node_labels == {"g": "0"}
+        assert out2.node_labels == {"g": "0"}
 
         best1 = min(_timed(pbpo_step, replace_rule, match1) for _ in range(5))
         best2 = min(_timed(pbpo_step, keep_rule, match2) for _ in range(5))

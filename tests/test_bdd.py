@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pbpoplus import (Bdd, BddError, LabeledGraph, TruthTable, bdd_lattice,
+from pbpoplus import (Bdd, BddError, EngineError, LabeledGraph, TruthTable, bdd_lattice,
                       build_decision_tree, elim_vacuous_rule, evaluate,
                       find_matches, is_isomorphic, is_reduced, leaf_rule,
                       merge_iso_rule, oracle_reduce, pbpo_step, reduce_bdd,
@@ -271,6 +271,27 @@ def test_reduce_rejects_invalid_input(lat2):
     g = LabeledGraph.build(lat2, {"a": "0", "b": "1"})
     with pytest.raises(BddError, match="invalid-bdd"):
         reduce_bdd(Bdd(graph=g, root="a", variables=("x1", "x2")))
+
+
+def test_reduce_rejects_a_negative_budget(pq_tree):
+    with pytest.raises(EngineError, match="invalid-budget"):
+        reduce_bdd(pq_tree, max_steps=-1)
+
+
+def test_reduction_ids_do_not_grow_with_steps():
+    """After a full six-variable reduction no id is longer than the tree's
+    longest plus the longest stamp a step can pick: ids no longer gain a
+    suffix per step."""
+    rng = random.Random(61)
+    tree = build_decision_tree(random_truth_table(rng, [f"x{i}" for i in range(6)]))
+    reduced, result = reduce_bdd(tree, keep_traces=False)
+    tree_ids = [*tree.graph.nodes, *tree.graph.edges]
+    rule_ids = [x for rule in reduction_rules(tree.variables, tree.graph.lattice)
+                for g in (rule.Kp, rule.R) for x in (*g.nodes, *g.edges)]
+    stamp_bound = len(f"{result.steps}:{max(rule_ids, key=len)}'{3 * len(tree_ids)}")
+    assert result.steps > 60
+    longest = max(map(len, [*reduced.graph.nodes, *reduced.graph.edges]))
+    assert longest <= max(map(len, tree_ids)) + stamp_bound
 
 
 def test_rule_count():

@@ -181,6 +181,13 @@ def test_cli_normalize(capsys):
     assert "1 -> 1 nodes in 1 steps (step-limit-exceeded)" in out
 
 
+def test_cli_normalize_negative_budget_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--workspace", WS, "--rules", "replace",
+              "--graph", "host", "--max-steps", "-1"])
+    assert exc.value.code == 2
+
+
 def test_cli_check_squares(capsys):
     assert main(["check", "--workspace", SQ, "--square", "good"]) == 0
     assert "pushout: yes" in capsys.readouterr().out

@@ -2,8 +2,10 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, Match,
+from pbpoplus import (Cospan, EngineError, GraphMorphism, LabeledGraph, Match,
                       MorphismError, PbpoRule, RhsSpec, RuleError, Span,
                       StrongMatchError, ToyPbRule, ToyPoRule, TruthTable,
                       bdd_lattice, build_decision_tree, complete_rule, compose,
@@ -16,7 +18,8 @@ from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, Match,
 from pbpoplus import matching, rewriting
 from pbpoplus.rewriting import _check_step
 
-from genhelpers import random_host_with_match, random_rule, random_truth_table
+from genhelpers import (random_host_with_match, random_rule, random_truth_table,
+                        reference_pbpo_step)
 
 
 # --------------------------------------------------------------- ToyPO
@@ -166,7 +169,7 @@ def test_complete_rule_node_deletion(unit):
     # either endpoint can be the deleted node
     assert [m.m.node_map for m in matches] == [{"a": "x"}, {"a": "y"}]
     result, trace = pbpo_step(rule, matches[0])
-    assert result.nodes == frozenset({"y|c"})
+    assert result.nodes == frozenset({"y"})
     assert result.edges == frozenset()  # the incident edge went with the node
     assert verify_trace(trace).ok
 
@@ -256,6 +259,83 @@ def test_fresh_ids_carry_step_index(unit):
     assert "7:new" in result.nodes
 
 
+# ------------------------------------------------ ids of step results
+
+# Host ids drawn from an alphabet with the characters the old naming used
+# (``|`` for pairs, ``:`` and ``'`` for stamps), and some ids that look
+# like the stamps a step at index 0 would pick first.
+ID_ALPHABET = "ab|:'0"
+STAMP_LIKE = ["0:f0", "0:fe0", "0:f0'2", "0:k_t0_0", "0:k_t0_1", "0:k_t1_0",
+              "0:k_t1_1", "0:k_t2_0", "0:k_t2_1"]
+
+
+@st.composite
+def steps_on_odd_ids(draw):
+    """A random rule (with a non-injective ``l'`` when ``duplicating``) and
+    a strong match into a host renamed to drawn ids, plus a step index."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    duplicating = draw(st.booleans())
+    lat = bdd_lattice(["x1", "x2"])
+    rule = random_rule(rng, lat)
+    while rule.lp.is_injective() == duplicating:
+        rule = random_rule(rng, lat)
+    host, match = random_host_with_match(rng, rule)
+    old = [*host.sorted_nodes, *host.sorted_edges]
+    new = draw(st.lists(st.text(ID_ALPHABET, min_size=1, max_size=4)
+                        | st.sampled_from(STAMP_LIKE),
+                        min_size=len(old), max_size=len(old), unique=True))
+    node_map = dict(zip(host.sorted_nodes, new))
+    edge_map = dict(zip(host.sorted_edges, new[len(host.nodes):]))
+    renamed = host.rename(node_map, edge_map)
+    to_new = GraphMorphism(host, renamed, node_map, edge_map)
+    to_old = GraphMorphism(renamed, host, {v: k for k, v in node_map.items()},
+                           {v: k for k, v in edge_map.items()})
+    match = Match(m=compose(match.m, to_new), alpha=compose(to_old, match.alpha),
+                  typing=match.typing)
+    return rule, match, draw(st.integers(0, 20))
+
+
+def all_ids(g):
+    return [*g.nodes, *g.edges]
+
+
+@given(steps_on_odd_ids())
+@settings(max_examples=120, deadline=None)
+def test_step_keeps_host_ids_and_stamps_the_rest(case):
+    rule, match, step = case
+    host = match.alpha.dom
+    result, trace = pbpo_step(rule, match, step=step)
+    assert is_isomorphic(result, reference_pbpo_step(rule, match, step)) is not None
+    assert verify_trace(trace).ok
+    host_objects = {x: x for x in all_ids(host)}
+    rule_ids = [*all_ids(rule.Kp), *all_ids(rule.R)]
+    longest_stamp = len(f"{step}:{max(rule_ids, key=len, default='')}'") + len(
+        str(len(host_objects) + len(all_ids(trace.g_mid)) + len(rule_ids) + 1))
+    for g in (trace.g_mid, result):
+        ids = all_ids(g)
+        assert len(set(ids)) == len(ids)
+        for x in ids:
+            if host_objects.get(x) is not x:
+                assert x not in host_objects and x.startswith(f"{step}:"), x
+                assert len(x) <= longest_stamp, x
+
+
+def test_a_bdd_step_keeps_every_element_outside_the_match():
+    """Each element a step leaves alone has the same ``str`` object as id in
+    its input and its result, whichever rule fired."""
+    rng = random.Random(5)
+    traces = [t for _ in range(3) for t in reduce_bdd(build_decision_tree(
+        random_truth_table(rng, ["p", "q", "r", "s"])))[1].traces]
+    assert {t.rule.name for t in traces} >= {"LEAF_0", "LEAF_1", "MERGE-ISO_s",
+                                             "ELIM-VACUOUS"}
+    for t in traces:
+        matched = {*t.m.node_map.values(), *t.m.edge_map.values()}
+        kept = {x: x for x in all_ids(t.g_out)}
+        for x in all_ids(t.g_in):
+            if x not in matched:
+                assert kept[x] is x
+
+
 # ----------------------------------------------------------- normalize
 
 
@@ -285,6 +365,25 @@ def test_normalize_whole_host_is_typed(replace_rule, lat2):
     out = normalize(host, [replace_rule])
     assert out.steps == 0
     assert out.reached_fixpoint
+
+
+def test_normalize_rejects_a_negative_budget(replace_rule, lat2):
+    host = LabeledGraph.build(lat2, {"g": "x2"})
+    with pytest.raises(EngineError, match="invalid-budget"):
+        normalize(host, [replace_rule], max_steps=-1)
+
+
+def test_normalize_can_drop_traces():
+    """Without traces the run makes the same steps, counts them, and stamps
+    each with its true index."""
+    tree = build_decision_tree(TruthTable.from_bits("01101000", ["p", "q", "r"]))
+    rules = reduction_rules(tree.variables, tree.graph.lattice)
+    kept = normalize(tree.graph, rules)
+    dropped = normalize(tree.graph, rules, keep_traces=False)
+    assert dropped.traces == () and dropped.steps == kept.steps == len(kept.traces) > 0
+    assert dropped.graph == kept.graph and dropped.reached_fixpoint
+    stamps = {x for x in all_ids(kept.graph) if ":" in x}
+    assert stamps and all(int(x.split(":")[0]) > 0 for x in stamps)
 
 
 def test_normalize_invalid_rule_rejected(unit, lat2, replace_rule):
@@ -370,19 +469,19 @@ def corrupted_fields(rule, second, trace):
         "m": (second.m, "match-square"),
         "alpha": (second.alpha, "match-square"),
         # A leaf image moved: its incoming edge no longer lands on it.
-        "g_l": (retarget(trace.g_l, node_changes={"d00|u": "d01"}), "target-commutation"),
-        "g_r": (retarget(trace.g_r, node_changes={"d10|c": "d00|u"}), "target-commutation"),
+        "g_l": (retarget(trace.g_l, node_changes={"d00": "d01"}), "target-commutation"),
+        "g_r": (retarget(trace.g_r, node_changes={"d10": "d00"}), "target-commutation"),
         # Valid morphisms that break one equation each.
-        "u": (retarget(trace.u, node_changes={"u": "d01|v", "v": "d00|u"}), "mediator"),
+        "u": (retarget(trace.u, node_changes={"u": "d01", "v": "d00"}), "mediator"),
         "u_prime": (compose(trace.u_prime, kp_swap), "middle-square"),
-        "w": (retarget(trace.w, node_changes={"u": "d10|c"}), "right-square"),
+        "w": (retarget(trace.w, node_changes={"u": "d10"}), "right-square"),
     }
 
 
 def test_verify_trace_reports_each_corrupted_field(leaf_steps):
     rule, first, second, trace, _ = leaf_steps
     assert verify_trace(trace).ok
-    assert trace.u.node_map == {"u": "d00|u", "v": "d01|v"}
+    assert trace.u.node_map == {"u": "d00", "v": "d01"}
     for name, (bad, code) in corrupted_fields(rule, second, trace).items():
         report = verify_trace(dataclasses.replace(trace, **{name: bad}))
         assert not report.ok and code in report.codes(), (name, str(report))
@@ -390,7 +489,7 @@ def test_verify_trace_reports_each_corrupted_field(leaf_steps):
 
 def test_verify_trace_reports_a_morphism_between_other_graphs(leaf_steps):
     _, _, _, trace, other = leaf_steps
-    report = verify_trace(dataclasses.replace(trace, g_l=other.g_l))
+    report = verify_trace(dataclasses.replace(trace, g_r=other.g_r))
     assert report.codes() == {"bad-arrangement"}
 
 
@@ -425,17 +524,17 @@ def lacking_universal_property(rule, trace):
         trace, g_mid=g_mid, u=retarget(trace.u, cod=g_mid),
         g_l=retarget(trace.g_l, dom=g_mid, node_changes={"x": "d10"}),
         u_prime=retarget(trace.u_prime, dom=g_mid, node_changes={"x": "c"}),
-        g_r=retarget(trace.g_r, dom=g_mid, node_changes={"x": "d10|c"}))
+        g_r=retarget(trace.g_r, dom=g_mid, node_changes={"x": "d10"}))
 
     # ... or a second copy of the interface node over the matched leaf.
     middle = dataclasses.replace(
         deletion,
         g_l=retarget(trace.g_l, dom=g_mid, node_changes={"x": "d00"}),
         u_prime=retarget(trace.u_prime, dom=g_mid, node_changes={"x": "u"}),
-        g_r=retarget(trace.g_r, dom=g_mid, node_changes={"x": "d00|u"}))
+        g_r=retarget(trace.g_r, dom=g_mid, node_changes={"x": "d00"}))
 
     non_injective = dataclasses.replace(
-        trace, u=retarget(trace.u, node_changes={"v": "d00|u"}))
+        trace, u=retarget(trace.u, node_changes={"v": "d00"}))
     return {"match": match, "addition": addition, "deletion": deletion,
             "middle": middle, "non_injective": non_injective}
 
