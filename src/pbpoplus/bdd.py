@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import BddError, Report
-from .graph import GraphMorphism, LabeledGraph, identity
+from .graph import GraphMorphism, LabeledGraph, identity, validate_graph
 from .lattice import (BOOL_CLASS, BOTTOM, FALSE, TOP, TRUE, VAR_CLASS,
                       LabelLattice, bdd_lattice)
 from .rewriting import (NormalizeResult, PbpoRule, RhsSpec, complete_rule,
@@ -147,9 +147,33 @@ def _find_root(g: LabeledGraph) -> Optional[str]:
     return roots[0] if len(roots) == 1 else None
 
 
+def _topological_order(g: LabeledGraph) -> Optional[list[str]]:
+    """The nodes of ``g``, each before its successors (by iterated removal of
+    in-degree 0 nodes), or ``None`` if ``g`` has a directed cycle."""
+    indeg = {n: len(g.in_edges[n]) for n in g.nodes}
+    queue = [n for n in g.sorted_nodes if indeg[n] == 0]
+    order: list[str] = []
+    while queue:
+        n = queue.pop()
+        order.append(n)
+        for e in g.out_edges[n]:
+            t = g.tgt[e]
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                queue.append(t)
+    return order if len(order) == len(g.nodes) else None
+
+
 def validate_bdd(g: LabeledGraph, root: Optional[str] = None) -> Report:
-    """Check the defining BDD conditions plus acyclicity."""
-    report = Report()
+    """Check the defining BDD conditions plus acyclicity.
+
+    A graph that :func:`~pbpoplus.graph.validate_graph` finds malformed gets
+    that report.  Every check is one pass over the graph, so the time is
+    linear in its size (times the number of variables), not in the number
+    of paths through it."""
+    report = validate_graph(g)
+    if not report.ok:
+        return report
     if not g.nodes:
         report.add("empty", "a BDD needs at least one node")
         return report
@@ -161,20 +185,8 @@ def validate_bdd(g: LabeledGraph, root: Optional[str] = None) -> Report:
     elif root is not None and roots[0] != root:
         report.add("single-root", f"designated root {root!r} is not the source {roots[0]!r}")
 
-    # Acyclicity by iterated leaf stripping.
-    remaining = dict(g.out_edges)
-    indeg = {n: len(g.in_edges.get(n, ())) for n in g.nodes}
-    queue = [n for n in g.sorted_nodes if indeg[n] == 0]
-    visited = 0
-    while queue:
-        n = queue.pop()
-        visited += 1
-        for e in remaining.get(n, ()):
-            t = g.tgt[e]
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    if visited != len(g.nodes):
+    order = _topological_order(g)
+    if order is None:
         report.add("cycle", "the graph contains a directed cycle")
         return report
 
@@ -194,20 +206,23 @@ def validate_bdd(g: LabeledGraph, root: Optional[str] = None) -> Report:
             if out_labels != [FALSE, TRUE]:
                 report.add("out-degree",
                            f"node {n!r} has outgoing labels {out_labels}, expected one 0 and one 1")
+    if report.violations or len(roots) != 1:
+        return report
 
-    # No variable twice along any path; graphs are acyclic here, so walk down.
-    def walk(n: str, seen: frozenset[str]) -> None:
+    # No variable twice along any path: with one root every node lies on a
+    # path from it, so a variable repeats exactly when some node's variable
+    # labels a node below it.  Children come first in reverse topological
+    # order, so each node's set of variables below is built from theirs.
+    below: dict[str, frozenset[str]] = {}
+    for n in reversed(order):
+        under = frozenset().union(*(below[g.tgt[e]] for e in g.out_edges[n]))
         lab = g.node_labels[n]
         if lab in variables:
-            if lab in seen:
-                report.add("repeated-variable", f"variable {lab!r} repeats on a path to {n!r}")
-                return
-            seen = seen | {lab}
-        for e in g.out_edges[n]:
-            walk(g.tgt[e], seen)
-
-    if not report.violations and len(roots) == 1:
-        walk(roots[0], frozenset())
+            if lab in under:
+                report.add("repeated-variable",
+                           f"variable {lab!r} repeats on a path from {n!r}")
+            under = under | {lab}
+        below[n] = under
     return report
 
 
@@ -222,33 +237,35 @@ def is_reduced(b: Bdd) -> ReducedCheck:
     """Decide reducedness, with a witness for a failure.
 
     Two nodes root isomorphic decision subgraphs exactly when their
-    unfoldings agree, so nodes are keyed by a canonical form built
-    bottom-up."""
+    unfoldings agree.  Nodes are keyed bottom-up by hash-consed integers,
+    as in the unique table of :func:`oracle_reduce`: a leaf by its label, an
+    internal node by its label and the keys of its 0- and 1-children, so
+    equal keys mean equal unfoldings.  A graph with a directed cycle is no
+    BDD and raises ``invalid-bdd``."""
     g = b.graph
-    canon: dict[str, tuple] = {}
-
-    def canonical(n: str) -> tuple:
-        if n in canon:
-            return canon[n]
-        out = g.out_edges[n]
-        if not out:
-            canon[n] = ("leaf", g.node_labels[n])
-        else:
-            children = {g.edge_labels[e]: canonical(g.tgt[e]) for e in out}
-            canon[n] = ("node", g.node_labels[n], children.get(FALSE), children.get(TRUE))
-        return canon[n]
-
     for n in g.sorted_nodes:
         out = g.out_edges[n]
         targets = {g.tgt[e] for e in out}
         if out and len(targets) == 1:
             return ReducedCheck(False, vacuous_node=n)
-    by_canon: dict[tuple, str] = {}
+    order = _topological_order(g)
+    if order is None:
+        raise BddError("invalid-bdd: the graph contains a directed cycle")
+    unique: dict[tuple, int] = {}
+    key: dict[str, int] = {}
+    for n in reversed(order):
+        out = g.out_edges[n]
+        if not out:
+            shape: tuple = ("leaf", g.node_labels[n])
+        else:
+            children = {g.edge_labels[e]: key[g.tgt[e]] for e in out}
+            shape = ("node", g.node_labels[n], children.get(FALSE), children.get(TRUE))
+        key[n] = unique.setdefault(shape, len(unique))
+    by_key: dict[int, str] = {}
     for n in g.sorted_nodes:
-        key = canonical(n)
-        if key in by_canon:
-            return ReducedCheck(False, isomorphic_pair=(by_canon[key], n))
-        by_canon[key] = n
+        if key[n] in by_key:
+            return ReducedCheck(False, isomorphic_pair=(by_key[key[n]], n))
+        by_key[key[n]] = n
     return ReducedCheck(True)
 
 

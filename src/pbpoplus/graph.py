@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
-from .errors import LatticeError, MorphismError, Report
+from .errors import GraphError, LatticeError, MorphismError, Report
 from .lattice import LabelLattice
 
 
@@ -179,6 +179,15 @@ def validate_graph(g: LabeledGraph) -> Report:
     if clash:
         report.add("id-clash", f"ids used for both nodes and edges: {sorted(clash)}")
     return report
+
+
+def _require_valid_graph(*graphs: LabeledGraph) -> None:
+    """Raise ``invalid-graph`` for the first graph that :func:`validate_graph`
+    finds a defect in."""
+    for g in graphs:
+        report = validate_graph(g)
+        if not report.ok:
+            raise GraphError(f"invalid-graph: {report}")
 
 
 def _is_valid(f: GraphMorphism) -> bool:

@@ -177,7 +177,7 @@ def bdd_lattice(variables: Iterable[str]) -> LabelLattice:
     if clash:
         raise LatticeError(f"variable names collide with reserved labels: {sorted(clash)}")
     elements = names + [FALSE, TRUE, VAR_CLASS, BOOL_CLASS, TOP, BOTTOM]
-    pairs: list[tuple[str, str]] = [(BOTTOM, TOP)]
+    pairs: list[tuple[str, str]] = [(BOTTOM, TOP), (BOTTOM, VAR_CLASS)]
     for v in names:
         pairs.append((v, VAR_CLASS))
         pairs.append((BOTTOM, v))

@@ -38,6 +38,11 @@ the plain search; this is the unrooted form of rooted matching in GP 2
 (Bak & Plump, 2012), where an element whose image is forced costs no
 search.
 
+The same search answers the rooted existence query of
+:func:`~pbpoplus.rewriting.normalize`: whether a pattern occurs through
+one of a set of seed elements.  Each seed is one search with the seed
+pinned, so the anchored nodes around it are found among its neighbours.
+
 A :class:`Match` keeps the pullback of its adherence against its typing;
 :func:`check_strong_match` hands over the one it decided, so a rewrite step
 at a match found here decides its match square without rebuilding it.
@@ -50,7 +55,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Sequence
 
 from .errors import LatticeError, MorphismError, NonCommutingSquareError
-from .graph import GraphMorphism, LabeledGraph, identity
+from .graph import GraphMorphism, LabeledGraph, _require_valid_graph, identity
 from .limits import (Cospan, LimitResult, Span, _is_exact_bijection,
                      is_pullback_square, pullback)
 
@@ -292,10 +297,11 @@ def enumerate_homomorphisms(g: LabeledGraph, h: LabeledGraph,
 
     Returned in lexicographic order of the node assignment (then the edge
     assignment).  The injective flag restricts to injections on both nodes
-    and edges.
+    and edges.  A malformed graph raises ``invalid-graph``.
     """
     if g.lattice != h.lattice:
         raise LatticeError("homomorphism enumeration needs a shared lattice")
+    _require_valid_graph(g, h)
     found = list(_hom_search(g, h, injective))
     found.sort(key=lambda f: (tuple(sorted(f.node_map.items())),
                               tuple(sorted(f.edge_map.items()))))
@@ -366,6 +372,62 @@ def iter_matches(rule: "PbpoRule", g: LabeledGraph,
             match = check_strong_match(rule.tL, alpha)
             if match is not None and match.m == m:
                 yield match
+
+
+def _first_match(rule: "PbpoRule", g: LabeledGraph) -> tuple[Optional[Match], bool]:
+    """The first strong match of :func:`iter_matches`, and whether the
+    pattern occurs in ``g`` at all (has an injective homomorphism into it).
+
+    An occurrence is known once a strong match is found; only a scan that
+    finds none asks the shared search for a first occurrence."""
+    match = next(iter_matches(rule, g, check_rule=False), None)
+    if match is not None:
+        return match, True
+    return None, next(_hom_search(rule.L, g, True, lex=True), None) is not None
+
+
+def _occurs_at(pattern: LabeledGraph, g: LabeledGraph,
+               nodes: Collection[str], edges: Collection[str]) -> bool:
+    """Whether some injective homomorphism ``pattern -> g`` has one of the
+    seed ``nodes`` or ``edges`` in its image; seeds that are not elements of
+    ``g`` are ignored.
+
+    Each seed is one search, pinned where the seed can lie: a node under a
+    pattern node whose label it can hold, an edge under a pattern edge of
+    its loop shape whose labels and endpoint labels it can hold (with both
+    endpoints pinned as well).  An edge with a seed node as an endpoint
+    needs no search of its own: an occurrence through it is one through
+    that node."""
+    above = pattern.lattice._above
+    p_nlab, p_elab, p_src, p_tgt = (pattern.node_labels, pattern.edge_labels,
+                                    pattern.src, pattern.tgt)
+    g_nlab, g_elab, g_src, g_tgt = g.node_labels, g.edge_labels, g.src, g.tgt
+    seeds = [c for c in nodes if c in g_nlab]
+    for c in seeds:
+        lab = g_nlab[c]
+        for p in pattern.sorted_nodes:
+            if lab in above[p_nlab[p]] and next(
+                    _hom_search(pattern, g, True, {p: (c,)}), None) is not None:
+                return True
+    if not pattern.edges:
+        return False
+    seeded = frozenset(seeds)
+    for c in edges:
+        if c not in g_elab:
+            continue
+        s, t = g_src[c], g_tgt[c]
+        if s in seeded or t in seeded:
+            continue
+        lab, s_lab, t_lab = g_elab[c], g_nlab[s], g_nlab[t]
+        for e in pattern.sorted_edges:
+            ps, pt = p_src[e], p_tgt[e]
+            if ((ps == pt) != (s == t) or lab not in above[p_elab[e]]
+                    or s_lab not in above[p_nlab[ps]] or t_lab not in above[p_nlab[pt]]):
+                continue
+            pools = {ps: (s,), pt: (t,)}
+            if next(_hom_search(pattern, g, True, pools, {e: (c,)}), None) is not None:
+                return True
+    return False
 
 
 def find_matches(rule: "PbpoRule", g: LabeledGraph,

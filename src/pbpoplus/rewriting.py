@@ -40,6 +40,18 @@ deletion and addition squares over them; :func:`verify_trace` builds its
 own.  The match square is decided over the pullback that a match found by
 :func:`~pbpoplus.matching.iter_matches` keeps from its strong-match check.
 A step thus builds one pushout and one deletion pullback.
+
+Because ids survive a step, what :func:`normalize` learnt about one host
+carries over to the next.  Call an element of ``G_R`` *unchanged* when
+``G_L`` has an element of the same id and label and, for an edge, the same
+source and target.  An injective homomorphism ``L -> G_R`` whose image is
+unchanged is then also one into ``G_L``, with the same maps.  So if a
+pattern does not occur in ``G_L``, every occurrence of it in ``G_R``
+contains a changed node or a changed edge; by induction over a run of
+steps, an element changed by one of them and left alone by the later ones.
+A rule whose pattern did not occur is therefore searched again only
+through the elements changed since, which is the negative half of
+RETE-style incremental matching (Forgy 1982; Bergmann et al., MODELS 2010).
 """
 
 from __future__ import annotations
@@ -47,14 +59,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
+from operator import ne
 from typing import Mapping, Optional, Sequence
 
 from .errors import (EngineError, InternalMediatorError, MorphismError, Report,
                      RuleError, StrongMatchError)
-from .graph import GraphMorphism, LabeledGraph, _require_valid, compose, identity
+from .graph import (GraphMorphism, LabeledGraph, _require_valid, _require_valid_graph,
+                    compose, identity)
 from .limits import (Cospan, LimitResult, Span, _commutes, _is_pullback, _is_pushout,
                      _maps_equal, _UnionFind, pullback, pushout)
-from .matching import Match, iter_matches
+from .matching import Match, _first_match, _occurs_at
 
 
 @dataclass(frozen=True)
@@ -540,30 +555,78 @@ class NormalizeResult:
         return "fixpoint" if self.reached_fixpoint else "step-limit-exceeded"
 
 
+def _changed(before: LabeledGraph, after: LabeledGraph) -> tuple[set[str], set[str]]:
+    """The node and edge ids of ``after`` that ``before`` lacks, or has with
+    another label or, for an edge, other endpoints."""
+
+    def differ(old: Mapping[str, str], new: Mapping[str, str]):
+        return compress(new, map(ne, map(old.get, new), new.values()))
+
+    nodes = set(differ(before.node_labels, after.node_labels))
+    edges = set(differ(before.edge_labels, after.edge_labels))
+    edges.update(differ(before.src, after.src))
+    edges.update(differ(before.tgt, after.tgt))
+    return nodes, edges
+
+
 def normalize(g: LabeledGraph, rules: Sequence[PbpoRule],
               max_steps: Optional[int] = None,
               keep_traces: bool = True) -> NormalizeResult:
     """Repeatedly apply the first rule that matches, at its first match.
 
-    Every rule is validated up front, and a negative ``max_steps`` raises
-    ``invalid-budget``.  Runs until no rule matches or the step budget is
-    exhausted; hitting the budget is reported through the result, not
-    raised.  With ``keep_traces=False`` the traces are dropped as the run
-    goes, so its memory does not grow with the number of steps; every step
-    is still fully checked when it is made.
+    Every rule and the host are validated up front: an invalid rule raises
+    :class:`RuleError`, a malformed host ``invalid-graph`` and a negative
+    ``max_steps`` ``invalid-budget``.  Runs until no rule matches or the
+    step budget is exhausted; hitting the budget is reported through the
+    result, not raised.  With ``keep_traces=False`` the traces are dropped
+    as the run goes, so its memory does not grow with the number of steps;
+    every step is still fully checked when it is made.
+
+    A rule whose pattern does not occur in the host at all is certified:
+    until it occurs again it is skipped without a search.  Each step adds
+    the ids it changed (see :func:`_changed`) to every certificate's
+    pending set, and a certified rule's next turn asks only whether an
+    occurrence goes through one of them (see the module docstring).  No such
+    occurrence certifies the rule at the current host; one drops the
+    certificate and the rule gets the full search of
+    :func:`~pbpoplus.matching.iter_matches`.  The rule that fires and its
+    match are therefore the ones a search of every rule on every step finds.
     """
     if max_steps is not None and max_steps < 0:
         raise EngineError(f"invalid-budget: max_steps must not be negative, got {max_steps}")
     for rule in rules:
         _require_valid_rule(rule)
+    _require_valid_graph(g)
     traces: list[RewriteTrace] = []
     steps = 0
     current = g
+    # Per rule: None, or the node and edge ids changed since the host at
+    # which its pattern was last seen not to occur.
+    certificates: list[Optional[tuple[set[str], set[str]]]] = [None] * len(rules)
+
+    def first_match(i: int, rule: PbpoRule) -> Optional[Match]:
+        certificate = certificates[i]
+        if certificate is not None:
+            nodes, edges = certificate
+            if not _occurs_at(rule.L, current, nodes, edges):
+                nodes.clear()
+                edges.clear()
+                return None
+        match, occurs = _first_match(rule, current)
+        certificates[i] = None if occurs else (set(), set())
+        return match
+
     while max_steps is None or steps < max_steps:
-        for rule in rules:
-            match = next(iter_matches(rule, current, check_rule=False), None)
+        for i, rule in enumerate(rules):
+            match = first_match(i, rule)
             if match is not None:
-                current, trace = pbpo_step(rule, match, step=steps)
+                result, trace = pbpo_step(rule, match, step=steps)
+                nodes, edges = _changed(current, result)
+                for certificate in certificates:
+                    if certificate is not None:
+                        certificate[0].update(nodes)
+                        certificate[1].update(edges)
+                current = result
                 steps += 1
                 if keep_traces:
                     traces.append(trace)
@@ -571,6 +634,5 @@ def normalize(g: LabeledGraph, rules: Sequence[PbpoRule],
         else:
             return NormalizeResult(current, tuple(traces), True, steps)
     # Budget exhausted; a further match may or may not exist.
-    more = any(next(iter_matches(rule, current, check_rule=False), None) is not None
-               for rule in rules)
+    more = any(first_match(i, rule) is not None for i, rule in enumerate(rules))
     return NormalizeResult(current, tuple(traces), not more, steps)

@@ -12,10 +12,11 @@ import random
 from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, LabelLattice,
                       LatticeError, LimitResult, Match, Report, RhsSpec, Span,
                       SquareError, UnknownLabelError, bdd_lattice,
-                      check_strong_match, complete_rule, compose,
-                      enumerate_homomorphisms, identity, preimage,
-                      unit_lattice)
+                      NormalizeResult, check_strong_match, complete_rule,
+                      compose, enumerate_homomorphisms, identity, pbpo_step,
+                      preimage, unit_lattice)
 from pbpoplus.graph import _require_valid
+from pbpoplus.matching import iter_matches
 from pbpoplus.limits import _UnionFind, pair_id
 
 
@@ -783,3 +784,22 @@ def reference_pbpo_step(rule, match: Match, step: int = 0):
     node_rename = {rep: fresh_name(ms) for rep, ms in sorted(out.node_naming.items())}
     edge_rename = {rep: fresh_name(ms) for rep, ms in sorted(out.edge_naming.items())}
     return out.object.rename(node_rename, edge_rename)
+
+
+def reference_normalize(g: LabeledGraph, rules, max_steps=None) -> NormalizeResult:
+    """:func:`pbpoplus.normalize` without certificates: every rule is
+    searched from scratch on every step, in order, and the first strong
+    match of the first rule that has one fires.  Every trace is kept."""
+    traces = []
+    current = g
+    while max_steps is None or len(traces) < max_steps:
+        for rule in rules:
+            match = next(iter_matches(rule, current), None)
+            if match is not None:
+                current, trace = pbpo_step(rule, match, step=len(traces))
+                traces.append(trace)
+                break
+        else:
+            return NormalizeResult(current, tuple(traces), True, len(traces))
+    more = any(next(iter_matches(rule, current), None) is not None for rule in rules)
+    return NormalizeResult(current, tuple(traces), not more, len(traces))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -45,6 +46,14 @@ def test_build_decision_tree_degenerate():
     assert len(single.graph.nodes) == 3
 
 
+def test_a_table_without_variables_reduces_in_no_steps():
+    for bits in ("0", "1"):
+        tree = build_decision_tree(TruthTable.from_bits(bits, []))
+        reduced, result = reduce_bdd(tree)
+        assert result.steps == 0 and result.reached_fixpoint
+        assert reduced.graph == tree.graph
+
+
 def test_evaluate_conjunction(pq_tree, pq_table):
     for a in pq_table.assignments():
         assert evaluate(pq_tree, a) == (a["p"] and a["q"])
@@ -86,6 +95,76 @@ def test_validate_bdd_flags_defects(lat2):
         {"e0": ("a", "b", "0"), "e1": ("a", "l2", "1"),
          "f0": ("b", "l0", "0"), "f1": ("b", "l1", "1")})
     assert "repeated-variable" in validate_bdd(g).codes()
+
+
+def ladder(n: int) -> Bdd:
+    """``n`` decision nodes in a chain, each sending both edges to the
+    next: 2^n paths through n + 1 nodes."""
+    variables = tuple(f"v{i}" for i in range(n))
+    nodes = {f"a{i}": v for i, v in enumerate(variables)}
+    nodes[f"a{n}"] = "1"
+    edges = {f"a{i}e{b}": (f"a{i}", f"a{i + 1}", b) for i in range(n) for b in "01"}
+    return Bdd(LabeledGraph.build(bdd_lattice(variables), nodes, edges), "a0", variables)
+
+
+def parity(n: int) -> Bdd:
+    """The reduced BDD of the parity of ``n`` variables: an even and an odd
+    node per level below the root, 2^n paths."""
+    variables = tuple(f"v{i}" for i in range(n))
+    nodes = {"r": variables[0], "b0": "0", "b1": "1"}
+    edges = {}
+
+    def child(level: int, odd: int) -> str:
+        return f"b{odd}" if level == n else f"p{level}_{odd}"
+
+    for level in range(1, n):
+        for odd in (0, 1):
+            node = child(level, odd)
+            nodes[node] = variables[level]
+            for b in (0, 1):
+                edges[f"{node}e{b}"] = (node, child(level + 1, odd ^ b), str(b))
+    for b in (0, 1):
+        edges[f"re{b}"] = ("r", child(1, b), str(b))
+    return Bdd(LabeledGraph.build(bdd_lattice(variables), nodes, edges), "r", variables)
+
+
+def test_validators_take_time_linear_in_the_graph_not_its_paths():
+    """Both graphs have 2^64 root-to-leaf paths."""
+    for b in (ladder(64), parity(64)):
+        assert validate_bdd(b.graph, b.root).ok
+    assert is_reduced(ladder(64)).vacuous_node == "a0"
+    assert is_reduced(parity(64)).reduced
+    small = parity(6)
+    for bits in itertools.product((False, True), repeat=6):
+        assert evaluate(small, dict(zip(small.variables, bits))) is (sum(bits) % 2 == 1)
+
+
+def test_validators_find_defects_deep_in_a_large_bdd():
+    b = parity(64)
+    g = b.graph
+    repeated = LabeledGraph.build(
+        g.lattice, {**g.node_labels, "p63_1": "v0"},
+        {e: (g.src[e], g.tgt[e], g.edge_labels[e]) for e in g.edges})
+    assert validate_bdd(repeated).codes() == {"repeated-variable"}
+    twin = LabeledGraph.build(
+        g.lattice, {**g.node_labels, "q": "v63"},
+        {**{e: (g.src[e], g.tgt[e], g.edge_labels[e]) for e in g.edges},
+         "p62_0e0": ("p62_0", "q", "0"), "qe0": ("q", "b0", "0"), "qe1": ("q", "b1", "1")})
+    assert is_reduced(Bdd(twin, "r", b.variables)).isomorphic_pair == ("p63_0", "q")
+
+
+def test_is_reduced_rejects_a_cycle(lat2):
+    g = LabeledGraph.build(lat2, {"a": "x1", "b": "x2", "l": "1"},
+                           {"a0": ("a", "b", "0"), "a1": ("a", "l", "1"),
+                            "b0": ("b", "a", "0"), "b1": ("b", "l", "1")})
+    with pytest.raises(BddError, match="invalid-bdd.*cycle"):
+        is_reduced(Bdd(graph=g, root="a", variables=("x1", "x2")))
+
+
+def test_validate_bdd_reports_a_dangling_edge_instead_of_raising(lat2):
+    g = LabeledGraph.build(lat2, {"a": "x1", "l": "0"},
+                           {"e0": ("a", "l", "0"), "e1": ("a", "gone", "1")})
+    assert validate_bdd(g).codes() == {"dangling-endpoint"}
 
 
 def test_is_reduced_witnesses(pq_tree, lat2):

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, MorphismError,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pbpoplus import (Cospan, GraphError, GraphMorphism, LabeledGraph, MorphismError,
                       RhsSpec, Span, TruthTable, build_decision_tree,
                       check_strong_match, complete_rule, compose,
                       enumerate_homomorphisms, find_matches, identity,
                       is_pullback_square, leaf_rule, pbpo_step,
                       reduce_bdd, reduction_rules, unit_lattice,
                       validate_morphism, verify_match_square, verify_trace)
-from pbpoplus.matching import _hom_search, iter_matches
+from pbpoplus.matching import _hom_search, _occurs_at, iter_matches
 
 from genhelpers import (corpus_lattices, naive_find_matches, random_graph,
                         random_host_with_match, random_rule,
@@ -367,3 +370,29 @@ def test_first_match_with_two_context_nodes_on_a_large_host(unit):
     match = next(iter_matches(rule, host))
     assert match.m.node_map == {"a": ids[0]}
     assert match.alpha.node_map == {ids[0]: "a", **dict.fromkeys(ids[1:], "c1")}
+
+
+def test_enumerate_homomorphisms_rejects_a_malformed_graph(unit):
+    dot = LabeledGraph.build(unit, {"a": "*"})
+    dangling = LabeledGraph.build(unit, {"a": "*"}, {"e": ("a", "gone", "*")})
+    for g, h in ((dot, dangling), (dangling, dot)):
+        with pytest.raises(GraphError, match="invalid-graph.*dangling-endpoint"):
+            enumerate_homomorphisms(g, h)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_rooted_query_is_exact(seed):
+    """The rooted query answers yes exactly when some injective
+    homomorphism has a seed in its image; ids outside the host are no
+    seeds."""
+    rng = random.Random(seed)
+    lat = rng.choice(corpus_lattices())
+    pattern = random_graph(rng, lat, max_nodes=3, max_edges=3, prefix="p")
+    host = random_graph(rng, lat, max_nodes=5, max_edges=7, prefix="h")
+    nodes = {n for n in host.nodes if rng.random() < 0.3} | {"gone"}
+    edges = {e for e in host.edges if rng.random() < 0.3} | {"gone"}
+    expected = any(nodes.intersection(f.node_map.values())
+                   or edges.intersection(f.edge_map.values())
+                   for f in reference_homomorphisms(pattern, host, injective=True))
+    assert _occurs_at(pattern, host, nodes, edges) is expected

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbpoplus import (Cospan, EngineError, GraphMorphism, LabeledGraph, Match,
+from pbpoplus import (Cospan, EngineError, GraphError, GraphMorphism, LabeledGraph, Match,
                       MorphismError, PbpoRule, RhsSpec, RuleError, Span,
                       StrongMatchError, ToyPbRule, ToyPoRule, TruthTable,
                       bdd_lattice, build_decision_tree, complete_rule, compose,
@@ -18,8 +18,8 @@ from pbpoplus import (Cospan, EngineError, GraphMorphism, LabeledGraph, Match,
 from pbpoplus import matching, rewriting
 from pbpoplus.rewriting import _check_step
 
-from genhelpers import (random_host_with_match, random_rule, random_truth_table,
-                        reference_pbpo_step)
+from genhelpers import (corpus_lattices, random_host_with_match, random_rule,
+                        random_truth_table, reference_normalize, reference_pbpo_step)
 
 
 # --------------------------------------------------------------- ToyPO
@@ -396,6 +396,95 @@ def test_normalize_invalid_rule_rejected(unit, lat2, replace_rule):
         lp=replace_rule.lp)
     with pytest.raises(RuleError):
         normalize(host, [broken])
+
+
+def test_normalize_rejects_a_malformed_host(replace_rule, lat2):
+    dangling = LabeledGraph.build(lat2, {"g": "x2"}, {"e": ("g", "gone", "0")})
+    with pytest.raises(GraphError, match="invalid-graph.*dangling-endpoint"):
+        normalize(dangling, [replace_rule])
+    foreign = LabeledGraph.build(lat2, {"g": "x9"})
+    with pytest.raises(GraphError, match="invalid-graph.*label-domain"):
+        normalize(foreign, [replace_rule])
+
+
+def assert_same_run(got, want):
+    """The same rule at the same match and adherence, with the same result,
+    at every step, and the same outcome."""
+    assert (got.steps, got.reached_fixpoint) == (want.steps, want.reached_fixpoint)
+    assert len(got.traces) == len(want.traces)
+    for a, b in zip(got.traces, want.traces):
+        assert a.rule is b.rule
+        assert (a.m, a.alpha, a.g_out) == (b.m, b.alpha, b.g_out)
+    assert got.graph == want.graph
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_normalize_steps_as_a_search_of_every_rule_does_on_bdds(seed):
+    """Rules certified not to occur are skipped, yet each step fires the
+    rule and match that searching every rule from scratch picks."""
+    rng = random.Random(seed)
+    tree = build_decision_tree(random_truth_table(
+        rng, [f"v{i}" for i in range(rng.randint(0, 5))]))
+    rules = reduction_rules(tree.variables, tree.graph.lattice)
+    assert_same_run(normalize(tree.graph, rules), reference_normalize(tree.graph, rules))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_normalize_steps_as_a_search_of_every_rule_does_on_random_rules(seed):
+    rng = random.Random(seed)
+    lat = rng.choice(corpus_lattices())
+    rules = [random_rule(rng, lat) for _ in range(rng.randint(1, 3))]
+    host = random_host_with_match(rng, rng.choice(rules))[0]
+    budget = rng.randint(0, 3)  # a duplicating rule can double the host each step
+    assert_same_run(normalize(host, rules, max_steps=budget),
+                    reference_normalize(host, rules, max_steps=budget))
+
+
+def test_normalize_rescans_a_rule_that_occurs_without_a_strong_match(lat2):
+    """Only a rule whose pattern does not occur is certified.  Here ``promote``
+    occurs at ``g`` but the 0-leaf ``h`` fits no context of its type graph;
+    deleting ``h`` changes no element of the occurrence, yet makes it a
+    strong match."""
+    pattern = LabeledGraph.build(lat2, {"a": "x1"})
+    context = LabeledGraph.build(lat2, {"a": "x1", "c": "Var"})
+    interface_type = LabeledGraph.build(lat2, {"a": "bot", "c": "Var"})
+    promote = complete_rule(
+        pattern, GraphMorphism(pattern, context, {"a": "a"}, {}),
+        GraphMorphism(interface_type, context, {"a": "a", "c": "c"}, {}),
+        RhsSpec(node_labels={"a": "x2"}), name="promote")
+    pattern = LabeledGraph.build(lat2, {"b": "0"})
+    context = LabeledGraph.build(lat2, {"b": "0", "c": "top"})
+    interface_type = LabeledGraph.build(lat2, {"c": "top"})
+    drop = complete_rule(
+        pattern, GraphMorphism(pattern, context, {"b": "b"}, {}),
+        GraphMorphism(interface_type, context, {"c": "c"}, {}), name="drop-0")
+    host = LabeledGraph.build(lat2, {"g": "x1", "h": "0"})
+    result = normalize(host, [promote, drop])
+    assert [t.rule.name for t in result.traces] == ["drop-0", "promote"]
+    assert result.graph.node_labels == {"g": "x2"} and result.reached_fixpoint
+    assert_same_run(result, reference_normalize(host, [promote, drop]))
+
+
+def test_normalize_searches_from_scratch_about_once_per_step(monkeypatch):
+    """A random 6-variable reduction: a rule is searched in full when it
+    fires or occurs, otherwise only through what the steps changed.
+    Searching every rule on every step takes about 4.5 scans a step."""
+    tree = build_decision_tree(random_truth_table(
+        random.Random(66), [f"v{i}" for i in range(6)]))
+    rules = reduction_rules(tree.variables, tree.graph.lattice)
+    scans = []
+    first_match = rewriting._first_match
+
+    def counted(rule, g):
+        scans.append(rule.name)
+        return first_match(rule, g)
+
+    monkeypatch.setattr(rewriting, "_first_match", counted)
+    result = normalize(tree.graph, rules, keep_traces=False)
+    assert result.reached_fixpoint and result.steps > 90
+    assert len(scans) <= result.steps + 4 * len(rules)
 
 
 # ----------------------------------- embeddings of the toy formalisms
