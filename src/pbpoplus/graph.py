@@ -190,83 +190,66 @@ def _require_valid_graph(*graphs: LabeledGraph) -> None:
             raise GraphError(f"invalid-graph: {report}")
 
 
-def _is_valid(f: GraphMorphism) -> bool:
-    """One pass over the maps: whether :func:`validate_morphism` would find
-    nothing.  Every lookup tolerates malformed graphs, so a defect of any
-    kind answers ``False`` rather than raising."""
-    dom, cod = f.dom, f.cod
-    node_map, edge_map = f.node_map, f.edge_map
-    if node_map.keys() != dom.nodes or edge_map.keys() != dom.edges:
-        return False
-    above = dom.lattice._above
-    dom_labels, cod_labels, cod_nodes = dom.node_labels, cod.node_labels, cod.nodes
-    for n, v in node_map.items():
-        up = above.get(dom_labels.get(n))
-        if up is None or v not in cod_nodes or cod_labels.get(v) not in up:
-            return False
-    dom_src, dom_tgt, cod_src, cod_tgt = dom.src, dom.tgt, cod.src, cod.tgt
-    dom_labels, cod_labels, cod_edges = dom.edge_labels, cod.edge_labels, cod.edges
-    for e, img in edge_map.items():
-        up = above.get(dom_labels.get(e))
-        s_img = node_map.get(dom_src.get(e))
-        t_img = node_map.get(dom_tgt.get(e))
-        if (up is None or img not in cod_edges or cod_labels.get(img) not in up
-                or s_img is None or cod_src.get(img) != s_img
-                or t_img is None or cod_tgt.get(img) != t_img):
-            return False
-    return True
-
-
 def validate_morphism(f: GraphMorphism) -> Report:
     """Report commutation failures and label-condition failures by element.
 
-    A valid morphism is recognised in one pass; any defect re-runs the
-    element-by-element check, which names every violation."""
+    One pass over the domain in id order, nodes then edges, records each
+    defect as it is found; on a valid morphism it costs one lookup per
+    condition.  Keys of the maps outside the domain are reported last."""
     report = Report()
-    if f.dom.lattice != f.cod.lattice:
+    dom, cod = f.dom, f.cod
+    if dom.lattice != cod.lattice:
         report.add("lattice-mismatch", "dom and cod use different lattices")
         return report
-    if _is_valid(f):
-        return report
-    leq = f.dom.lattice.leq
-    for n in f.dom.sorted_nodes:
-        v = f.node_map.get(n)
+    add = report.add
+    lat = dom.lattice
+    above, leq = lat._above, lat.leq
+    node_map, edge_map = f.node_map, f.edge_map
+    dom_labels, cod_labels, cod_nodes = dom.node_labels, cod.node_labels, cod.nodes
+    mapped_nodes = 0
+    for n, v in zip(dom.sorted_nodes, map(node_map.get, dom.sorted_nodes)):
         if v is None:
-            report.add("unmapped-node", f"node {n!r} has no image")
-        elif v not in f.cod.nodes:
-            report.add("bad-target", f"node {n!r} maps to unknown node {v!r}")
-        elif not leq(f.dom.node_labels[n], f.cod.node_labels[v]):
-            report.add("label-condition",
-                       f"node {n!r}: {f.dom.node_labels[n]!r} is not below "
-                       f"{f.cod.node_labels[v]!r} at {v!r}")
-    for e in f.dom.sorted_edges:
-        img = f.edge_map.get(e)
+            add("unmapped-node", f"node {n!r} has no image")
+            continue
+        mapped_nodes += 1
+        if v not in cod_nodes:
+            add("bad-target", f"node {n!r} maps to unknown node {v!r}")
+            continue
+        lab, img_lab = dom_labels[n], cod_labels[v]
+        up = above.get(lab)
+        if (up is None or img_lab not in up) and not leq(lab, img_lab):
+            add("label-condition",
+                f"node {n!r}: {lab!r} is not below {img_lab!r} at {v!r}")
+    dom_src, dom_tgt, cod_src, cod_tgt = dom.src, dom.tgt, cod.src, cod.tgt
+    dom_labels, cod_labels, cod_edges = dom.edge_labels, cod.edge_labels, cod.edges
+    mapped_edges = 0
+    for e, img in zip(dom.sorted_edges, map(edge_map.get, dom.sorted_edges)):
         if img is None:
-            report.add("unmapped-edge", f"edge {e!r} has no image")
+            add("unmapped-edge", f"edge {e!r} has no image")
             continue
-        if img not in f.cod.edges:
-            report.add("bad-target", f"edge {e!r} maps to unknown edge {img!r}")
+        mapped_edges += 1
+        if img not in cod_edges:
+            add("bad-target", f"edge {e!r} maps to unknown edge {img!r}")
             continue
-        s_img = f.node_map.get(f.dom.src[e])
-        t_img = f.node_map.get(f.dom.tgt[e])
-        if s_img is not None and f.cod.src[img] != s_img:
-            report.add("source-commutation",
-                       f"edge {e!r}: image source {f.cod.src[img]!r} differs "
-                       f"from mapped source {s_img!r}")
-        if t_img is not None and f.cod.tgt[img] != t_img:
-            report.add("target-commutation",
-                       f"edge {e!r}: image target {f.cod.tgt[img]!r} differs "
-                       f"from mapped target {t_img!r}")
-        if not leq(f.dom.edge_labels[e], f.cod.edge_labels[img]):
-            report.add("label-condition",
-                       f"edge {e!r}: {f.dom.edge_labels[e]!r} is not below "
-                       f"{f.cod.edge_labels[img]!r} at {img!r}")
-    extra_nodes = set(f.node_map) - f.dom.nodes
-    extra_edges = set(f.edge_map) - f.dom.edges
-    if extra_nodes:
-        report.add("bad-domain", f"map defined on foreign nodes {sorted(extra_nodes)}")
-    if extra_edges:
-        report.add("bad-domain", f"map defined on foreign edges {sorted(extra_edges)}")
+        s_img = node_map.get(dom_src[e])
+        t_img = node_map.get(dom_tgt[e])
+        if s_img is not None and cod_src[img] != s_img:
+            add("source-commutation", f"edge {e!r}: image source {cod_src[img]!r} "
+                f"differs from mapped source {s_img!r}")
+        if t_img is not None and cod_tgt[img] != t_img:
+            add("target-commutation", f"edge {e!r}: image target {cod_tgt[img]!r} "
+                f"differs from mapped target {t_img!r}")
+        lab, img_lab = dom_labels[e], cod_labels[img]
+        up = above.get(lab)
+        if (up is None or img_lab not in up) and not leq(lab, img_lab):
+            add("label-condition",
+                f"edge {e!r}: {lab!r} is not below {img_lab!r} at {img!r}")
+    # A map with no more keys than mapped domain elements has no foreign key.
+    for kind, mapping, ids, mapped in (("nodes", node_map, dom.nodes, mapped_nodes),
+                                       ("edges", edge_map, dom.edges, mapped_edges)):
+        extra = len(mapping) > mapped and set(mapping) - ids
+        if extra:
+            add("bad-domain", f"map defined on foreign {kind} {sorted(extra)}")
     return report
 
 

@@ -29,7 +29,8 @@ the square commutes and build the canonical limit; a private core then
 decides the universal property by checking that the forced mediating
 morphism to (or from) the given corner is an isomorphism.  A caller that
 already holds the canonical limit of the square's cospan (or span), as a
-rewrite step does, hands it to the core instead of rebuilding it.  The
+rewrite step does for its match square, hands it to the core instead of
+rebuilding it.  The
 exhaustive mediator enumeration :func:`enumerate_mediators` runs on the
 homomorphism search of :mod:`~pbpoplus.matching`, its equations narrowing
 candidates.  Every function here raises
@@ -416,22 +417,18 @@ def is_pushout_square(s: Span, c: Cospan) -> bool:
 
 def _is_pushout(canon: LimitResult, c: Cospan) -> bool:
     """Whether the corner of ``c`` is a pushout, given ``canon``, the
-    pushout of the span that ``c`` closes into a commuting square."""
-    p, q = c.left, c.right
+    pushout of the span that ``c`` closes into a commuting square.  The
+    members of a class share their image because the square commutes, so
+    the forced mediator sends a class where its root goes."""
 
-    def forced_image(members: tuple, maps: dict[str, dict[str, str]]) -> str:
-        if len(members) == 1:
-            side, ident = members[0]
-            return maps[side][ident]
-        images = {maps[side][ident] for side, ident in members}
-        assert len(images) == 1, "commuting cospan disagrees on a pushout class"
-        return images.pop()
+    def forced(naming: dict[str, tuple], left: dict[str, str],
+               right: dict[str, str]) -> dict[str, str]:
+        maps = {"0": left, "1": right}
+        return {rep: maps[side][ident] for rep, ((side, ident), *_) in naming.items()}
 
-    node_maps = {"0": p.node_map, "1": q.node_map}
-    edge_maps = {"0": p.edge_map, "1": q.edge_map}
-    node_map = {rep: forced_image(ms, node_maps) for rep, ms in canon.node_naming.items()}
-    edge_map = {rep: forced_image(ms, edge_maps) for rep, ms in canon.edge_naming.items()}
-    return _is_exact_bijection(canon.object, p.cod, node_map, edge_map)
+    node_map = forced(canon.node_naming, c.left.node_map, c.right.node_map)
+    edge_map = forced(canon.edge_naming, c.left.edge_map, c.right.edge_map)
+    return _is_exact_bijection(canon.object, c.left.cod, node_map, edge_map)
 
 
 def enumerate_mediators(dom: LabeledGraph,

@@ -357,6 +357,13 @@ def iter_matches(rule: "PbpoRule", g: LabeledGraph,
                  check_rule: bool = True) -> Iterator[Match]:
     """Strong matches in ascending :meth:`Match.sort_key` order, lazily.
 
+    A host node whose label fits no context node of ``L'`` can only be
+    typed onto the pattern, so every strong match covers it.  Such nodes
+    are found once per call, only when some label fits no context node (a
+    context node labelled top takes every host node): more of them than
+    the pattern has nodes rule out every match at once, and an occurrence
+    that misses one gets no adherence search.
+
     ``check_rule=False`` skips the rule check.  The rule's validation
     report is kept on the rule, so after the first call the check is a
     lookup either way.
@@ -367,7 +374,14 @@ def iter_matches(rule: "PbpoRule", g: LabeledGraph,
         _require_valid_rule(rule)
     if g.lattice != rule.L.lattice:
         raise LatticeError("host graph must share the rule lattice")
+    fits, pinned = rule._context_labels, ()
+    if len(fits) < len(g.lattice.elements):
+        pinned = {n for n in g.nodes if g.node_labels[n] not in fits}
+        if len(pinned) > len(rule.L.nodes):
+            return
     for m in _hom_search(rule.L, g, injective=True, lex=True):
+        if pinned and not pinned.issubset(m.node_map.values()):
+            continue
         for alpha in _adherences_for(m, rule.tL, g):
             match = check_strong_match(rule.tL, alpha)
             if match is not None and match.m == m:

@@ -30,16 +30,40 @@ or the replacement creates get a fresh ``"{step}:{ident}"`` stamp.  Ids
 therefore do not grow with the number of steps.
 
 :func:`pbpo_step` always checks every property of the step exactly once,
-so an invalid rule or match is an error, never a wrong graph.  At entry:
-the rule, ``m``, ``alpha`` and the match square.  After the construction,
-in code shared with :func:`verify_trace`: the validity of ``g_L, g_R, u,
-u', w``, ``u' . u = tK``, ``u`` injective, and that the middle (``u`` is the pullback of ``m`` along ``g_L``), deletion
-and addition squares commute and, only then, are limits.  The step hands
-the pullback and the pushout it built to that check, which decides the
-deletion and addition squares over them; :func:`verify_trace` builds its
-own.  The match square is decided over the pullback that a match found by
-:func:`~pbpoplus.matching.iter_matches` keeps from its strong-match check.
-A step thus builds one pushout and one deletion pullback.
+so an invalid rule or match is an error, never a wrong graph.  At entry it
+checks the rule, ``m``, ``alpha`` and the match square; a match found by
+:func:`~pbpoplus.matching.iter_matches` keeps the pullback its
+strong-match check built, and the square is decided over it.  After the
+construction, :func:`~pbpoplus.stepcheck._check_step`, which
+:func:`verify_trace` runs too, checks the validity of ``g_L, g_R, u, u', w``, ``u' . u = tK``, that
+``u`` is injective, and that the middle (``u`` is the pullback of ``m``
+along ``g_L``), deletion and addition squares commute and, only then, are
+limits.
+
+That check builds no limit; it counts.  A commuting square is a pullback
+exactly when the forced map ``x -> (p(x), q(x))`` into the canonical
+pullback is a bijection that keeps labels.  The canonical pullback of
+``alpha`` and ``l'`` has, in each sort,
+
+    sum over g in G_L of |l'^-1(alpha(g))|
+
+elements.  So the deletion square is a pullback when the pairs ``(g_L(x),
+u'(x))`` are distinct, there are that many, and each ``x`` is labelled
+with the meet of its pair's labels.  The fibre sizes of ``l'`` are kept on
+the rule.  The middle square is decided the same way: its canonical
+pullback is the ``g_L``-fibre over ``m(L)``, which must have ``|K|``
+elements.
+
+The pushout of ``(u, r)`` has a class of its own for each element of
+``G_K`` outside ``u(K)``, with that element's label, and one for each
+class of ``u(K)`` and ``R`` under ``u(k) ~ r(k)``, labelled with the join
+of its members.  A commuting ``(g_R, w)`` is the pushout when each class's
+image carries the class's label and the images of ``g_R`` and ``w`` are as
+many as the classes and as ``G_R``.
+
+One pass over ``G_K``, nodes then edges, gathers all of this together
+with the validity of ``g_L``, ``u'`` and ``g_R``.  A step thus builds one
+deletion pullback and one pushout.
 
 Because ids survive a step, what :func:`normalize` learnt about one host
 carries over to the next.  Call an element of ``G_R`` *unchanged* when
@@ -66,10 +90,11 @@ from typing import Mapping, Optional, Sequence
 from .errors import (EngineError, InternalMediatorError, MorphismError, Report,
                      RuleError, StrongMatchError)
 from .graph import (GraphMorphism, LabeledGraph, _require_valid, _require_valid_graph,
-                    compose, identity)
-from .limits import (Cospan, LimitResult, Span, _commutes, _is_pullback, _is_pushout,
-                     _maps_equal, _UnionFind, pullback, pushout)
+                    identity)
+from .limits import (Cospan, Span, _commutes, _is_pullback, _UnionFind, pullback,
+                     pushout)
 from .matching import Match, _first_match, _occurs_at
+from .stepcheck import _check_square, _check_step
 
 
 @dataclass(frozen=True)
@@ -165,14 +190,36 @@ class PbpoRule:
         return validate_rule(self)
 
     @cached_property
+    def _fibre_sizes(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Nodes, then edges: the number of preimages under ``l'`` of each
+        element of ``L'``, which is how many copies in ``G_K`` a host
+        element typed onto it has."""
+        sizes = []
+        for ids, lp_map in ((self.Lp.nodes, self.lp.node_map),
+                            (self.Lp.edges, self.lp.edge_map)):
+            counts = Counter(lp_map.values())
+            sizes.append({x: counts[x] for x in ids})
+        return sizes[0], sizes[1]
+
+    @cached_property
+    def _context_labels(self) -> frozenset[str]:
+        """The labels a host node can carry and still be typed onto a
+        context node of ``L'`` (one outside ``tL(L)``): those below the
+        label of some context node.  A host node with any other label must
+        be in the image of every strong match."""
+        above = self.Lp.lattice._above
+        context = [self.Lp.node_labels[c] for c in self.Lp.nodes - self.tL.node_image()]
+        return frozenset(x for x, up in above.items() if not up.isdisjoint(context))
+
+    @cached_property
     def _alone_in_fibre(self) -> dict[str, frozenset[str]]:
         """By sort, the elements of ``K'`` that are the only preimage of
         their image under ``l'``: a host element typed onto that image has
         exactly one copy in ``G_K``."""
         alone = {}
-        for kind, lp_map in (("node", self.lp.node_map), ("edge", self.lp.edge_map)):
-            preimages = Counter(lp_map.values())
-            alone[kind] = frozenset(k for k, x in lp_map.items() if preimages[x] == 1)
+        for kind, sizes, lp_map in (("node", self._fibre_sizes[0], self.lp.node_map),
+                                    ("edge", self._fibre_sizes[1], self.lp.edge_map)):
+            alone[kind] = frozenset(k for k, x in lp_map.items() if sizes[x] == 1)
         return alone
 
 
@@ -204,23 +251,12 @@ def validate_rule(rule: PbpoRule) -> Report:
     if not rule.tK.is_injective():
         report.add("non-injective-typing", "tK must be injective in this engine")
     typed, interface = Cospan(rule.tL, rule.lp), Span(rule.l, rule.tK)
-    _check_square(report, interface, typed,
+    _check_square(report, _commutes(interface, typed),
                   lambda: _is_pullback(pullback(typed), interface),
                   ("left-square-commutation", "tL . l differs from l' . tK"),
                   ("left-square-pullback",
                    "the interface is not the full preimage of the typed pattern"))
     return report
-
-
-def _check_square(report: Report, span: Span, cospan: Cospan, is_limit,
-                  commutes: tuple[str, str], universal: tuple[str, str]) -> None:
-    """Add ``commutes`` to the report if the square of valid, lined-up legs
-    does not commute, else ``universal`` if ``is_limit()`` is false: only a
-    commuting square has its universal property decided."""
-    if not _commutes(span, cospan):
-        report.add(*commutes)
-    elif not is_limit():
-        report.add(*universal)
 
 
 @dataclass(frozen=True)
@@ -363,53 +399,18 @@ def _check_match(report: Report, m: GraphMorphism, alpha: GraphMorphism,
     match keeps, which a match found by :func:`iter_matches` already holds."""
     typed, pattern = Cospan(alpha, t_l), Span(m, identity(t_l.dom))
     held = match is not None and match.typing is t_l
-    _check_square(report, pattern, typed,
+    _check_square(report, _commutes(pattern, typed),
                   lambda: _is_pullback(match._pullback if held else pullback(typed), pattern),
                   ("match-square", "alpha . m differs from tL"),
                   ("match-square", "the strong-match square is not a pullback"))
 
 
-def _check_step(trace: RewriteTrace, mid: Optional[LimitResult] = None,
-                out: Optional[LimitResult] = None) -> Report:
-    """Every property of a step beyond its match, each checked once; the
-    arrangement of the trace and the match are established by the caller.
-
-    ``mid`` and ``out`` are ``pullback(Cospan(alpha, l'))`` and
-    ``pushout(Span(u, r))`` when the caller holds them; the deletion and
-    addition squares are decided over them rather than over a rebuilt copy.
-    """
-    report = Report()
-    for name in ("g_l", "g_r", "u", "u_prime", "w"):
-        report.extend(getattr(trace, name)._report, prefix=f"{name}: ")
-    if not report.ok:
-        return report
-    rule = trace.rule
-    if not _maps_equal(compose(trace.u, trace.u_prime), rule.tK):
-        report.add("mediator", "u' . u differs from tK")
-    if not trace.u.is_injective():
-        report.add("mediator", "interface embedding u is not injective")
-    matched, interface = Cospan(trace.m, trace.g_l), Span(rule.l, trace.u)
-    _check_square(report, interface, matched,
-                  lambda: _is_pullback(pullback(matched), interface),
-                  ("middle-square", "g_L . u differs from m . l"),
-                  ("mediator", "u is not the pullback of m along g_L"))
-    deletion, kept = Cospan(trace.alpha, rule.lp), Span(trace.g_l, trace.u_prime)
-    _check_square(report, kept, deletion,
-                  lambda: _is_pullback(mid or pullback(deletion), kept),
-                  ("middle-square", "alpha . g_L differs from l' . u'"),
-                  ("middle-square", "the deletion square is not a pullback"))
-    addition, glued = Span(trace.u, rule.r), Cospan(trace.g_r, trace.w)
-    _check_square(report, addition, glued,
-                  lambda: _is_pushout(out or pushout(addition), glued),
-                  ("right-square", "g_R . u differs from w . r"),
-                  ("right-square", "the addition square is not a pushout"))
-    return report
-
-
 def verify_trace(trace: RewriteTrace) -> Report:
-    """Re-check every defining property of a completed step.  An invalid rule
-    or morphism, or one that does not connect the trace's graphs, ends the
-    check; a square that does not commute is reported, not decided."""
+    """Re-check every defining property of a completed step: the rule, the
+    match square, then the check :func:`pbpo_step` runs (see
+    :func:`~pbpoplus.stepcheck._check_step`).  An invalid rule or morphism,
+    or one that does not connect the trace's graphs, ends the check; a
+    square that does not commute is reported, not decided."""
     rule = trace.rule
     report = Report()
     report.extend(rule._report, prefix="rule: ")
@@ -465,10 +466,11 @@ def pbpo_step(rule: PbpoRule, match: Match,
     its ``K'`` element.  A class of ``G_R`` keeps the id of its smallest
     ``G_K`` member, and an element the replacement creates is stamped after
     its ``R`` element (see :func:`_stamper`).  Repeated runs produce
-    identical traces.  An invalid rule raises :class:`RuleError`, an invalid or mismatched
-    match :class:`MorphismError`, a match that is not strong
-    :class:`StrongMatchError`; a completed step that fails any property
-    raises :class:`InternalMediatorError`.
+    identical traces.  An invalid rule raises :class:`RuleError`, an
+    invalid or mismatched match :class:`MorphismError`, a match that is
+    not strong :class:`StrongMatchError`; a completed step that fails any
+    property of :func:`~pbpoplus.stepcheck._check_step`, the check
+    :func:`verify_trace` runs too, raises :class:`InternalMediatorError`.
     """
     _require_valid_rule(rule)
     m, alpha = match.m, match.alpha
@@ -534,7 +536,7 @@ def pbpo_step(rule: PbpoRule, match: Match,
     trace = RewriteTrace(rule=rule, g_in=g_host, g_mid=g_mid, g_out=g_out,
                          m=m, alpha=alpha, g_l=g_l, g_r=g_r,
                          u=u, u_prime=u_prime, w=w)
-    report = _check_step(trace, mid, out)
+    report = _check_step(trace)
     if not report.ok:
         raise InternalMediatorError(f"internal-mediator-failure: {report}")
     return g_out, trace

@@ -1,0 +1,226 @@
+"""The check of a completed PBPO+ step, decided in one pass over ``G_K``.
+
+:func:`_check_step` decides every property of a step beyond its match:
+the validity of ``g_L, g_R, u, u', w``, ``u' . u = tK``, ``u`` injective,
+and that the middle, deletion and addition squares commute and, only then,
+are limits.  It builds no limit.  A square's universal property is decided
+by counting, as the module docstring of :mod:`~pbpoplus.rewriting` states:
+the canonical pullback of ``alpha`` and ``l'`` has ``sum over g in G_L of
+|l'^-1(alpha(g))|`` elements of each sort, that of ``m`` and ``g_L`` is
+the ``g_L``-fibre over ``m(L)``, and the pushout of ``u`` and ``r`` has a
+class for each element of ``G_K`` outside ``u(K)`` and for each class of
+``u(K)`` and ``R``.  :func:`~pbpoplus.rewriting.pbpo_step` and
+:func:`~pbpoplus.rewriting.verify_trace` both run this check.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
+
+from .errors import Report
+from .graph import GraphMorphism, LabeledGraph
+from .limits import _UnionFind
+
+if TYPE_CHECKING:
+    from .rewriting import RewriteTrace
+
+
+def _check_square(report: Report, commutes: bool, is_limit: Callable[[], bool],
+                  not_commuting: tuple[str, str], not_universal: tuple[str, str]) -> None:
+    """Add ``not_commuting`` to the report if the square does not commute,
+    else ``not_universal`` if ``is_limit()`` is false: only a commuting
+    square has its universal property decided."""
+    if not commutes:
+        report.add(*not_commuting)
+    elif not is_limit():
+        report.add(*not_universal)
+
+
+def _sort(g: LabeledGraph, edges: bool) -> tuple[frozenset[str], dict[str, str]]:
+    """The ids and labels of one sort of ``g``."""
+    return (g.edges, g.edge_labels) if edges else (g.nodes, g.node_labels)
+
+
+def _map(f: GraphMorphism, edges: bool) -> dict[str, str]:
+    return f.edge_map if edges else f.node_map
+
+
+@dataclass
+class _Findings:
+    """What the pass over one sort of ``G_K`` found, for valid legs."""
+
+    deletion_commutes: bool = True  # alpha . g_L = l' . u'
+    meets: bool = True              # each label is the meet of its images' labels
+    kept: bool = True               # G_R keeps the label of each element outside u(K)
+    middle: int = 0                 # size of the pullback of m along g_L
+
+
+def _pass_over_g_k(trace: RewriteTrace, edges: bool) -> Optional[_Findings]:
+    """One sort of ``G_K`` in one pass: ``None`` if ``g_L``, ``u'`` or
+    ``g_R`` is invalid at an element, else what the squares need.
+
+    Each leg must map exactly the elements of ``G_K`` into its codomain,
+    which two set comparisons decide before the pass.  A label equal to
+    the meet of its ``g_L`` and ``u'`` images' labels is below both, so the
+    label conditions of those legs are looked at only where it is not;
+    likewise ``g_R``'s, where ``G_R`` does not keep the label.  The edge
+    pass checks the endpoints of all three legs; the node pass has found
+    every node mapped."""
+    rule = trace.rule
+    ids, labels = _sort(trace.g_mid, edges)
+    gl, up, gr = _map(trace.g_l, edges), _map(trace.u_prime, edges), _map(trace.g_r, edges)
+    g_ids, g_labels = _sort(trace.g_in, edges)
+    k_ids, k_labels = _sort(rule.Kp, edges)
+    r_ids, r_labels = _sort(trace.g_out, edges)
+    if not all(f.keys() == ids and cod.issuperset(f.values())
+               for f, cod in ((gl, g_ids), (up, k_ids), (gr, r_ids))):
+        return None
+    alpha, lp = _map(trace.alpha, edges), _map(rule.lp, edges)
+    interface = set(_map(trace.u, edges).values())
+    over_m = Counter(_map(trace.m, edges).values())
+    lat = trace.g_mid.lattice
+    # The meet memo answers a pair of labels met before without a call.
+    above, known_meets, meet = lat._above, lat._meets, lat.meet
+    if edges:
+        src, tgt = trace.g_mid.src, trace.g_mid.tgt
+        g_src, g_tgt, k_src, k_tgt = trace.g_in.src, trace.g_in.tgt, rule.Kp.src, rule.Kp.tgt
+        r_src, r_tgt = trace.g_out.src, trace.g_out.tgt
+        gl_n, up_n, gr_n = trace.g_l.node_map, trace.u_prime.node_map, trace.g_r.node_map
+    found = _Findings()
+    for x, g, kp, r in zip(ids, map(gl.__getitem__, ids), map(up.__getitem__, ids),
+                           map(gr.__getitem__, ids)):
+        lab, g_lab, k_lab, r_lab = labels[x], g_labels[g], k_labels[kp], r_labels[r]
+        if known_meets.get((g_lab, k_lab)) != lab:
+            below = above.get(lab)
+            if below is None or g_lab not in below or k_lab not in below:
+                return None
+            if meet((g_lab, k_lab)) != lab:
+                found.meets = False
+        if r_lab != lab:
+            if r_lab not in above[lab]:
+                return None
+            if x not in interface:
+                found.kept = False
+        if alpha[g] != lp[kp]:
+            found.deletion_commutes = False
+        if g in over_m:
+            found.middle += over_m[g]
+        if edges:
+            s, t = src[x], tgt[x]
+            if (g_src[g] != gl_n[s] or g_tgt[g] != gl_n[t] or k_src[kp] != up_n[s]
+                    or k_tgt[kp] != up_n[t] or r_src[r] != gr_n[s] or r_tgt[r] != gr_n[t]):
+                return None
+    return found
+
+
+def _composites_equal(edges: bool, f: GraphMorphism, g: GraphMorphism,
+                      h: GraphMorphism, k: GraphMorphism) -> bool:
+    """Whether ``g . f = k . h`` on one sort; ``f`` and ``h`` share a
+    domain, ``K`` in every square that needs this."""
+    f_map, g_map, h_map, k_map = (_map(x, edges) for x in (f, g, h, k))
+    return all(g_map[y] == k_map[h_map[x]] for x, y in f_map.items())
+
+
+def _is_middle_pullback(trace: RewriteTrace, edges: bool, found: _Findings) -> bool:
+    """Whether ``(l, u)`` is the pullback of ``m`` along ``g_L`` on one sort
+    of a commuting square: its pairs are distinct, as many as the
+    ``g_L``-fibre over ``m(L)`` and labelled with meets."""
+    rule = trace.rule
+    l, u = _map(rule.l, edges), _map(trace.u, edges)
+    k_labels, l_labels = _sort(rule.K, edges)[1], _sort(rule.L, edges)[1]
+    mid_labels = _sort(trace.g_mid, edges)[1]
+    meet = rule.K.lattice.meet
+    return (len(u) == found.middle == len({(l[k], v) for k, v in u.items()})
+            and all(k_labels[k] == meet((l_labels[l[k]], mid_labels[v]))
+                    for k, v in u.items()))
+
+
+def _is_deletion_pullback(trace: RewriteTrace, edges: bool, found: _Findings) -> bool:
+    """Whether ``G_K`` is the pullback of ``alpha`` and ``l'`` on one sort of
+    a commuting square: its pairs are distinct, labelled with meets, and as
+    many as the pullback has (the counting lemma of the module docstring)."""
+    gl, up = _map(trace.g_l, edges), _map(trace.u_prime, edges)
+    fibre = trace.rule._fibre_sizes[edges]
+    size = sum(map(fibre.__getitem__, _map(trace.alpha, edges).values()))
+    return found.meets and len(gl) == size == len(set(zip(gl.values(), map(up.__getitem__, gl))))
+
+
+def _is_addition_pushout(trace: RewriteTrace, edges: bool, found: _Findings) -> bool:
+    """Whether ``G_R`` is the pushout of ``u`` and ``r`` on one sort of a
+    commuting square.  An element of ``G_K`` outside ``u(K)`` is a class
+    of its own, which the pass found keeps its label; the classes of
+    ``u(K)`` and ``R`` come from a union-find of that size and must be
+    labelled with joins.  The classes' images are distinct and cover
+    ``G_R`` exactly when the images of ``g_R`` and ``w`` are as many as
+    the classes and as ``G_R``."""
+    rule = trace.rule
+    u, r, gr, w = (_map(trace.u, edges), _map(rule.r, edges), _map(trace.g_r, edges),
+                   _map(trace.w, edges))
+    interface = set(u.values())
+    r_ids, r_labels = _sort(rule.R, edges)
+    out_ids, out_labels = _sort(trace.g_out, edges)
+    feet = {"0": (gr, _sort(trace.g_mid, edges)[1]), "1": (w, r_labels)}
+    uf = _UnionFind([("0", v) for v in interface] + [("1", z) for z in r_ids])
+    for k, v in u.items():
+        uf.union(("0", v), ("1", r[k]))
+    classes = uf.classes()
+    join = rule.R.lattice.join
+    images = set(gr.values())
+    images.update(w.values())
+    return (found.kept
+            and len(images) == len(gr) - len(interface) + len(classes) == len(out_ids)
+            and all(out_labels[feet[side][0][x]] == join(feet[s][1][y] for s, y in members)
+                    for (side, x), members in classes.items()))
+
+
+def _check_step(trace: RewriteTrace) -> Report:
+    """Every property of a step beyond its match, each decided once; the
+    arrangement of the trace and the match are established by the caller.
+
+    One pass over ``G_K``, nodes then edges, checks ``g_L``, ``u'`` and
+    ``g_R`` at each element and collects what the deletion, middle and
+    addition squares need; ``u`` and ``w`` are ``K``- and ``R``-sized and
+    validated whole.  A leg found invalid ends the check, with the defects
+    named by the :func:`~pbpoplus.graph.validate_morphism` reports of the
+    legs.  A square has its universal property decided only if it
+    commutes, and no limit is built (see the module docstring).
+    """
+    rule, u, u_prime = trace.rule, trace.u, trace.u_prime
+    found = None
+    if (u._report.ok and trace.w._report.ok
+            and all(g.lattice == trace.g_mid.lattice
+                    for g in (trace.g_in, trace.g_out, rule.Kp))):
+        nodes = _pass_over_g_k(trace, False)
+        found = nodes and (nodes, _pass_over_g_k(trace, True))
+    report = Report()
+    if not found or found[1] is None:
+        for name in ("g_l", "g_r", "u", "u_prime", "w"):
+            report.extend(getattr(trace, name)._report, prefix=f"{name}: ")
+        return report
+    sorts = tuple(zip((False, True), found))
+
+    def on_both(decide) -> bool:
+        return all(decide(trace, edges, findings) for edges, findings in sorts)
+
+    if not all(_map(u_prime, edges)[v] == _map(rule.tK, edges)[k]
+               for edges, _ in sorts for k, v in _map(u, edges).items()):
+        report.add("mediator", "u' . u differs from tK")
+    if not u.is_injective():
+        report.add("mediator", "interface embedding u is not injective")
+    _check_square(report, all(_composites_equal(edges, rule.l, trace.m, u, trace.g_l)
+                              for edges, _ in sorts),
+                  lambda: on_both(_is_middle_pullback),
+                  ("middle-square", "g_L . u differs from m . l"),
+                  ("mediator", "u is not the pullback of m along g_L"))
+    _check_square(report, all(findings.deletion_commutes for findings in found),
+                  lambda: on_both(_is_deletion_pullback),
+                  ("middle-square", "alpha . g_L differs from l' . u'"),
+                  ("middle-square", "the deletion square is not a pullback"))
+    _check_square(report, all(_composites_equal(edges, u, trace.g_r, rule.r, trace.w)
+                              for edges, _ in sorts),
+                  lambda: on_both(_is_addition_pushout),
+                  ("right-square", "g_R . u differs from w . r"),
+                  ("right-square", "the addition square is not a pushout"))
+    return report

@@ -17,7 +17,8 @@ from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, LabelLattice,
                       preimage, unit_lattice)
 from pbpoplus.graph import _require_valid
 from pbpoplus.matching import iter_matches
-from pbpoplus.limits import _UnionFind, pair_id
+from pbpoplus.limits import (_commutes, _is_pullback, _is_pushout, _maps_equal,
+                             _UnionFind, pair_id, pullback, pushout)
 
 
 def diamond_lattice() -> LabelLattice:
@@ -698,9 +699,9 @@ def reference_pushout(s: Span) -> LimitResult:
 
 
 def reference_validate_morphism(f: GraphMorphism) -> Report:
-    """The element-by-element check alone: the reference for
-    :func:`pbpoplus.validate_morphism`, which first tries one pass that
-    only recognises a valid morphism."""
+    """The element-by-element check as it was written before its fast path
+    and it were merged: the reference for :func:`pbpoplus.validate_morphism`,
+    which records each defect in one pass with a faster valid path."""
     report = Report()
     if f.dom.lattice != f.cod.lattice:
         report.add("lattice-mismatch", "dom and cod use different lattices")
@@ -784,6 +785,47 @@ def reference_pbpo_step(rule, match: Match, step: int = 0):
     node_rename = {rep: fresh_name(ms) for rep, ms in sorted(out.node_naming.items())}
     edge_rename = {rep: fresh_name(ms) for rep, ms in sorted(out.edge_naming.items())}
     return out.object.rename(node_rename, edge_rename)
+
+
+def reference_check_step(trace) -> Report:
+    """The composite step check: the reference for
+    :func:`pbpoplus.rewriting._check_step`, which decides the same
+    properties in one pass over ``G_K``.
+
+    Every leg is validated whole, each equation is checked on composed
+    maps, and each square that commutes has its universal property decided
+    over its canonical limit, built afresh: the middle square over
+    ``pullback(Cospan(m, g_L))``, the deletion square over
+    ``pullback(Cospan(alpha, l'))`` and the addition square over
+    ``pushout(Span(u, r))``."""
+    report = Report()
+    for name in ("g_l", "g_r", "u", "u_prime", "w"):
+        report.extend(getattr(trace, name)._report, prefix=f"{name}: ")
+    if not report.ok:
+        return report
+    rule = trace.rule
+    if not _maps_equal(compose(trace.u, trace.u_prime), rule.tK):
+        report.add("mediator", "u' . u differs from tK")
+    if not trace.u.is_injective():
+        report.add("mediator", "interface embedding u is not injective")
+    matched, interface = Cospan(trace.m, trace.g_l), Span(rule.l, trace.u)
+    deletion, kept = Cospan(trace.alpha, rule.lp), Span(trace.g_l, trace.u_prime)
+    addition, glued = Span(trace.u, rule.r), Cospan(trace.g_r, trace.w)
+    for span, cospan, is_limit, commutes, universal in (
+            (interface, matched, lambda: _is_pullback(pullback(matched), interface),
+             ("middle-square", "g_L . u differs from m . l"),
+             ("mediator", "u is not the pullback of m along g_L")),
+            (kept, deletion, lambda: _is_pullback(pullback(deletion), kept),
+             ("middle-square", "alpha . g_L differs from l' . u'"),
+             ("middle-square", "the deletion square is not a pullback")),
+            (addition, glued, lambda: _is_pushout(pushout(addition), glued),
+             ("right-square", "g_R . u differs from w . r"),
+             ("right-square", "the addition square is not a pushout"))):
+        if not _commutes(span, cospan):
+            report.add(*commutes)
+        elif not is_limit():
+            report.add(*universal)
+    return report
 
 
 def reference_normalize(g: LabeledGraph, rules, max_steps=None) -> NormalizeResult:

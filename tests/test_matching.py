@@ -167,6 +167,25 @@ def test_find_matches_agrees_with_naive(lat2):
     assert agreements >= 15  # every constructed host has at least its match
 
 
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_find_matches_agrees_with_naive_where_no_context_node_fits(seed):
+    """Hosts with extra isolated nodes of any label, some of which no
+    context node of the rule can take: matches that miss such a node, or
+    every match when there are more of them than pattern nodes, are ruled
+    out before the adherence search, as the naive route rules them out."""
+    rng = random.Random(seed)
+    lat = rng.choice(corpus_lattices())
+    rule = random_rule(rng, lat)
+    host, _ = random_host_with_match(rng, rule)
+    labels = {**host.node_labels, **{f"x{i}": rng.choice(lat.sorted_elements())
+                                     for i in range(rng.randint(0, 3))}}
+    host = LabeledGraph.build(lat, labels, {e: (host.src[e], host.tgt[e], host.edge_labels[e])
+                                            for e in host.edges})
+    fast = find_matches(rule, host, check_rule=False)
+    assert [m.sort_key() for m in fast] == [m.sort_key() for m in naive_find_matches(rule, host)]
+
+
 def test_every_match_passes_square_and_injectivity(lat2):
     rng = random.Random(22)
     for _ in range(10):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbpoplus import (Cospan, EngineError, GraphError, GraphMorphism, LabeledGraph, Match,
-                      MorphismError, PbpoRule, RhsSpec, RuleError, Span,
+from pbpoplus import (EngineError, GraphError, GraphMorphism, LabeledGraph, Match,
+                      MorphismError, PbpoRule, RhsSpec, RuleError,
                       StrongMatchError, ToyPbRule, ToyPoRule, TruthTable,
                       bdd_lattice, build_decision_tree, complete_rule, compose,
                       find_matches, identity, is_isomorphic, leaf_rule,
-                      normalize, pbpo_step, pullback, pushout, reduce_bdd,
+                      normalize, pbpo_step, pullback, reduce_bdd,
                       reduction_rules, toypb_step, toypo_step,
                       validate_morphism, validate_rule, verify_match_square,
                       verify_trace)
@@ -19,7 +19,8 @@ from pbpoplus import matching, rewriting
 from pbpoplus.rewriting import _check_step
 
 from genhelpers import (corpus_lattices, random_host_with_match, random_rule,
-                        random_truth_table, reference_normalize, reference_pbpo_step)
+                        random_truth_table, reference_check_step, reference_normalize,
+                        reference_pbpo_step)
 
 
 # --------------------------------------------------------------- ToyPO
@@ -442,6 +443,31 @@ def test_normalize_steps_as_a_search_of_every_rule_does_on_random_rules(seed):
                     reference_normalize(host, rules, max_steps=budget))
 
 
+def test_normalize_searches_no_adherence_for_an_occurrence_that_cannot_match(monkeypatch):
+    """Seed 254 of the property above.  One rule has no context node, so a
+    host node it does not match fits nowhere, and the host, which another
+    rule doubles each step, soon has more nodes than its pattern: the rule
+    cannot match, and its occurrences get no adherence search.  One search
+    per occurrence would be 37,391 searches within four steps."""
+    rng = random.Random(254)
+    lat = rng.choice(corpus_lattices())
+    rules = [random_rule(rng, lat) for _ in range(rng.randint(1, 3))]
+    host = random_host_with_match(rng, rng.choice(rules))[0]
+    assert any(not rule._context_labels for rule in rules)
+    searches = []
+    adherences_for = matching._adherences_for
+
+    def counted(m, t_l, g):
+        searches.append(m)
+        return adherences_for(m, t_l, g)
+
+    monkeypatch.setattr(matching, "_adherences_for", counted)
+    result = normalize(host, rules, max_steps=4)
+    assert result.steps == 4 and len(result.graph.nodes) == 33
+    assert len(searches) <= 4 * len(result.graph.nodes)
+    assert_same_run(result, reference_normalize(host, rules, max_steps=4))
+
+
 def test_normalize_rescans_a_rule_that_occurs_without_a_strong_match(lat2):
     """Only a rule whose pattern does not occur is certified.  Here ``promote``
     occurs at ``g`` but the 0-leaf ``h`` fits no context of its type graph;
@@ -643,37 +669,151 @@ def test_verify_trace_reports_each_universal_property(leaf_steps):
     assert "interface embedding u is not injective" in messages("non_injective")
 
 
-def held_limits(trace):
-    """The limits ``pbpo_step`` holds for the deletion and addition squares
-    of ``trace``: those of its own cospan and span."""
-    return (pullback(Cospan(trace.alpha, trace.rule.lp)),
-            pushout(Span(trace.u, trace.rule.r)))
+def with_isolated_nodes(trace, extra_host=(), extra_mid=(), extra_out=()):
+    """``trace`` with isolated ``0``-nodes added: ``(h, type)`` to ``G_L``,
+    typed onto a node of ``L'``; ``(x, g, kp, r)`` to ``G_K``, over ``g``,
+    ``kp`` and ``r``; and ``y`` to ``G_R``, hit by nothing."""
+    g_in, g_mid, g_out = trace.g_in, trace.g_mid, trace.g_out
+    for h, _ in extra_host:
+        g_in = with_node(g_in, h, "0")
+    for x, *_ in extra_mid:
+        g_mid = with_node(g_mid, x, "0")
+    for y in extra_out:
+        g_out = with_node(g_out, y, "0")
+    return dataclasses.replace(
+        trace, g_in=g_in, g_mid=g_mid, g_out=g_out,
+        m=retarget(trace.m, cod=g_in),
+        alpha=retarget(trace.alpha, dom=g_in, node_changes=extra_host),
+        g_l=retarget(trace.g_l, dom=g_mid, cod=g_in,
+                     node_changes=[(x, g) for x, g, _, _ in extra_mid]),
+        u_prime=retarget(trace.u_prime, dom=g_mid,
+                         node_changes=[(x, kp) for x, _, kp, _ in extra_mid]),
+        g_r=retarget(trace.g_r, dom=g_mid, cod=g_out,
+                     node_changes=[(x, r) for x, _, _, r in extra_mid]),
+        u=retarget(trace.u, cod=g_mid), w=retarget(trace.w, cod=g_out))
 
 
-def test_held_limits_give_the_rebuilt_verdict(leaf_steps):
-    """Deciding the squares over the limits a step holds answers exactly as
-    rebuilding them, on real steps and on traces that fail each check."""
+def aimed_at_fused_checks(rule, trace):
+    """Variants of a ``leaf_steps`` trace whose legs are valid and whose
+    squares commute, each failing one decision of the pass over ``G_K``,
+    with the messages the step check must give."""
+    lowered = with_node(trace.g_mid, "d10", "bot")  # outside u(K), below meet(0, top)
+    deletion, addition = ("the deletion square is not a pullback",
+                          "the addition square is not a pushout")
+    return {
+        "label off the meet": (dataclasses.replace(
+            trace, g_mid=lowered, u=retarget(trace.u, cod=lowered),
+            g_l=retarget(trace.g_l, dom=lowered), g_r=retarget(trace.g_r, dom=lowered),
+            u_prime=retarget(trace.u_prime, dom=lowered)), {deletion, addition}),
+        # x is a second pair over (d10, c); h, typed like d10, has none.
+        "repeated pair": (with_isolated_nodes(trace, [("h", "c")], [("x", "d10", "c", "d10")]),
+                          {deletion, addition}),
+        "missing fibre copy": (with_isolated_nodes(trace, [("h", "c")]), {deletion}),
+        # x is h's copy, but lands on d10's image and leaves y unhit.
+        "hit twice, one unhit": (with_isolated_nodes(trace, [("h", "c")],
+                                         [("x", "h", "c", "d10")], ["y"]), {addition}),
+    }
+
+
+def outcome_of(check, trace):
+    report = check(trace)
+    return report.ok, [(v.code, v.message) for v in report.violations]
+
+
+def test_fused_step_check_gives_the_composite_verdict(leaf_steps):
+    """The pass over ``G_K`` reports what the composite check over rebuilt
+    limits reports, on each corrupted field, each missing universal
+    property and each decision of the pass."""
     rule, _, second, trace, _ = leaf_steps
     traces = [dataclasses.replace(trace, **{name: bad})
               for name, (bad, _) in corrupted_fields(rule, second, trace).items()]
     traces += lacking_universal_property(rule, trace).values()
-    failing = len(traces)
-    rng = random.Random(41)
-    for n in (2, 3, 4):
-        for _ in range(2):
-            traces += reduce_bdd(build_decision_tree(
-                random_truth_table(rng, [f"x{i}" for i in range(n)])))[1].traces
-    lat = bdd_lattice(["x1", "x2"])
-    for _ in range(10):
-        step_rule = random_rule(rng, lat)
-        traces.append(pbpo_step(step_rule, random_host_with_match(rng, step_rule)[1])[1])
-    reports = [(_check_step(t, *held_limits(t)), _check_step(t)) for t in traces]
-    assert all(held == rebuilt for held, rebuilt in reports)
-    assert all(held.ok for held, _ in reports[failing:])
-    # Some failing traces commute and are decided over the held limits.
-    messages = {v.message for held, _ in reports[:failing] for v in held.violations}
-    assert {"the deletion square is not a pullback",
-            "the addition square is not a pushout"} <= messages
+    for bad, messages in aimed_at_fused_checks(rule, trace).values():
+        assert {v.message for v in _check_step(bad).violations} == messages
+        traces.append(bad)
+    for t in traces:
+        assert outcome_of(_check_step, t) == outcome_of(reference_check_step, t)
+
+
+def corrupt(rng, trace):
+    """``trace`` with one random defect aimed at a decision of the pass over
+    ``G_K``, or unchanged; the defect may also break a leg."""
+    g_mid, g_out = trace.g_mid, trace.g_out
+    edges = rng.random() < 0.5 and bool(g_mid.edges)
+    ids = sorted(g_mid.edges if edges else g_mid.nodes)
+    which = rng.choice(["none", "label", "retyped", "pair", "missing", "hit twice", "unhit"])
+    if which == "none" or not ids:
+        return trace
+    x = rng.choice(ids)
+
+    def changed_map(f, **images):
+        node_map, edge_map = dict(f.node_map), dict(f.edge_map)
+        (edge_map if edges else node_map).update(images)
+        return GraphMorphism(f.dom, f.cod, node_map, edge_map)
+
+    def rebuilt_mid(mid):
+        return dataclasses.replace(trace, g_mid=mid, u=retarget(trace.u, cod=mid), **{
+            name: GraphMorphism(mid, f.cod,
+                                {k: v for k, v in f.node_map.items() if k in mid.nodes},
+                                {k: v for k, v in f.edge_map.items() if k in mid.edges})
+            for name, f in (("g_l", trace.g_l), ("u_prime", trace.u_prime),
+                            ("g_r", trace.g_r))})
+
+    if which == "label":
+        labels = dict(g_mid.edge_labels if edges else g_mid.node_labels)
+        labels[x] = rng.choice(g_mid.lattice.sorted_elements())
+        return rebuilt_mid(dataclasses.replace(
+            g_mid, **{"edge_labels" if edges else "node_labels": labels}))
+    if which == "retyped":
+        kp = trace.rule.Kp
+        return dataclasses.replace(trace, u_prime=changed_map(
+            trace.u_prime, **{x: rng.choice(kp.sorted_edges if edges else kp.sorted_nodes)}))
+    if which == "pair":
+        y = rng.choice(ids)
+        return dataclasses.replace(trace, **{
+            name: changed_map(f, **{x: (f.edge_map if edges else f.node_map)[y]})
+            for name, f in (("g_l", trace.g_l), ("u_prime", trace.u_prime))})
+    if which == "missing":
+        if not edges and g_mid.incident_edges[x]:
+            return trace
+        keep = (g_mid.nodes, g_mid.edges - {x}) if edges else (g_mid.nodes - {x}, g_mid.edges)
+        mid = LabeledGraph(g_mid.lattice, keep[0], keep[1],
+                           {e: g_mid.src[e] for e in keep[1]}, {e: g_mid.tgt[e] for e in keep[1]},
+                           {n: g_mid.node_labels[n] for n in keep[0]},
+                           {e: g_mid.edge_labels[e] for e in keep[1]})
+        if x in (trace.u.edge_map if edges else trace.u.node_map).values():
+            return trace
+        return rebuilt_mid(mid)
+    if which == "hit twice":
+        y = rng.choice(ids)
+        return dataclasses.replace(trace, g_r=changed_map(
+            trace.g_r, **{x: (trace.g_r.edge_map if edges else trace.g_r.node_map)[y]}))
+    out = with_node(g_out, "unhit", rng.choice(g_out.lattice.sorted_elements()))
+    return dataclasses.replace(trace, g_out=out, g_r=retarget(trace.g_r, cod=out),
+                               w=retarget(trace.w, cod=out))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_fused_step_check_agrees_with_the_composite_reference(seed):
+    """On BDD steps and random-rule steps (duplicating, deleting, merging and
+    adding), whole or with a defect aimed at one decision of the pass, the
+    step check gives the reference's verdict, codes and messages."""
+    rng = random.Random(seed)
+    if rng.random() < 0.4:
+        tree = build_decision_tree(random_truth_table(
+            rng, [f"x{i}" for i in range(rng.randint(1, 3))]))
+        steps = [(rule, match) for rule in reduction_rules(tree.variables, tree.graph.lattice)
+                 for match in find_matches(rule, tree.graph)[:1]]
+        if not steps:
+            return
+        rule, match = rng.choice(steps)
+    else:
+        rule = random_rule(rng, rng.choice(corpus_lattices()))
+        match = random_host_with_match(rng, rule)[1]
+    trace = pbpo_step(rule, match)[1]
+    bad = corrupt(rng, trace)
+    assert outcome_of(_check_step, bad) == outcome_of(reference_check_step, bad)
 
 
 # ------------------------------------------------ held match pullback
@@ -723,7 +863,7 @@ def test_step_decides_the_match_square_over_the_held_pullback(monkeypatch, leaf_
         calls.clear()
         pbpo_step(rule, match)
         counts[kind] = len(calls)
-    assert counts == {"found": 2, "by-hand": 3, "equal-typing": 3}
+    assert counts == {"found": 1, "by-hand": 2, "equal-typing": 2}
 
 
 def test_step_rejects_a_hand_built_match_that_is_not_strong(leaf_steps):
