@@ -14,8 +14,11 @@ Unlabeled rewriting is the special case of the one-point lattice.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import ne
 from typing import Iterable, Mapping, Optional
 
 from .errors import GraphError, LatticeError, MorphismError, Report
@@ -114,6 +117,68 @@ class LabeledGraph:
             node_labels={nm[n]: self.node_labels[n] for n in self.nodes},
             edge_labels={em[e]: self.edge_labels[e] for e in self.edges},
         )
+
+
+def _moved(old: dict[str, str], new: dict[str, str]) -> set[str]:
+    """The keys of ``old`` that ``new`` lacks or maps elsewhere."""
+    return set(compress(old, map(ne, map(new.get, old), old.values())))
+
+
+def _carry_indexes(before: LabeledGraph, after: LabeledGraph) -> None:
+    """Give ``after`` the indexes ``before`` has built, patched where the two
+    differ, so they need not be rebuilt from scratch.
+
+    ``sorted_nodes``, ``sorted_edges``, ``incident_edges`` and
+    ``edges_by_endpoints`` are carried over when ``before`` holds them.
+    Only the nodes ``after`` lacks or adds and the edges it lacks, adds or
+    has between other endpoints are looked at, and each patched entry is
+    what ``after`` would build itself.
+    """
+    built = before.__dict__
+    fresh = _moved(after.src, before.src) | _moved(after.tgt, before.tgt)
+    stale = (before.edges - after.edges) | fresh.intersection(before.edges)
+    gone, new = before.nodes - after.nodes, after.nodes - before.nodes
+
+    def patched(ids: Iterable[str], out: Iterable[str], into: Iterable[str]) -> tuple:
+        kept = [x for x in ids if x not in out]
+        for x in into:
+            insort(kept, x)
+        return tuple(kept)
+
+    def regrouped(index: dict, keys_of, keep_empty: bool) -> dict:
+        # A stale edge leaves the entries of its keys in before, a fresh one
+        # joins those of its keys in after.
+        index = dict(index)
+        joining: dict = {}
+        for e in stale:
+            for key in keys_of(before, e):
+                joining.setdefault(key, set())
+        for e in fresh:
+            for key in keys_of(after, e):
+                joining.setdefault(key, set()).add(e)
+        for key, into in joining.items():
+            edges = patched(index.pop(key, ()), stale, into)
+            if edges or keep_empty:
+                index[key] = edges
+        return index
+
+    carried = {}
+    if "sorted_nodes" in built:
+        carried["sorted_nodes"] = patched(built["sorted_nodes"], gone, new)
+    if "sorted_edges" in built:
+        carried["sorted_edges"] = patched(built["sorted_edges"], before.edges - after.edges,
+                                          after.edges - before.edges)
+    if "incident_edges" in built:
+        incident = regrouped(built["incident_edges"], lambda g, e: (g.src[e], g.tgt[e]), True)
+        for n in gone:
+            del incident[n]
+        for n in new:
+            incident.setdefault(n, ())
+        carried["incident_edges"] = incident
+    if "edges_by_endpoints" in built:
+        carried["edges_by_endpoints"] = regrouped(
+            built["edges_by_endpoints"], lambda g, e: ((g.src[e], g.tgt[e]),), False)
+    after.__dict__.update(carried)
 
 
 @dataclass(frozen=True)

@@ -17,21 +17,17 @@ element is a singleton class ``((side, x),)`` that keeps its own label, and
 the cost outside the apex image is one pass over the feet.
 
 Both constructions work on these tuple keys and name the result's elements
-in a separate last step.  By default a pullback pair renders as ``"x|y"``
-and a pushout class as ``"0:x"``/``"1:y"``; a cospan or span may carry its
-own ``names`` instead, which is how a rewrite step builds its graphs under
-their final ids with no second join or quotient.  Two elements named alike
-raise :class:`~pbpoplus.errors.SquareError` (``id-collision``) rather than
+in a separate last step: a pullback pair renders as ``"x|y"`` and a
+pushout class as ``"0:x"``/``"1:y"``.  Two elements named alike raise
+:class:`~pbpoplus.errors.SquareError` (``id-collision``) rather than
 merge: ids that themselves contain ``|`` can render two pairs alike.
 
 ``is_pullback_square``/``is_pushout_square`` validate the legs, check that
 the square commutes and build the canonical limit; a private core then
 decides the universal property by checking that the forced mediating
-morphism to (or from) the given corner is an isomorphism.  A caller that
-already holds the canonical limit of the square's cospan (or span), as a
-rewrite step does for its match square, hands it to the core instead of
-rebuilding it.  The
-exhaustive mediator enumeration :func:`enumerate_mediators` runs on the
+morphism to (or from) the given corner is an isomorphism; rule
+validation calls the core on the commuting left square.  The exhaustive
+mediator enumeration :func:`enumerate_mediators` runs on the
 homomorphism search of :mod:`~pbpoplus.matching`, its equations narrowing
 candidates.  Every function here raises
 :class:`~pbpoplus.errors.SquareError` naming an invalid morphism it is
@@ -40,9 +36,9 @@ given; each morphism is validated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import (MorphismError, NonCommutingSquareError, SquareError,
                      UnknownLabelError)
@@ -50,20 +46,12 @@ from .graph import GraphMorphism, LabeledGraph, _require_valid, compose
 from .lattice import LabelLattice
 
 
-# Names the elements of one sort of a limit: called with their origins (the
-# pairs of a pullback, the class roots of a pushout) and the sort, ``"node"``
-# or ``"edge"``, it returns their ids in the same order.
-Naming = Callable[[list[tuple[str, str]], str], list[str]]
-
-
 @dataclass(frozen=True)
 class Span:
-    """Two morphisms out of a shared apex; ``names``, if given, names the
-    classes of its pushout by their roots."""
+    """Two morphisms out of a shared apex."""
 
     left: GraphMorphism
     right: GraphMorphism
-    names: Optional[Naming] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.left.dom != self.right.dom:
@@ -72,12 +60,10 @@ class Span:
 
 @dataclass(frozen=True)
 class Cospan:
-    """Two morphisms into a shared target; ``names``, if given, names the
-    pairs of its pullback."""
+    """Two morphisms into a shared target."""
 
     left: GraphMorphism
     right: GraphMorphism
-    names: Optional[Naming] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.left.cod != self.right.cod:
@@ -117,14 +103,6 @@ def _fibre_pairs(b_ids: tuple[str, ...], c_ids: tuple[str, ...],
     return pairs
 
 
-def _render_pairs(pairs: list[tuple[str, str]], kind: str) -> list[str]:
-    return [pair_id(x, y) for x, y in pairs]
-
-
-def _render_classes(roots: list[tuple[str, str]], kind: str) -> list[str]:
-    return [f"{side}:{x}" for side, x in roots]
-
-
 def _named(origins: list[tuple], ids: list[str], kind: str,
            what: str) -> dict[str, tuple]:
     """Id -> origin; two origins named alike raise instead of merging."""
@@ -146,11 +124,10 @@ def pullback(c: Cospan) -> LimitResult:
     B, C = f.dom, g.dom
     lat = B.lattice
     meet = lat.meet
-    names = c.names or _render_pairs
     node_pairs = _fibre_pairs(B.sorted_nodes, C.sorted_nodes, f.node_map, g.node_map)
     edge_pairs = _fibre_pairs(B.sorted_edges, C.sorted_edges, f.edge_map, g.edge_map)
 
-    node_ids = names(node_pairs, "node")
+    node_ids = [pair_id(x, y) for x, y in node_pairs]
     node_naming = _named(node_pairs, node_ids, "node", "pairs")
     node_of = dict(zip(node_pairs, node_ids))
     node_labels: dict[str, str] = {}
@@ -162,7 +139,8 @@ def pullback(c: Cospan) -> LimitResult:
         left_nodes[nid] = b
         right_nodes[nid] = cn
 
-    edge_naming = _named(edge_pairs, names(edge_pairs, "edge"), "edge", "pairs")
+    edge_naming = _named(edge_pairs, [pair_id(x, y) for x, y in edge_pairs], "edge",
+                         "pairs")
     edge_labels: dict[str, str] = {}
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
@@ -264,11 +242,11 @@ def _glue(lat: LabelLattice, feet_ids: dict[str, tuple[str, ...]],
     return classes, labels
 
 
-def _quotient(classes: list[tuple], labels: list[str], names: Naming,
+def _quotient(classes: list[tuple], labels: list[str],
               kind: str) -> tuple[dict[str, tuple], dict[str, str], dict[str, dict[str, str]]]:
     """Name the classes by their roots: the naming, the labels keyed by id,
     and each foot's map from id to the id of its class."""
-    ids = names([members[0] for members in classes], kind)
+    ids = [f"{side}:{x}" for (side, x), *_ in classes]
     naming = _named(classes, ids, kind, "classes")
     reps: dict[str, dict[str, str]] = {"0": {}, "1": {}}
     for ident, members in naming.items():
@@ -284,16 +262,15 @@ def pushout(s: Span) -> LimitResult:
     A = f.dom
     lat = f.cod.lattice
     feet = {"0": f.cod, "1": g.cod}
-    names = s.names or _render_classes
 
     node_naming, node_labels, node_reps = _quotient(*_glue(
         lat, {side: foot.sorted_nodes for side, foot in feet.items()},
         {side: foot.node_labels for side, foot in feet.items()},
-        {"0": f.node_map, "1": g.node_map}, A.sorted_nodes), names, "node")
+        {"0": f.node_map, "1": g.node_map}, A.sorted_nodes), "node")
     edge_naming, edge_labels, edge_reps = _quotient(*_glue(
         lat, {side: foot.sorted_edges for side, foot in feet.items()},
         {side: foot.edge_labels for side, foot in feet.items()},
-        {"0": f.edge_map, "1": g.edge_map}, A.sorted_edges), names, "edge")
+        {"0": f.edge_map, "1": g.edge_map}, A.sorted_edges), "edge")
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
     for rep, members in edge_naming.items():

@@ -22,7 +22,14 @@ placed, and every edge between placed nodes gets its targets, once for all
 results; edges with the same pool, label and endpoint images share them.
 A node or edge without candidates, or two forced elements on one image
 under injectivity, ends the search there.  For an adherence of a BDD host
-every element is forced, so finding it is one pass over the host.
+every element is forced, so finding it is one pass over the host.  A
+non-injective search (adherences and mediators, into a rule-sized
+codomain) then narrows the candidates of the endpoints of each open edge
+to those that some target of the edge starts or ends at, until none
+goes; an open edge with no target ends the search before any
+backtracking.  Without this, a search in id order can place many
+isolated nodes before the endpoint that cannot close an edge, and try
+every combination of them first.
 
 The remaining nodes are searched one at a time on an explicit stack of
 candidate iterators, so the depth of the search is not bounded by the
@@ -43,21 +50,19 @@ The same search answers the rooted existence query of
 one of a set of seed elements.  Each seed is one search with the seed
 pinned, so the anchored nodes around it are found among its neighbours.
 
-A :class:`Match` keeps the pullback of its adherence against its typing;
-:func:`check_strong_match` hands over the one it decided, so a rewrite step
-at a match found here decides its match square without rebuilding it.
+The strong-match square is decided by counting, with no pullback built:
+see :func:`_is_match_pullback`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Sequence
 
 from .errors import LatticeError, MorphismError, NonCommutingSquareError
 from .graph import GraphMorphism, LabeledGraph, _require_valid_graph, identity
-from .limits import (Cospan, LimitResult, Span, _is_exact_bijection,
-                     is_pullback_square, pullback)
+from .limits import Cospan, Span, is_pullback_square
 
 if TYPE_CHECKING:
     from .rewriting import PbpoRule
@@ -76,12 +81,6 @@ class Match:
                 tuple(sorted(self.m.edge_map.items())),
                 tuple(sorted(self.alpha.node_map.items())),
                 tuple(sorted(self.alpha.edge_map.items())))
-
-    @cached_property
-    def _pullback(self) -> LimitResult:
-        """``pullback(Cospan(alpha, typing))``, kept: a match is a value.
-        :func:`check_strong_match` seeds it with the pullback it decided."""
-        return pullback(Cospan(self.alpha, self.typing))
 
 
 def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
@@ -185,6 +184,28 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
                 return
             used_edges.add(c)
         em[e] = c
+    # The codomain of a non-injective search is rule-sized: an open edge with
+    # no target between its endpoints' candidates ends the search before any
+    # backtracking, and an endpoint keeps only the candidates that some
+    # target starts or ends at, until no candidate goes.
+    narrowed = not injective and bool(open_edges)
+    while narrowed:
+        narrowed = False
+        for e in open_edges:
+            starts, ends = (candidates[n] if nm[n] is None else (nm[n],)
+                            for n in (dom_src[e], dom_tgt[e]))
+            up = above[edge_labels[e]]
+            targets = [c for c in edge_pools.get(e, cod_edges) if cod_elab[c] in up
+                       and cod_src[c] in starts and cod_tgt[c] in ends]
+            if not targets:
+                return
+            for n, images in ((dom_src[e], cod_src), (dom_tgt[e], cod_tgt)):
+                if nm[n] is None:
+                    hit = {images[c] for c in targets}
+                    kept = tuple(c for c in candidates[n] if c in hit)
+                    if len(kept) < len(candidates[n]):
+                        candidates[n] = kept
+                        narrowed = True
 
     # Anchor: an edge from a node with several candidates to one placed
     # earlier.  The node's image must then be a neighbour of the anchor's
@@ -311,32 +332,50 @@ def enumerate_homomorphisms(g: LabeledGraph, h: LabeledGraph,
 def check_strong_match(t_l: GraphMorphism, alpha: GraphMorphism) -> Optional[Match]:
     """Decide whether ``alpha`` establishes a strong match for ``t_l``.
 
-    Computes the pullback of ``(alpha, t_l)`` and checks that the
-    projection onto the pattern is a label-exact bijection; the other
-    projection composed with its inverse is the induced match morphism.
-    The match keeps the pullback as :attr:`Match._pullback`.
+    The match morphism sends each pattern element to the host element typed
+    like it; it exists when each element of ``t_l(L)`` has a preimage under
+    ``alpha``, and the square it closes commutes.  The square is then
+    decided by :func:`_is_match_pullback`, without building the pullback.
     """
     if alpha.cod != t_l.cod:
         raise MorphismError("typing-mismatch: adherence and typing target different graphs")
     if not t_l.is_injective():
         raise MorphismError("not-injective: context typings must be injective")
-    L = t_l.dom
-    G = alpha.dom
-    pb = pullback(Cospan(alpha, t_l))
-    proj_g, proj_l = pb.left_leg, pb.right_leg
-    if not _is_exact_bijection(pb.object, L, proj_l.node_map, proj_l.edge_map):
-        return None
-    inv_nodes = {v: k for k, v in proj_l.node_map.items()}
-    inv_edges = {v: k for k, v in proj_l.edge_map.items()}
-    m = GraphMorphism(
-        L, G,
-        {l: proj_g.node_map[inv_nodes[l]] for l in L.nodes},
-        {e: proj_g.edge_map[inv_edges[e]] for e in L.edges})
-    # Injective typing forces an injective match morphism.
-    assert m.is_injective(), "strong match produced a non-injective match morphism"
-    match = Match(m=m, alpha=alpha, typing=t_l)
-    match.__dict__["_pullback"] = pb
-    return match
+    maps = []
+    for a_map, t_map in ((alpha.node_map, t_l.node_map), (alpha.edge_map, t_l.edge_map)):
+        image = set(t_map.values())
+        over = list(compress(a_map, map(image.__contains__, a_map.values())))
+        typed_as = dict(zip(map(a_map.__getitem__, over), over))
+        if len(typed_as) < len(image):
+            return None
+        maps.append({l: typed_as[t] for l, t in t_map.items()})
+    m = GraphMorphism(t_l.dom, alpha.dom, *maps)
+    return Match(m=m, alpha=alpha, typing=t_l) if _is_match_pullback(m, alpha, t_l) else None
+
+
+def _is_match_pullback(m: GraphMorphism, alpha: GraphMorphism, t_l: GraphMorphism) -> bool:
+    """Whether the commuting square ``alpha . m = t_l`` with injective
+    ``t_l`` is a pullback, decided by counting.
+
+    The canonical pullback pairs each host element over ``t_l(L)`` with the
+    one pattern element typed like it, so it has as many elements as the
+    host has over ``t_l(L)``.  The forced map ``l -> (m(l), l)`` into it is
+    injective; it is onto when that count is ``|L|``, and keeps labels when
+    ``meet(label m(l), label l) = label l``.  ``m`` is then injective, which
+    is checked as well rather than assumed.
+    """
+    L, G = t_l.dom, alpha.dom
+    meet = L.lattice.meet
+    for m_map, a_map, t_map, l_labels, g_labels in (
+            (m.node_map, alpha.node_map, t_l.node_map, L.node_labels, G.node_labels),
+            (m.edge_map, alpha.edge_map, t_l.edge_map, L.edge_labels, G.edge_labels)):
+        image = set(t_map.values())
+        if not (sum(map(image.__contains__, a_map.values())) == len(t_map)
+                == len(set(m_map.values()))
+                and all(meet((g_labels[g], l_labels[l])) == l_labels[l]
+                        for l, g in m_map.items())):
+            return False
+    return True
 
 
 def _adherences_for(m: GraphMorphism, t_l: GraphMorphism,

@@ -19,23 +19,45 @@ pattern):
 
 The embedding ``u : K -> G_K`` is uniquely determined by ``tK = u' . u``
 together with the middle square; it is computed in closed form as the
-pullback pair ``(m(l(k)), tK(k))``, looked up in the step's own naming.
+pullback pair ``(m(l(k)), tK(k))``, looked up among the pairs the step made.
 
-Host ids survive a step.  The step hands its own naming to the one
-pullback and pushout construction of :mod:`~pbpoplus.limits`, so ``G_K``
-and ``G_R`` are built under their final ids: a host element with one copy
-in ``G_K`` keeps its id (the same ``str`` object), a merged class keeps
-the id of its smallest member, and only elements that the step duplicates
-or the replacement creates get a fresh ``"{step}:{ident}"`` stamp.  Ids
-therefore do not grow with the number of steps.
+A step edits copies of its host.  Call an element ``y`` of ``L'``
+*plain* when its ``l'``-fibre is exactly one element ``k`` of ``K'`` and
+``label(k) = label(y)``.  A host element ``g`` typed onto a plain ``y``
+is alone in its fibre, so its pullback pair ``(g, k)`` keeps the id
+``g``; its label is ``meet(label g, label k) = label g``, since ``alpha``
+is a morphism and so ``label g <= label y = label k``; and ``g_L`` and
+``u'`` send it to ``g`` and ``k``.  For every BDD rule every element of
+``L'`` outside ``tL(L)`` is plain.  So ``G_K`` is the host's maps copied,
+less the elements the rule acts on (those typed onto an element that is
+not plain), plus their pairs, labelled with meets; an edge whose endpoint
+was duplicated is redirected to the copy its pair names.  ``G_R`` is
+``G_K``'s maps copied with ``u(K)`` replaced by its classes under ``u(k)
+~ r(k)`` (a union-find of size ``|K| + |R|``), the elements ``R``
+creates added, and the edges at a node merged under another id
+redirected.  The construction touches the elements the rule does not act
+on in no interpreted loop: copies, legs and the search for the acted-on
+elements are C-level passes over the host's maps.  This is the in-place
+update of GP 2 (Bak & Plump, "Compiling graph programs to C", ICGT 2016)
+on plain dicts.  The result also carries its host's indexes, patched
+where the step changed it, so the next match search does not rebuild
+them.
+
+Host ids therefore survive a step: a host element with one copy in
+``G_K`` keeps its id (the same ``str`` object), a merged class keeps the
+id of its smallest member, and only elements that the step duplicates or
+the replacement creates get a fresh ``"{step}:{ident}"`` stamp, drawn in
+the order the limits of :mod:`~pbpoplus.limits` would make them.  Ids do
+not grow with the number of steps.
 
 :func:`pbpo_step` always checks every property of the step exactly once,
-so an invalid rule or match is an error, never a wrong graph.  At entry it
-checks the rule, ``m``, ``alpha`` and the match square; a match found by
-:func:`~pbpoplus.matching.iter_matches` keeps the pullback its
-strong-match check built, and the square is decided over it.  After the
-construction, :func:`~pbpoplus.stepcheck._check_step`, which
-:func:`verify_trace` runs too, checks the validity of ``g_L, g_R, u, u', w``, ``u' . u = tK``, that
+so an invalid rule or match is an error, never a wrong graph, and a fault
+of the construction is an :class:`InternalMediatorError`.  At entry it
+checks the rule, ``m``, ``alpha`` and the match square, whose universal
+property is decided by counting the host elements over ``tL(L)`` (see
+:func:`~pbpoplus.matching._is_match_pullback`).  After the construction,
+:func:`~pbpoplus.stepcheck._check_step`, which :func:`verify_trace` runs
+too, checks the validity of ``g_L, g_R, u, u', w``, ``u' . u = tK``, that
 ``u`` is injective, and that the middle (``u`` is the pullback of ``m``
 along ``g_L``), deletion and addition squares commute and, only then, are
 limits.
@@ -62,8 +84,8 @@ image carries the class's label and the images of ``g_R`` and ``w`` are as
 many as the classes and as ``G_R``.
 
 One pass over ``G_K``, nodes then edges, gathers all of this together
-with the validity of ``g_L``, ``u'`` and ``g_R``.  A step thus builds one
-deletion pullback and one pushout.
+with the validity of ``g_L``, ``u'`` and ``g_R``.  A step thus builds no
+limit, neither to make its result nor to check it.
 
 Because ids survive a step, what :func:`normalize` learnt about one host
 carries over to the next.  Call an element of ``G_R`` *unchanged* when
@@ -80,20 +102,19 @@ RETE-style incremental matching (Forgy 1982; Bergmann et al., MODELS 2010).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import ne
+from operator import not_
 from typing import Mapping, Optional, Sequence
 
 from .errors import (EngineError, InternalMediatorError, MorphismError, Report,
                      RuleError, StrongMatchError)
-from .graph import (GraphMorphism, LabeledGraph, _require_valid, _require_valid_graph,
-                    identity)
+from .graph import (GraphMorphism, LabeledGraph, _carry_indexes, _moved, _require_valid,
+                    _require_valid_graph, identity)
 from .limits import (Cospan, Span, _commutes, _is_pullback, _UnionFind, pullback,
                      pushout)
-from .matching import Match, _first_match, _occurs_at
+from .matching import Match, _first_match, _is_match_pullback, _occurs_at
 from .stepcheck import _check_square, _check_step
 
 
@@ -190,16 +211,39 @@ class PbpoRule:
         return validate_rule(self)
 
     @cached_property
+    def _fibres(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        """Nodes, then edges: the preimages under ``l'`` of each element of
+        ``L'``, in id order.  A host element typed onto ``y`` has a copy in
+        ``G_K`` for each element of the fibre of ``y``."""
+        fibres = []
+        for ids, lp_map, kp_ids in ((self.Lp.nodes, self.lp.node_map, self.Kp.sorted_nodes),
+                                    (self.Lp.edges, self.lp.edge_map, self.Kp.sorted_edges)):
+            by_image: dict[str, list[str]] = {x: [] for x in ids}
+            for k in kp_ids:
+                by_image[lp_map[k]].append(k)
+            fibres.append({x: tuple(ks) for x, ks in by_image.items()})
+        return fibres[0], fibres[1]
+
+    @cached_property
     def _fibre_sizes(self) -> tuple[dict[str, int], dict[str, int]]:
-        """Nodes, then edges: the number of preimages under ``l'`` of each
-        element of ``L'``, which is how many copies in ``G_K`` a host
-        element typed onto it has."""
-        sizes = []
-        for ids, lp_map in ((self.Lp.nodes, self.lp.node_map),
-                            (self.Lp.edges, self.lp.edge_map)):
-            counts = Counter(lp_map.values())
-            sizes.append({x: counts[x] for x in ids})
-        return sizes[0], sizes[1]
+        """Nodes, then edges: the size of each fibre of :attr:`_fibres`."""
+        nodes, edges = ({x: len(ks) for x, ks in fibres.items()} for fibres in self._fibres)
+        return nodes, edges
+
+    @cached_property
+    def _plain(self) -> tuple[dict[str, str], dict[str, str]]:
+        """Nodes, then edges: each *plain* element of ``L'``, one whose
+        ``l'``-fibre is a single element of ``K'`` with the same label,
+        mapped to that element.  A host element typed onto a plain element
+        passes through the deletion pullback unchanged (see the module
+        docstring)."""
+        plain = []
+        for fibres, lp_labels, kp_labels in (
+                (self._fibres[0], self.Lp.node_labels, self.Kp.node_labels),
+                (self._fibres[1], self.Lp.edge_labels, self.Kp.edge_labels)):
+            plain.append({x: ks[0] for x, ks in fibres.items()
+                          if len(ks) == 1 and kp_labels[ks[0]] == lp_labels[x]})
+        return plain[0], plain[1]
 
     @cached_property
     def _context_labels(self) -> frozenset[str]:
@@ -210,17 +254,6 @@ class PbpoRule:
         above = self.Lp.lattice._above
         context = [self.Lp.node_labels[c] for c in self.Lp.nodes - self.tL.node_image()]
         return frozenset(x for x, up in above.items() if not up.isdisjoint(context))
-
-    @cached_property
-    def _alone_in_fibre(self) -> dict[str, frozenset[str]]:
-        """By sort, the elements of ``K'`` that are the only preimage of
-        their image under ``l'``: a host element typed onto that image has
-        exactly one copy in ``G_K``."""
-        alone = {}
-        for kind, sizes, lp_map in (("node", self._fibre_sizes[0], self.lp.node_map),
-                                    ("edge", self._fibre_sizes[1], self.lp.edge_map)):
-            alone[kind] = frozenset(k for k, x in lp_map.items() if sizes[x] == 1)
-        return alone
 
 
 def _require_valid_rule(rule: PbpoRule) -> None:
@@ -393,14 +426,12 @@ class RewriteTrace:
 
 
 def _check_match(report: Report, m: GraphMorphism, alpha: GraphMorphism,
-                 t_l: GraphMorphism, match: Optional[Match] = None) -> None:
-    """The match square.  When ``match`` (of ``m`` and ``alpha``) is typed by
-    ``t_l`` itself, its universal property is decided over the pullback the
-    match keeps, which a match found by :func:`iter_matches` already holds."""
+                 t_l: GraphMorphism) -> None:
+    """The match square, its universal property decided by counting (see
+    :func:`~pbpoplus.matching._is_match_pullback`)."""
     typed, pattern = Cospan(alpha, t_l), Span(m, identity(t_l.dom))
-    held = match is not None and match.typing is t_l
     _check_square(report, _commutes(pattern, typed),
-                  lambda: _is_pullback(match._pullback if held else pullback(typed), pattern),
+                  lambda: _is_match_pullback(m, alpha, t_l),
                   ("match-square", "alpha . m differs from tL"),
                   ("match-square", "the strong-match square is not a pullback"))
 
@@ -456,6 +487,132 @@ def _stamper(step: int, host: LabeledGraph):
     return stamp
 
 
+def _pullback_sort(alpha_map: dict[str, str], host_labels: dict[str, str],
+                   plain: dict[str, str], fibres: dict[str, tuple[str, ...]],
+                   kp_labels: dict[str, str], meet, stamp):
+    """One sort of the deletion pullback, edited into copies of the host's
+    maps: the labels of ``G_K``, ``g_L`` and ``u'``, the host elements the
+    rule acts on (those typed onto an element of ``L'`` that is not plain),
+    and the id of each of their pairs.
+
+    A pair keeps the id of its host element when it is the only one over
+    it, else it is stamped after its ``K'`` element.  Pairs are made in
+    ``(host id, K' id)`` order, so stamps are drawn in that order."""
+    labels = dict(host_labels)
+    g_l = dict(zip(alpha_map, alpha_map))
+    u_prime = dict(zip(alpha_map, map(plain.get, alpha_map.values())))
+    acted = sorted(compress(alpha_map, map(not_, map(plain.__contains__, alpha_map.values()))))
+    pairs: dict[tuple[str, str], str] = {}
+    for g in acted:
+        fibre = fibres[alpha_map[g]]
+        label = labels.pop(g)
+        del g_l[g], u_prime[g]
+        for c in fibre:
+            x = g if len(fibre) == 1 else stamp(c)
+            pairs[g, c] = x
+            labels[x] = meet((label, kp_labels[c]))
+            g_l[x] = g
+            u_prime[x] = c
+    return labels, g_l, u_prime, acted, pairs
+
+
+def _deletion(rule: PbpoRule, alpha: GraphMorphism, stamp):
+    """``g_L`` and ``u'``, the legs of the pullback ``G_K`` of ``alpha`` and
+    ``l'``, and the ids of the node and edge pairs over host elements the
+    rule acts on.  Every other host element passes through unchanged (the
+    plain-fibre lemma of the module docstring); an edge between those keeps
+    its endpoints unless one was duplicated."""
+    host, kp = alpha.dom, rule.Kp
+    meet = host.lattice.meet
+    (plain_nodes, plain_edges), (node_fibres, edge_fibres) = rule._plain, rule._fibres
+    node_labels, gl_nodes, up_nodes, _, node_pairs = _pullback_sort(
+        alpha.node_map, host.node_labels, plain_nodes, node_fibres, kp.node_labels,
+        meet, stamp)
+    edge_labels, gl_edges, up_edges, acted, edge_pairs = _pullback_sort(
+        alpha.edge_map, host.edge_labels, plain_edges, edge_fibres, kp.edge_labels,
+        meet, stamp)
+    duplicated = {g for (g, _), x in node_pairs.items() if x != g}
+    ends = []
+    for host_ends, kp_ends in ((host.src, kp.src), (host.tgt, kp.tgt)):
+        ends_of = dict(host_ends)
+        for e in acted:
+            del ends_of[e]
+        for e in [*compress(ends_of, map(duplicated.__contains__, ends_of.values()))]:
+            ends_of[e] = node_pairs[ends_of[e], kp_ends[up_edges[e]]]
+        for (e, c), x in edge_pairs.items():
+            end = host_ends[e]
+            ends_of[x] = node_pairs.get((end, kp_ends[c]), end)
+        ends.append(ends_of)
+    g_mid = LabeledGraph(host.lattice, frozenset(node_labels), frozenset(edge_labels),
+                         ends[0], ends[1], node_labels, edge_labels)
+    return (GraphMorphism(g_mid, host, gl_nodes, gl_edges),
+            GraphMorphism(g_mid, kp, up_nodes, up_edges), (node_pairs, edge_pairs))
+
+
+def _pushout_sort(u_map: dict[str, str], r_map: dict[str, str], mid_labels: dict[str, str],
+                  r_labels: dict[str, str], join, stamp):
+    """One sort of the addition pushout, edited into copies of ``G_K``'s
+    maps: the labels of ``G_R``, ``g_R`` and ``w``, and the ``G_K``
+    elements merged into a class under another id.
+
+    Only ``u(K)`` and ``R`` go through the union-find.  A class keeps the id
+    of its smallest ``G_K`` member; a class of ``R`` elements alone is
+    stamped after its smallest one, in id order."""
+    uf = _UnionFind([("0", v) for v in u_map.values()] + [("1", z) for z in r_labels])
+    for k, v in u_map.items():
+        uf.union(("0", v), ("1", r_map[k]))
+    classes = uf.classes()
+    created = {root: stamp(root[1]) for root in sorted(classes) if root[0] == "1"}
+    labels = dict(mid_labels)
+    g_r = dict(zip(mid_labels, mid_labels))
+    w: dict[str, str] = {}
+    merged: set[str] = set()
+    for root, members in classes.items():
+        ident = created.get(root, root[1])
+        joined = []
+        for side, x in members:
+            if side == "1":
+                w[x] = ident
+                joined.append(r_labels[x])
+                continue
+            joined.append(labels[x])
+            g_r[x] = ident
+            if x != ident:
+                merged.add(x)
+                del labels[x]
+        labels[ident] = join(joined)
+    return labels, g_r, w, merged
+
+
+def _addition(rule: PbpoRule, u: GraphMorphism,
+              stamp) -> tuple[GraphMorphism, GraphMorphism]:
+    """``g_R`` and ``w``, the legs of the pushout ``G_R`` of ``u`` and
+    ``r``.  An edge of ``G_K`` keeps its endpoints unless one was merged
+    into a class under another id; an edge ``R`` creates takes its
+    endpoints from ``w``."""
+    g_mid, r, rhs = u.cod, rule.r, rule.R
+    join = rhs.lattice.join
+    node_labels, gr_nodes, w_nodes, merged = _pushout_sort(
+        u.node_map, r.node_map, g_mid.node_labels, rhs.node_labels, join, stamp)
+    edge_labels, gr_edges, w_edges, gone = _pushout_sort(
+        u.edge_map, r.edge_map, g_mid.edge_labels, rhs.edge_labels, join, stamp)
+    ends = []
+    for mid_ends, r_ends in ((g_mid.src, rhs.src), (g_mid.tgt, rhs.tgt)):
+        ends_of = dict(mid_ends)
+        for e in gone:
+            del ends_of[e]
+        for e in [*compress(ends_of, map(merged.__contains__, ends_of.values()))]:
+            ends_of[e] = gr_nodes[ends_of[e]]
+        for z, x in w_edges.items():
+            if x not in ends_of:
+                ends_of[x] = w_nodes[r_ends[z]]
+        ends.append(ends_of)
+    g_out = LabeledGraph(g_mid.lattice, frozenset(node_labels), frozenset(edge_labels),
+                         ends[0], ends[1], node_labels, edge_labels)
+    return (GraphMorphism(g_mid, g_out, gr_nodes, gr_edges),
+            GraphMorphism(rhs, g_out, w_nodes, w_edges))
+
+
 def pbpo_step(rule: PbpoRule, match: Match,
               step: int = 0) -> tuple[LabeledGraph, RewriteTrace]:
     """Apply one PBPO+ step at a strong match.
@@ -466,11 +623,14 @@ def pbpo_step(rule: PbpoRule, match: Match,
     its ``K'`` element.  A class of ``G_R`` keeps the id of its smallest
     ``G_K`` member, and an element the replacement creates is stamped after
     its ``R`` element (see :func:`_stamper`).  Repeated runs produce
-    identical traces.  An invalid rule raises :class:`RuleError`, an
-    invalid or mismatched match :class:`MorphismError`, a match that is
-    not strong :class:`StrongMatchError`; a completed step that fails any
-    property of :func:`~pbpoplus.stepcheck._check_step`, the check
-    :func:`verify_trace` runs too, raises :class:`InternalMediatorError`.
+    identical traces, and the result holds the indexes its host held,
+    patched (see :func:`~pbpoplus.graph._carry_indexes`).  An invalid rule
+    raises :class:`RuleError`, an invalid or mismatched match
+    :class:`MorphismError`, a match that is not strong
+    :class:`StrongMatchError`; a construction that fails any property of
+    :func:`~pbpoplus.stepcheck._check_step`, the check :func:`verify_trace`
+    runs too, or builds a dangling edge raises
+    :class:`InternalMediatorError`.
     """
     _require_valid_rule(rule)
     m, alpha = match.m, match.alpha
@@ -478,68 +638,55 @@ def pbpo_step(rule: PbpoRule, match: Match,
         raise MorphismError("typing-mismatch: the match does not connect L, the host and L'")
     _require_valid(MorphismError, "invalid-match", ("m", m), ("alpha", alpha))
     report = Report()
-    _check_match(report, m, alpha, rule.tL, match)
+    _check_match(report, m, alpha, rule.tL)
     if not report.ok:
         raise StrongMatchError("strong-match-failure: the supplied match is not "
                                f"a strong match for the rule: {report}")
-    g_host = alpha.dom
-    stamp = _stamper(step, g_host)
-    alone = rule._alone_in_fibre
-    stamped: dict[str, dict[tuple[str, str], str]] = {"node": {}, "edge": {}}
+    try:
+        trace = _construct(rule, match, step)
+    except KeyError as exc:
+        raise InternalMediatorError("internal-mediator-failure: the construction looked up "
+                                    f"an element it did not build: {exc}") from exc
+    report = _check_step(trace)
+    if not report.ok:
+        raise InternalMediatorError(f"internal-mediator-failure: {report}")
+    _carry_indexes(trace.g_in, trace.g_out)
+    return trace.g_out, trace
 
-    def kept_ids(pairs: list[tuple[str, str]], kind: str) -> list[str]:
-        # A host element with one pair keeps its id; each copy of a
-        # duplicated one is stamped after its K' element.
-        singles, copies = alone[kind], stamped[kind]
 
-        def copy(g: str, kp: str) -> str:
-            copies[g, kp] = ident = stamp(kp)
-            return ident
-
-        return [g if kp in singles else copy(g, kp) for g, kp in pairs]
-
-    mid = pullback(Cospan(alpha, rule.lp, kept_ids))
-    g_mid = mid.object
-    g_l, u_prime = mid.left_leg, mid.right_leg
+def _construct(rule: PbpoRule, match: Match, step: int) -> RewriteTrace:
+    """The graphs and legs of a step at a strong match, unchecked but for
+    the validity of ``u`` and the endpoints of each edge built."""
+    m, alpha = match.m, match.alpha
+    stamp = _stamper(step, alpha.dom)
+    g_l, u_prime, (node_pairs, edge_pairs) = _deletion(rule, alpha, stamp)
+    g_mid = g_l.dom
+    _require_graph(g_mid)
 
     # The unique embedding of the interface: it is forced to the pair
     # (m(l(k)), tK(k)) by the two commutation requirements.  Its defining
     # properties are checked with the rest of the step.
-    def embed(kind: str, ids, l_map, m_map, tk_map, present) -> dict[str, str]:
-        singles, copies = alone[kind], stamped[kind]
-        images = {}
-        for k in ids:
-            g, kp = m_map[l_map[k]], tk_map[k]
-            image = g if kp in singles else copies.get((g, kp))
-            if image not in present:
-                raise InternalMediatorError(
-                    f"internal-mediator-failure: interface {kind} {k!r} has no image")
-            images[k] = image
-        return images
+    def embed(ids, l_map, m_map, tk_map, pairs) -> dict[str, str]:
+        return {k: pairs.get((m_map[l_map[k]], tk_map[k]), m_map[l_map[k]]) for k in ids}
 
     u = GraphMorphism(
         rule.K, g_mid,
-        embed("node", rule.K.sorted_nodes, rule.l.node_map, m.node_map,
-              rule.tK.node_map, g_mid.nodes),
-        embed("edge", rule.K.sorted_edges, rule.l.edge_map, m.edge_map,
-              rule.tK.edge_map, g_mid.edges))
+        embed(rule.K.sorted_nodes, rule.l.node_map, m.node_map, rule.tK.node_map, node_pairs),
+        embed(rule.K.sorted_edges, rule.l.edge_map, m.edge_map, rule.tK.edge_map, edge_pairs))
     _require_valid(InternalMediatorError, "internal-mediator-failure", ("u", u))
+    g_r, w = _addition(rule, u, stamp)
+    _require_graph(g_r.cod)
+    return RewriteTrace(rule=rule, g_in=alpha.dom, g_mid=g_mid, g_out=g_r.cod, m=m,
+                        alpha=alpha, g_l=g_l, g_r=g_r, u=u, u_prime=u_prime, w=w)
 
-    def glued_ids(roots: list[tuple[str, str]], kind: str) -> list[str]:
-        # A class with a G_K member keeps the smallest one's id, its root;
-        # only elements the replacement creates are stamped.
-        return [x if side == "0" else stamp(x) for side, x in roots]
 
-    out = pushout(Span(u, rule.r, glued_ids))
-    g_out, g_r, w = out.object, out.left_leg, out.right_leg
-
-    trace = RewriteTrace(rule=rule, g_in=g_host, g_mid=g_mid, g_out=g_out,
-                         m=m, alpha=alpha, g_l=g_l, g_r=g_r,
-                         u=u, u_prime=u_prime, w=w)
-    report = _check_step(trace)
-    if not report.ok:
-        raise InternalMediatorError(f"internal-mediator-failure: {report}")
-    return g_out, trace
+def _require_graph(g: LabeledGraph) -> None:
+    """Raise unless each edge of a graph the step built has a label and both
+    endpoints among its nodes, which the step check takes as given."""
+    if not (g.src.keys() == g.tgt.keys() == g.edge_labels.keys()
+            and g.nodes.issuperset(g.src.values()) and g.nodes.issuperset(g.tgt.values())):
+        raise InternalMediatorError(
+            "internal-mediator-failure: a constructed graph has a dangling edge")
 
 
 @dataclass(frozen=True)
@@ -560,15 +707,9 @@ class NormalizeResult:
 def _changed(before: LabeledGraph, after: LabeledGraph) -> tuple[set[str], set[str]]:
     """The node and edge ids of ``after`` that ``before`` lacks, or has with
     another label or, for an edge, other endpoints."""
-
-    def differ(old: Mapping[str, str], new: Mapping[str, str]):
-        return compress(new, map(ne, map(old.get, new), new.values()))
-
-    nodes = set(differ(before.node_labels, after.node_labels))
-    edges = set(differ(before.edge_labels, after.edge_labels))
-    edges.update(differ(before.src, after.src))
-    edges.update(differ(before.tgt, after.tgt))
-    return nodes, edges
+    edges = _moved(after.edge_labels, before.edge_labels)
+    edges.update(_moved(after.src, before.src), _moved(after.tgt, before.tgt))
+    return _moved(after.node_labels, before.node_labels), edges
 
 
 def normalize(g: LabeledGraph, rules: Sequence[PbpoRule],

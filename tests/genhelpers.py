@@ -748,43 +748,61 @@ def reference_validate_morphism(f: GraphMorphism) -> Report:
     return report
 
 
-def reference_pbpo_step(rule, match: Match, step: int = 0):
-    """A PBPO+ step named the old way: the reference for
-    :func:`pbpoplus.pbpo_step`, which builds ``G_K`` and ``G_R`` under
-    their final ids.
+def reference_step(rule, match: Match, step: int = 0):
+    """A PBPO+ step built through the limits of :mod:`pbpoplus.limits`: the
+    reference for :func:`pbpoplus.pbpo_step`, which edits copies of the
+    host's maps instead.
 
-    ``G_K`` is the pair-named pullback (``"x|c"``), ``u`` is rendered from
-    its pairs, and the pushout is then renamed: a class keeps its smallest
-    host pair id, a replacement-only class is stamped ``"{step}:{id}"``,
-    and a taken name gets ``'`` appended until it is free.  Ids therefore
-    grow with every step.  Returns the result graph, unchecked.
-    """
-    m, alpha = match.m, match.alpha
-    mid = reference_pullback(Cospan(alpha, rule.lp))
-    g_mid = mid.object
+    ``G_K`` is ``pullback(Cospan(alpha, l'))`` renamed as a step names it:
+    a pair keeps the id of its host element when it is the only pair over
+    it, else it is stamped after its ``K'`` element, in pair order.  ``u``
+    sends ``k`` to the pair ``(m(l(k)), tK(k))``.  ``G_R`` is
+    ``pushout(Span(u, r))`` renamed so that a class keeps the id of its
+    smallest ``G_K`` member and a class of ``R`` elements alone is stamped
+    after its root, in class order.  Returns the result and its trace,
+    unchecked."""
+    from collections import Counter
+
+    from pbpoplus.rewriting import RewriteTrace, _stamper
+
+    m, alpha, lp = match.m, match.alpha, rule.lp
+    stamp = _stamper(step, alpha.dom)
+    mid = pullback(Cospan(alpha, lp))
+    renamed = []
+    for naming, lp_map in ((mid.node_naming, lp.node_map), (mid.edge_naming, lp.edge_map)):
+        sizes = Counter(lp_map.values())
+        renamed.append({x: g if sizes[lp_map[c]] == 1 else stamp(c)
+                        for x, (g, c) in naming.items()})
+    g_mid = mid.object.rename(*renamed)
+
+    def leg(f, dom, cod, node_ids, edge_ids, at_dom):
+        """``f`` with its domain or codomain ids renamed."""
+        def move(mapping, ids):
+            if at_dom:
+                return {ids[x]: y for x, y in mapping.items()}
+            return {x: ids[y] for x, y in mapping.items()}
+        return GraphMorphism(dom, cod, move(f.node_map, node_ids), move(f.edge_map, edge_ids))
+
+    g_l = leg(mid.left_leg, g_mid, alpha.dom, *renamed, True)
+    u_prime = leg(mid.right_leg, g_mid, rule.Kp, *renamed, True)
+    pair_node, pair_edge = ({pair: ids[x] for x, pair in naming.items()}
+                            for naming, ids in zip((mid.node_naming, mid.edge_naming),
+                                                   renamed))
     u = GraphMorphism(
         rule.K, g_mid,
-        {k: pair_id(m.node_map[rule.l.node_map[k]], rule.tK.node_map[k])
+        {k: pair_node[m.node_map[rule.l.node_map[k]], rule.tK.node_map[k]]
          for k in rule.K.nodes},
-        {k: pair_id(m.edge_map[rule.l.edge_map[k]], rule.tK.edge_map[k])
+        {k: pair_edge[m.edge_map[rule.l.edge_map[k]], rule.tK.edge_map[k]]
          for k in rule.K.edges})
-    out = reference_pushout(Span(u, rule.r))
-    taken: set[str] = set()
-
-    def fresh_name(members: tuple) -> str:
-        host_ids = sorted(ident for side, ident in members if side == "0")
-        if host_ids:
-            cand = host_ids[0]
-        else:
-            cand = f"{step}:{sorted(ident for _, ident in members)[0]}"
-        while cand in taken:
-            cand += "'"
-        taken.add(cand)
-        return cand
-
-    node_rename = {rep: fresh_name(ms) for rep, ms in sorted(out.node_naming.items())}
-    edge_rename = {rep: fresh_name(ms) for rep, ms in sorted(out.edge_naming.items())}
-    return out.object.rename(node_rename, edge_rename)
+    out = pushout(Span(u, rule.r))
+    glued = [{x: root if side == "0" else stamp(root)
+              for x, ((side, root), *_) in naming.items()}
+             for naming in (out.node_naming, out.edge_naming)]
+    g_out = out.object.rename(*glued)
+    g_r = leg(out.left_leg, g_mid, g_out, *glued, False)
+    w = leg(out.right_leg, rule.R, g_out, *glued, False)
+    return g_out, RewriteTrace(rule=rule, g_in=alpha.dom, g_mid=g_mid, g_out=g_out, m=m,
+                               alpha=alpha, g_l=g_l, g_r=g_r, u=u, u_prime=u_prime, w=w)
 
 
 def reference_check_step(trace) -> Report:
