@@ -124,18 +124,19 @@ def _moved(old: dict[str, str], new: dict[str, str]) -> set[str]:
     return set(compress(old, map(ne, map(new.get, old), old.values())))
 
 
-def _carry_indexes(before: LabeledGraph, after: LabeledGraph) -> None:
+def _carry_indexes(before: LabeledGraph, after: LabeledGraph, fresh: set[str]) -> None:
     """Give ``after`` the indexes ``before`` has built, patched where the two
     differ, so they need not be rebuilt from scratch.
 
     ``sorted_nodes``, ``sorted_edges``, ``incident_edges`` and
     ``edges_by_endpoints`` are carried over when ``before`` holds them.
-    Only the nodes ``after`` lacks or adds and the edges it lacks, adds or
-    has between other endpoints are looked at, and each patched entry is
-    what ``after`` would build itself.
+    ``fresh`` holds at least the edges of ``after`` that ``before`` lacks
+    or has between other endpoints; an edge there that has not moved is
+    taken out of its entries and put back.  Only those edges, the edges
+    ``after`` lacks and the nodes it lacks or adds are looked at, and each
+    patched entry is what ``after`` would build itself.
     """
     built = before.__dict__
-    fresh = _moved(after.src, before.src) | _moved(after.tgt, before.tgt)
     stale = (before.edges - after.edges) | fresh.intersection(before.edges)
     gone, new = before.nodes - after.nodes, after.nodes - before.nodes
 

@@ -21,15 +21,13 @@ pass: every node with exactly one candidate (after pools and labels) is
 placed, and every edge between placed nodes gets its targets, once for all
 results; edges with the same pool, label and endpoint images share them.
 A node or edge without candidates, or two forced elements on one image
-under injectivity, ends the search there.  For an adherence of a BDD host
-every element is forced, so finding it is one pass over the host.  A
-non-injective search (adherences and mediators, into a rule-sized
-codomain) then narrows the candidates of the endpoints of each open edge
-to those that some target of the edge starts or ends at, until none
-goes; an open edge with no target ends the search before any
-backtracking.  Without this, a search in id order can place many
-isolated nodes before the endpoint that cannot close an edge, and try
-every combination of them first.
+under injectivity, ends the search there.  A non-injective search
+(adherences and mediators, into a rule-sized codomain) then narrows the
+candidates of the endpoints of each open edge to those that some target
+of the edge starts or ends at, until none goes; an open edge with no
+target ends the search before any backtracking.  Without this, a search
+in id order can place many isolated nodes before the endpoint that cannot
+close an edge, and try every combination of them first.
 
 The remaining nodes are searched one at a time on an explicit stack of
 candidate iterators, so the depth of the search is not bounded by the
@@ -44,6 +42,14 @@ that could never complete an edge, so results and their order are those of
 the plain search; this is the unrooted form of rooted matching in GP 2
 (Bak & Plump, 2012), where an element whose image is forced costs no
 search.
+
+An adherence at an occurrence ``m`` is built, not searched, when the
+context part of ``L'`` is a *sink*, one node ``c`` with one loop ``cc``,
+as in every BDD rule: a host node off ``m(L)`` then has the one candidate
+``c`` and an edge between two such nodes the one candidate ``cc``, set in
+bulk, so only ``m(L)`` and the edges there are decided one by one.  A host
+label not below ``c``'s or ``cc``'s, or an edge at ``m(L)`` with several
+candidates, is left to the search (see :func:`_adherences_for`).
 
 The same search answers the rooted existence query of
 :func:`~pbpoplus.rewriting.normalize`: whether a pattern occurs through
@@ -378,11 +384,42 @@ def _is_match_pullback(m: GraphMorphism, alpha: GraphMorphism, t_l: GraphMorphis
     return True
 
 
-def _adherences_for(m: GraphMorphism, t_l: GraphMorphism,
+def _adherences_for(m: GraphMorphism, rule: "PbpoRule",
                     g: LabeledGraph) -> Iterator[GraphMorphism]:
     """Adherences compatible with ``m``: the pattern image is pinned onto the
-    typed pattern, everything else must land in the context part."""
-    l_prime = t_l.cod
+    typed pattern, everything else must land in the context part.  At a
+    sink (see the module docstring) an edge at a pin has as candidates its
+    pattern image, if it has one, else the context edges between its
+    endpoints' images; a pin or such an edge without one means no
+    adherence, and one with several is left to the search."""
+    t_l, l_prime = rule.tL, rule.Lp
+    sink = rule._sink
+    if (sink is not None and rule._context_labels.issuperset(g.node_labels.values())
+            and sink[2].issuperset(g.edge_labels.values())):
+        c, cc, _, pattern_edges = sink
+        above, lp_nlab, lp_elab = g.lattice._above, l_prime.node_labels, l_prime.edge_labels
+        nm = dict.fromkeys(g.sorted_nodes, c)
+        pins = {m.node_map[l]: t for l, t in t_l.node_map.items()}
+        for n, t in pins.items():
+            if lp_nlab[t] not in above[g.node_labels[n]]:
+                return
+            nm[n] = t
+        em = dict.fromkeys(g.sorted_edges, cc)
+        edge_pins = {m.edge_map[e]: t for e, t in t_l.edge_map.items()}
+        incident = g.incident_edges
+        for e in {e for n in pins for e in incident[n]}:
+            pin, up = edge_pins.get(e), above[g.edge_labels[e]]
+            targets = [x for x in l_prime.edges_between(nm[g.src[e]], nm[g.tgt[e]])
+                       if (x == pin if pin is not None else x not in pattern_edges)
+                       and lp_elab[x] in up]
+            if len(targets) != 1:
+                if not targets:
+                    return
+                break
+            em[e] = targets[0]
+        else:
+            yield GraphMorphism(g, l_prime, nm, em)
+            return
     node_pools: dict[str, Collection[str]] = dict.fromkeys(
         g.nodes, l_prime.nodes - t_l.node_image())
     node_pools.update((m.node_map[l], (t,)) for l, t in t_l.node_map.items())
@@ -392,8 +429,8 @@ def _adherences_for(m: GraphMorphism, t_l: GraphMorphism,
     yield from _hom_search(g, l_prime, False, node_pools, edge_pools, lex=True)
 
 
-def iter_matches(rule: "PbpoRule", g: LabeledGraph,
-                 check_rule: bool = True) -> Iterator[Match]:
+def iter_matches(rule: "PbpoRule", g: LabeledGraph, check_rule: bool = True,
+                 occurs: Optional[list[bool]] = None) -> Iterator[Match]:
     """Strong matches in ascending :meth:`Match.sort_key` order, lazily.
 
     A host node whose label fits no context node of ``L'`` can only be
@@ -405,7 +442,9 @@ def iter_matches(rule: "PbpoRule", g: LabeledGraph,
 
     ``check_rule=False`` skips the rule check.  The rule's validation
     report is kept on the rule, so after the first call the check is a
-    lookup either way.
+    lookup either way.  A list given as ``occurs`` gets, once the matches
+    run out, whether the pattern occurs in ``g`` at all; only when every
+    match is ruled out at once is that one more search.
     """
     if check_rule:
         from .rewriting import _require_valid_rule
@@ -413,30 +452,36 @@ def iter_matches(rule: "PbpoRule", g: LabeledGraph,
         _require_valid_rule(rule)
     if g.lattice != rule.L.lattice:
         raise LatticeError("host graph must share the rule lattice")
+    occurrences = _hom_search(rule.L, g, injective=True, lex=True)
     fits, pinned = rule._context_labels, ()
     if len(fits) < len(g.lattice.elements):
         pinned = {n for n in g.nodes if g.node_labels[n] not in fits}
         if len(pinned) > len(rule.L.nodes):
+            if occurs is not None:
+                occurs.append(next(occurrences, None) is not None)
             return
-    for m in _hom_search(rule.L, g, injective=True, lex=True):
+    occurred = False
+    for m in occurrences:
+        occurred = True
         if pinned and not pinned.issubset(m.node_map.values()):
             continue
-        for alpha in _adherences_for(m, rule.tL, g):
+        for alpha in _adherences_for(m, rule, g):
             match = check_strong_match(rule.tL, alpha)
             if match is not None and match.m == m:
                 yield match
+    if occurs is not None:
+        occurs.append(occurred)
 
 
 def _first_match(rule: "PbpoRule", g: LabeledGraph) -> tuple[Optional[Match], bool]:
     """The first strong match of :func:`iter_matches`, and whether the
     pattern occurs in ``g`` at all (has an injective homomorphism into it).
 
-    An occurrence is known once a strong match is found; only a scan that
-    finds none asks the shared search for a first occurrence."""
-    match = next(iter_matches(rule, g, check_rule=False), None)
-    if match is not None:
-        return match, True
-    return None, next(_hom_search(rule.L, g, True, lex=True), None) is not None
+    A strong match is an occurrence; a scan that finds none has run the
+    pattern search to its end and reports whether it produced one."""
+    occurs: list[bool] = []
+    match = next(iter_matches(rule, g, check_rule=False, occurs=occurs), None)
+    return match, match is not None or occurs[0]
 
 
 def _occurs_at(pattern: LabeledGraph, g: LabeledGraph,

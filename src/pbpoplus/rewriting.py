@@ -255,6 +255,20 @@ class PbpoRule:
         context = [self.Lp.node_labels[c] for c in self.Lp.nodes - self.tL.node_image()]
         return frozenset(x for x, up in above.items() if not up.isdisjoint(context))
 
+    @cached_property
+    def _sink(self) -> Optional[tuple[str, str, frozenset[str], frozenset[str]]]:
+        """``c``, ``cc``, the labels below ``cc``'s and ``tL``'s edge image
+        when the context part of ``L'`` is a *sink*: one node ``c`` with one
+        edge ``cc`` from ``c`` to ``c``, as in every BDD rule.  Else ``None``.
+        See :func:`~pbpoplus.matching._adherences_for`."""
+        context = self.Lp.nodes - self.tL.node_image()
+        loops = [e for c in context for e in self.Lp.edges_between(c, c)]
+        if len(context) != 1 or len(loops) != 1:
+            return None
+        top = self.Lp.edge_labels[loops[0]]
+        below = frozenset(x for x, up in self.Lp.lattice._above.items() if top in up)
+        return (*context, loops[0], below, self.tL.edge_image())
+
 
 def _require_valid_rule(rule: PbpoRule) -> None:
     if not rule._report.ok:
@@ -613,8 +627,8 @@ def _addition(rule: PbpoRule, u: GraphMorphism,
             GraphMorphism(rhs, g_out, w_nodes, w_edges))
 
 
-def pbpo_step(rule: PbpoRule, match: Match,
-              step: int = 0) -> tuple[LabeledGraph, RewriteTrace]:
+def pbpo_step(rule: PbpoRule, match: Match, step: int = 0,
+              changed: Optional[list] = None) -> tuple[LabeledGraph, RewriteTrace]:
     """Apply one PBPO+ step at a strong match.
 
     A ``G_K`` element that is the only pair over its host element (its
@@ -624,7 +638,9 @@ def pbpo_step(rule: PbpoRule, match: Match,
     ``G_K`` member, and an element the replacement creates is stamped after
     its ``R`` element (see :func:`_stamper`).  Repeated runs produce
     identical traces, and the result holds the indexes its host held,
-    patched (see :func:`~pbpoplus.graph._carry_indexes`).  An invalid rule
+    patched (see :func:`~pbpoplus.graph._carry_indexes`) from one diff of
+    host and result (see :func:`_changed`), which is appended to a list
+    given as ``changed``.  An invalid rule
     raises :class:`RuleError`, an invalid or mismatched match
     :class:`MorphismError`, a match that is not strong
     :class:`StrongMatchError`; a construction that fails any property of
@@ -650,7 +666,10 @@ def pbpo_step(rule: PbpoRule, match: Match,
     report = _check_step(trace)
     if not report.ok:
         raise InternalMediatorError(f"internal-mediator-failure: {report}")
-    _carry_indexes(trace.g_in, trace.g_out)
+    diff = _changed(trace.g_in, trace.g_out)
+    _carry_indexes(trace.g_in, trace.g_out, diff[1])
+    if changed is not None:
+        changed.append(diff)
     return trace.g_out, trace
 
 
@@ -763,8 +782,9 @@ def normalize(g: LabeledGraph, rules: Sequence[PbpoRule],
         for i, rule in enumerate(rules):
             match = first_match(i, rule)
             if match is not None:
-                result, trace = pbpo_step(rule, match, step=steps)
-                nodes, edges = _changed(current, result)
+                diffs: list = []
+                result, trace = pbpo_step(rule, match, step=steps, changed=diffs)
+                nodes, edges = diffs[0]
                 for certificate in certificates:
                     if certificate is not None:
                         certificate[0].update(nodes)

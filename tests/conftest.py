@@ -1,8 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from pbpoplus import (GraphMorphism, LabeledGraph, RhsSpec, TruthTable,
                       bdd_lattice, build_decision_tree, complete_rule,
                       unit_lattice)
+
+# ``HYPOTHESIS_PROFILE=deep`` runs each property that does not pin its own
+# ``max_examples`` on 2,000 examples instead of 100.
+settings.register_profile("deep", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

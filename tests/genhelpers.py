@@ -8,6 +8,7 @@ checks."""
 from __future__ import annotations
 
 import random
+import sys
 
 from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, LabelLattice,
                       LatticeError, LimitResult, Match, Report, RhsSpec, Span,
@@ -16,7 +17,7 @@ from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, LabelLattice,
                       compose, enumerate_homomorphisms, identity, pbpo_step,
                       preimage, unit_lattice)
 from pbpoplus.graph import _require_valid
-from pbpoplus.matching import iter_matches
+from pbpoplus.matching import _hom_search, iter_matches
 from pbpoplus.limits import (_commutes, _is_pullback, _is_pushout, _maps_equal,
                              _UnionFind, pair_id, pullback, pushout)
 
@@ -380,6 +381,42 @@ def random_rule(rng: random.Random, lat: LabelLattice):
     return complete_rule(pattern, t_l, l_prime_map, spec, name="random")
 
 
+def random_sink_rule(rng: random.Random, lat: LabelLattice):
+    """A valid rule whose ``L'`` has a sink, as every BDD rule's has: a
+    random pattern typed onto a copy of itself with labels at or above its
+    own, one context node ``c`` with one loop ``cc``, both randomly
+    labelled, and random context edges between ``c`` and pattern nodes or
+    between two pattern nodes, up to two of them parallel.  ``l'`` is the
+    identity.
+
+    An adherence can send a host edge to any of the parallel edges, so the
+    adherences at one occurrence number up to 2 to the power of the host
+    edges at it; more parallel edges make a test's search explode."""
+    pattern = random_graph(rng, lat, max_nodes=3, max_edges=3, prefix="p", min_nodes=1)
+    labels = lat.sorted_elements()
+    nodes = {n: rng.choice(labels_geq(lat, pattern.node_labels[n]))
+             for n in pattern.sorted_nodes}
+    edges = {e: (pattern.src[e], pattern.tgt[e],
+                 rng.choice(labels_geq(lat, pattern.edge_labels[e])))
+             for e in pattern.sorted_edges}
+    nodes["c"] = rng.choice(labels)
+    edges["cc"] = ("c", "c", rng.choice(labels))
+    pairs: list[tuple[str, str]] = []
+    for j in range(rng.randint(0, 5)):
+        if pairs and rng.random() < 0.4:
+            s, t = rng.choice(pairs)  # parallel to an earlier context edge
+        else:
+            p = rng.choice(pattern.sorted_nodes)
+            s, t = rng.choice([("c", p), (p, "c"), (p, rng.choice(pattern.sorted_nodes))])
+        if pairs.count((s, t)) < 2:
+            pairs.append((s, t))
+            edges[f"x{j}"] = (s, t, rng.choice(labels))
+    context = LabeledGraph.build(lat, nodes, edges)
+    t_l = GraphMorphism(pattern, context, {n: n for n in pattern.nodes},
+                        {e: e for e in pattern.edges})
+    return complete_rule(pattern, t_l, identity(context), name="sink")
+
+
 def random_host_with_match(rng: random.Random, rule) -> tuple[LabeledGraph, Match]:
     """A host plus a strong match, built by instantiating the typed pattern
     exactly once and hanging context off the context part of the type."""
@@ -437,6 +474,32 @@ def random_host_with_match(rng: random.Random, rule) -> tuple[LabeledGraph, Matc
     return host, Match(m=m, alpha=alpha, typing=t_l)
 
 
+def perturbed_host(rng: random.Random, rule, host: LabeledGraph,
+                   match: Match) -> LabeledGraph:
+    """``host`` with up to two nodes whose labels are not below the label
+    of the sink ``c`` of ``rule`` and up to three edges at nodes of
+    ``match``: loops, and edges parallel to ones there, randomly labelled.
+    These are the elements an adherence built in closed form must decide
+    as the search does."""
+    lat = host.lattice
+    labels = lat.sorted_elements()
+    c_label = rule.Lp.node_labels[rule._sink[0]]
+    not_below = [x for x in labels if not lat.leq(x, c_label)]
+    nodes = dict(host.node_labels)
+    for i in range(rng.randint(0, 2) if not_below else 0):
+        nodes[f"hx{i}"] = rng.choice(not_below)
+    edges = {e: (host.src[e], host.tgt[e], host.edge_labels[e]) for e in host.sorted_edges}
+    pins = sorted(match.m.node_map.values())
+    at_pins = [e for e in host.sorted_edges if host.src[e] in pins or host.tgt[e] in pins]
+    for j in range(rng.randint(0, 3)):
+        if at_pins and rng.random() < 0.5:
+            s, t, _ = edges[rng.choice(at_pins)]
+        else:
+            s = t = rng.choice(pins)
+        edges[f"hy{j}"] = (s, t, rng.choice(labels))
+    return LabeledGraph.build(lat, nodes, edges)
+
+
 def permute_ids(rng: random.Random, g: LabeledGraph) -> GraphMorphism:
     """Isomorphism onto a copy of ``g`` with shuffled ids."""
     node_ids = list(g.sorted_nodes)
@@ -455,6 +518,19 @@ def random_truth_table(rng: random.Random, variables: list[str]):
 
     bits = "".join(rng.choice("01") for _ in range(2 ** len(variables)))
     return TruthTable.from_bits(bits, variables)
+
+
+def sweep_tables() -> list:
+    """The criterion-7 corpus: all 16 two-variable tables, then 50 random
+    three-variable and 50 random four-variable ones (seed 2024)."""
+    from pbpoplus import TruthTable
+
+    rng = random.Random(2024)
+    tables = [TruthTable.from_bits(format(i, "04b"), ["p", "q"]) for i in range(16)]
+    for n, count in ((3, 50), (4, 50)):
+        variables = [f"v{i}" for i in range(n)]
+        tables.extend(random_truth_table(rng, variables) for _ in range(count))
+    return tables
 
 
 # ------------------------------------------------ reference kernels
@@ -534,6 +610,37 @@ def reference_homomorphisms(g: LabeledGraph, h: LabeledGraph,
 
     place_nodes(0, {})
     return found
+
+
+def searched_adherences(m: GraphMorphism, rule, g: LabeledGraph) -> list[GraphMorphism]:
+    """The adherences compatible with ``m`` as the pooled search finds them:
+    the pattern image pinned onto ``tL``, every other host element confined
+    to the context part of ``L'``.  The reference for
+    :func:`pbpoplus.matching._adherences_for`, maps and key order both."""
+    t_l, l_prime = rule.tL, rule.Lp
+    node_pools = dict.fromkeys(g.nodes, l_prime.nodes - t_l.node_image())
+    node_pools.update((m.node_map[l], (t,)) for l, t in t_l.node_map.items())
+    edge_pools = dict.fromkeys(g.edges, l_prime.edges - t_l.edge_image())
+    edge_pools.update((m.edge_map[e], (t,)) for e, t in t_l.edge_map.items())
+    return list(_hom_search(g, l_prime, False, node_pools, edge_pools, lex=True))
+
+
+def count_adherence_searches(monkeypatch) -> list[LabeledGraph]:
+    """Patch :func:`pbpoplus.matching._hom_search` to record the host of each
+    search that :func:`pbpoplus.matching._adherences_for` starts, in the
+    returned list, and to run it unchanged."""
+    from pbpoplus import matching
+
+    searched: list[LabeledGraph] = []
+    search, caller = matching._hom_search, matching._adherences_for.__code__
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_code is caller:
+            searched.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "_hom_search", counted)
+    return searched
 
 
 def naive_find_matches(rule, g: LabeledGraph) -> list[Match]:

@@ -29,7 +29,7 @@ from pbpoplus.lattice import FALSE, TRUE
 from genhelpers import (corpus_lattices, permute_ids, pullback_candidates,
                         pushout_candidates, random_cospan, random_graph,
                         random_host_with_match, random_morphism_into,
-                        random_rule, random_span, random_truth_table)
+                        random_rule, random_span, sweep_tables)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -71,13 +71,7 @@ class SweepRun:
 
 @pytest.fixture(scope="module")
 def bdd_sweep():
-    rng = random.Random(2024)
-    tables = [TruthTable.from_bits(format(i, "04b"), ["p", "q"])
-              for i in range(16)]
-    for n, count in ((3, 50), (4, 50)):
-        variables = [f"v{i}" for i in range(n)]
-        for _ in range(count):
-            tables.append(random_truth_table(rng, variables))
+    tables = sweep_tables()
     start = time.perf_counter()
     runs = []
     for table in tables:

@@ -1,16 +1,19 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
 from pbpoplus import (Bdd, BddError, EngineError, LabeledGraph, TruthTable, bdd_lattice,
                       build_decision_tree, elim_vacuous_rule, evaluate,
                       find_matches, is_isomorphic, is_reduced, leaf_rule,
-                      merge_iso_rule, oracle_reduce, pbpo_step, reduce_bdd,
-                      validate_bdd, validate_rule)
+                      merge_iso_rule, normalize, oracle_reduce, pbpo_step,
+                      reduce_bdd, validate_bdd, validate_rule)
+from pbpoplus import bdd
 from pbpoplus.bdd import reduction_rules
 
-from genhelpers import random_truth_table
+from genhelpers import count_adherence_searches, random_truth_table, sweep_tables
 
 
 def test_truth_table_from_bits():
@@ -410,3 +413,40 @@ def test_reduction_preserves_semantics_stepwise(pq_table):
         for a in pq_table.assignments():
             assert evaluate(step_bdd, a) == pq_table.value(a)
         assert len(trace.g_out.nodes) == len(trace.g_in.nodes) - 1
+
+
+def test_every_adherence_of_the_sweep_is_built_not_searched(monkeypatch):
+    """Every BDD rule's context part is a sink, and on every step of the
+    criterion-7 corpus the adherence at each occurrence is built in
+    closed form: ``_adherences_for`` never calls the search."""
+    searched = count_adherence_searches(monkeypatch)
+    steps = 0
+    for table in sweep_tables():
+        tree = build_decision_tree(table)
+        assert all(rule._sink is not None
+                   for rule in reduction_rules(tree.variables, tree.graph.lattice))
+        steps += reduce_bdd(tree, keep_traces=False)[1].steps
+    assert steps > 500 and searched == []
+
+
+def test_rules_die_after_a_reduction(monkeypatch):
+    """What a reduction keeps about a rule lives on the rule: once the
+    results are dropped, no rule passed to ``normalize`` or ``reduce_bdd``
+    is kept alive by a table of the engine."""
+    refs = []
+    run = bdd.normalize
+
+    def recorded(g, rules, **kwargs):
+        refs.extend(weakref.ref(rule) for rule in rules)
+        return run(g, rules, **kwargs)
+
+    monkeypatch.setattr(bdd, "normalize", recorded)
+    tree = build_decision_tree(random_truth_table(random.Random(5), ["a", "b", "c", "d"]))
+    reduce_bdd(tree)
+    reduce_bdd(tree, keep_traces=False)
+    rules = reduction_rules(tree.variables, tree.graph.lattice)
+    refs.extend(weakref.ref(rule) for rule in rules)
+    normalize(tree.graph, rules)
+    del rules
+    gc.collect()
+    assert len(refs) == 3 * 7 and all(ref() is None for ref in refs)

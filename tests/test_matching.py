@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pbpoplus import (Cospan, GraphError, GraphMorphism, LabeledGraph, MorphismError,
@@ -12,11 +12,12 @@ from pbpoplus import (Cospan, GraphError, GraphMorphism, LabeledGraph, MorphismE
                       is_pullback_square, leaf_rule, pbpo_step,
                       reduce_bdd, reduction_rules, unit_lattice,
                       validate_morphism, verify_match_square, verify_trace)
-from pbpoplus.matching import _hom_search, _occurs_at, iter_matches
+from pbpoplus.matching import _adherences_for, _hom_search, _occurs_at, iter_matches
 
-from genhelpers import (corpus_lattices, naive_find_matches, random_graph,
-                        random_host_with_match, random_rule,
-                        random_truth_table, reference_homomorphisms)
+from genhelpers import (corpus_lattices, count_adherence_searches, naive_find_matches,
+                        perturbed_host, random_graph,
+                        random_host_with_match, random_rule, random_sink_rule,
+                        random_truth_table, reference_homomorphisms, searched_adherences)
 
 
 def two_color_type(unit):
@@ -415,3 +416,81 @@ def test_rooted_query_is_exact(seed):
                    or edges.intersection(f.edge_map.values())
                    for f in reference_homomorphisms(pattern, host, injective=True))
     assert _occurs_at(pattern, host, nodes, edges) is expected
+
+
+# ------------------------------------------ adherences at a sink, built
+
+
+def sink_instance(seed):
+    """A random rule with a sink and a host built around one of its matches,
+    perturbed where the closed form decides element by element."""
+    rng = random.Random(seed)
+    rule = random_sink_rule(rng, rng.choice(corpus_lattices()))
+    host, match = random_host_with_match(rng, rule)
+    return rule, perturbed_host(rng, rule, host, match)
+
+
+def adherence_maps(alphas):
+    return [(a.dom, a.cod, list(a.node_map.items()), list(a.edge_map.items()))
+            for a in alphas]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None)
+def test_sink_adherences_are_what_the_search_finds(seed):
+    """At every occurrence of the pattern, the adherences built in closed
+    form, or left to the search, are the pooled search's: the same maps,
+    keyed in the same order, in the same order."""
+    rule, host = sink_instance(seed)
+    assert rule._sink is not None
+    for m in _hom_search(rule.L, host, True, lex=True):
+        assert (adherence_maps(_adherences_for(m, rule, host))
+                == adherence_maps(searched_adherences(m, rule, host)))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None)
+def test_find_matches_agrees_with_naive_on_sink_rules(seed):
+    """Instances whose morphisms into ``L'`` could number more than 20,000
+    are skipped: the naive route enumerates every one of them, and a few
+    hosts with many edges at parallel context edges would take minutes."""
+    rule, host = sink_instance(seed)
+    widest = max(map(len, rule.Lp.edges_by_endpoints.values()))
+    assume(len(rule.Lp.nodes) ** len(host.nodes) * widest ** len(host.edges) <= 20_000)
+    assert ([m.sort_key() for m in find_matches(rule, host)]
+            == [m.sort_key() for m in naive_find_matches(rule, host)])
+
+
+def test_sink_instances_reach_every_outcome_of_the_closed_form(monkeypatch):
+    """The properties above see every outcome of the closed form often: one
+    adherence, none, and an occurrence left to the search (a label not
+    below the sink's, or an edge with several candidates)."""
+    searched = count_adherence_searches(monkeypatch)
+    outcomes = {"one": 0, "none": 0, "search": 0}
+    for seed in range(300):
+        rule, host = sink_instance(seed)
+        for m in _hom_search(rule.L, host, True, lex=True):
+            before = len(searched)
+            found = list(_adherences_for(m, rule, host))
+            if len(searched) > before:
+                outcomes["search"] += 1
+            else:
+                outcomes[("none", "one")[len(found)]] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_a_rule_without_a_sink_is_searched(keep_rule, replace_rule, lat2):
+    """No context node, a context node without a loop, or a second loop:
+    the context part is no sink and every adherence is searched."""
+    assert keep_rule._sink is None and replace_rule._sink is None
+    pattern = LabeledGraph.build(lat2, {"a": "bot"})
+    context = LabeledGraph.build(lat2, {"a": "top", "c": "top"},
+                                 {"l1": ("c", "c", "top"), "l2": ("c", "c", "Bool")})
+    two_loops = complete_rule(pattern, GraphMorphism(pattern, context, {"a": "a"}, {}),
+                              identity(context))
+    assert two_loops._sink is None
+    host = LabeledGraph.build(lat2, {"g": "x1", "h": "0"}, {"hh": ("h", "h", "1")})
+    m = GraphMorphism(pattern, host, {"a": "g"}, {})
+    assert (adherence_maps(_adherences_for(m, two_loops, host))
+            == adherence_maps(searched_adherences(m, two_loops, host)))
+    assert len(searched_adherences(m, two_loops, host)) == 2

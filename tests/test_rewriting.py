@@ -497,6 +497,32 @@ def test_normalize_rescans_a_rule_that_occurs_without_a_strong_match(lat2):
     assert_same_run(result, reference_normalize(host, [promote, drop]))
 
 
+def test_normalize_rescans_a_rule_whose_matches_are_all_ruled_out_at_once(lat2):
+    """As above with two 0-leaves: more host nodes than ``promote``'s
+    pattern has fit no context node, so its matches are ruled out before
+    any search, yet its pattern occurs at ``g``.  Certifying it there would
+    skip it for good, since deleting the leaves changes no element of the
+    occurrence."""
+    pattern = LabeledGraph.build(lat2, {"a": "x1"})
+    context = LabeledGraph.build(lat2, {"a": "x1", "c": "Var"})
+    interface_type = LabeledGraph.build(lat2, {"a": "bot", "c": "Var"})
+    promote = complete_rule(
+        pattern, GraphMorphism(pattern, context, {"a": "a"}, {}),
+        GraphMorphism(interface_type, context, {"a": "a", "c": "c"}, {}),
+        RhsSpec(node_labels={"a": "x2"}), name="promote")
+    pattern = LabeledGraph.build(lat2, {"b": "0"})
+    context = LabeledGraph.build(lat2, {"b": "0", "c": "top"})
+    interface_type = LabeledGraph.build(lat2, {"c": "top"})
+    drop = complete_rule(
+        pattern, GraphMorphism(pattern, context, {"b": "b"}, {}),
+        GraphMorphism(interface_type, context, {"c": "c"}, {}), name="drop-0")
+    host = LabeledGraph.build(lat2, {"g": "x1", "h": "0", "k": "0"})
+    result = normalize(host, [promote, drop])
+    assert [t.rule.name for t in result.traces] == ["drop-0", "drop-0", "promote"]
+    assert result.graph.node_labels == {"g": "x2"} and result.reached_fixpoint
+    assert_same_run(result, reference_normalize(host, [promote, drop]))
+
+
 def test_normalize_searches_from_scratch_about_once_per_step(monkeypatch):
     """A random 6-variable reduction: a rule is searched in full when it
     fires or occurs, otherwise only through what the steps changed.
