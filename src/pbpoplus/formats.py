@@ -59,8 +59,18 @@ def graph_record(g: LabeledGraph, lattice_ref: Optional[str] = None) -> dict:
     }
 
 
+def _records(rec: Mapping[str, Any], key: str) -> list:
+    """The list of objects under ``key`` of a graph record, empty if absent."""
+    items = rec.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(item, Mapping) for item in items):
+        raise ParseError(f"parse-error: graph {key!r} must be a list of objects, got {items!r}")
+    return items
+
+
 def graph_from_record(rec: Mapping[str, Any],
                       lattices: Optional[Mapping[str, LabelLattice]] = None) -> LabeledGraph:
+    if not isinstance(rec, Mapping):
+        raise ParseError(f"parse-error: a graph record must be an object, got {rec!r}")
     lat_ref = rec.get("lattice")
     if isinstance(lat_ref, str):
         if not lattices or lat_ref not in lattices:
@@ -75,7 +85,7 @@ def graph_from_record(rec: Mapping[str, Any],
     else:
         default = lat.top
     nodes: dict[str, str] = {}
-    for item in rec.get("nodes", []):
+    for item in _records(rec, "nodes"):
         ident = item.get("id")
         if not isinstance(ident, str):
             raise ParseError(f"parse-error: node record without string id: {item!r}")
@@ -86,7 +96,7 @@ def graph_from_record(rec: Mapping[str, Any],
             raise ParseError(f"parse-error: node {ident!r} needs a label (lattice has no top)")
         nodes[ident] = label
     edges: dict[str, tuple[str, str, str]] = {}
-    for item in rec.get("edges", []):
+    for item in _records(rec, "edges"):
         ident = item.get("id")
         if not isinstance(ident, str):
             raise ParseError(f"parse-error: edge record without string id: {item!r}")

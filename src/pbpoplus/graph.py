@@ -14,12 +14,10 @@ Unlabeled rewriting is the special case of the one-point lattice.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import ne
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import GraphError, LatticeError, MorphismError, Report
 from .lattice import LabelLattice
@@ -119,29 +117,30 @@ class LabeledGraph:
         )
 
 
-def _moved(old: dict[str, str], new: dict[str, str]) -> set[str]:
-    """The keys of ``old`` that ``new`` lacks or maps elsewhere."""
-    return set(compress(old, map(ne, map(new.get, old), old.values())))
-
-
-def _carry_indexes(before: LabeledGraph, after: LabeledGraph, fresh: set[str]) -> None:
+def _carry_indexes(before: LabeledGraph, after: LabeledGraph,
+                   patch: Sequence[set[str]]) -> None:
     """Give ``after`` the indexes ``before`` has built, patched where the two
     differ, so they need not be rebuilt from scratch.
 
     ``sorted_nodes``, ``sorted_edges``, ``incident_edges`` and
     ``edges_by_endpoints`` are carried over when ``before`` holds them.
-    ``fresh`` holds at least the edges of ``after`` that ``before`` lacks
-    or has between other endpoints; an edge there that has not moved is
-    taken out of its entries and put back.  Only those edges, the edges
-    ``after`` lacks and the nodes it lacks or adds are looked at, and each
-    patched entry is what ``after`` would build itself.
+    ``patch`` holds the node, then the edge ids outside which ``after`` and
+    ``before`` have the same elements and endpoints; an edge there that has
+    not moved is taken out of its entries and put back.  Only the patch is
+    looked at, and each patched entry is what ``after`` would build itself.
     """
     built = before.__dict__
-    stale = (before.edges - after.edges) | fresh.intersection(before.edges)
-    gone, new = before.nodes - after.nodes, after.nodes - before.nodes
+    nodes, edges = patch
+    stale, fresh = edges.intersection(before.edges), edges.intersection(after.edges)
+    gone = [n for n in nodes if n in before.nodes and n not in after.nodes]
+    new = [n for n in nodes if n in after.nodes and n not in before.nodes]
 
     def patched(ids: Iterable[str], out: Iterable[str], into: Iterable[str]) -> tuple:
-        kept = [x for x in ids if x not in out]
+        kept = list(ids)
+        for x in out:
+            i = bisect_left(kept, x)
+            if i < len(kept) and kept[i] == x:
+                del kept[i]
         for x in into:
             insort(kept, x)
         return tuple(kept)
@@ -167,8 +166,8 @@ def _carry_indexes(before: LabeledGraph, after: LabeledGraph, fresh: set[str]) -
     if "sorted_nodes" in built:
         carried["sorted_nodes"] = patched(built["sorted_nodes"], gone, new)
     if "sorted_edges" in built:
-        carried["sorted_edges"] = patched(built["sorted_edges"], before.edges - after.edges,
-                                          after.edges - before.edges)
+        carried["sorted_edges"] = patched(built["sorted_edges"], stale - after.edges,
+                                          fresh - before.edges)
     if "incident_edges" in built:
         incident = regrouped(built["incident_edges"], lambda g, e: (g.src[e], g.tgt[e]), True)
         for n in gone:

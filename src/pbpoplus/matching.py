@@ -530,10 +530,10 @@ def _occurs_at(pattern: LabeledGraph, g: LabeledGraph,
 
 def find_matches(rule: "PbpoRule", g: LabeledGraph,
                  check_rule: bool = True) -> list[Match]:
-    """All strong matches of the rule pattern in ``g``, deterministically ordered."""
-    matches = list(iter_matches(rule, g, check_rule=check_rule))
-    matches.sort(key=Match.sort_key)
-    return matches
+    """All strong matches of the rule pattern in ``g``, in ascending
+    :meth:`Match.sort_key` order, which is the order :func:`iter_matches`
+    yields them in."""
+    return list(iter_matches(rule, g, check_rule=check_rule))
 
 
 def verify_match_square(match: Match) -> bool:

@@ -83,9 +83,15 @@ of its members.  A commuting ``(g_R, w)`` is the pushout when each class's
 image carries the class's label and the images of ``g_R`` and ``w`` are as
 many as the classes and as ``G_R``.
 
-One pass over ``G_K``, nodes then edges, gathers all of this together
-with the validity of ``g_L``, ``u'`` and ``g_R``.  A step thus builds no
-limit, neither to make its result nor to check it.
+The construction reports the ids it wrote, its *patch*.  Outside it the
+plain-fibre lemma leaves ``G_K`` the host, ``G_R`` ``G_K``, ``g_L`` and
+``g_R`` the identity and ``u'`` the plain element over ``alpha``, which
+whole-map comparisons confirm; each element there then passes every
+check and counts as itself in each square (the patch lemma of
+:mod:`~pbpoplus.stepcheck`).  So one pass over the patch, nodes then
+edges, gathers all of this with the validity of ``g_L``, ``u'`` and
+``g_R``.  A step builds no limit, neither to make its result nor to check
+it, and looks element by element only where it changed the host.
 
 Because ids survive a step, what :func:`normalize` learnt about one host
 carries over to the next.  Call an element of ``G_R`` *unchanged* when
@@ -110,7 +116,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import (EngineError, InternalMediatorError, MorphismError, Report,
                      RuleError, StrongMatchError)
-from .graph import (GraphMorphism, LabeledGraph, _carry_indexes, _moved, _require_valid,
+from .graph import (GraphMorphism, LabeledGraph, _carry_indexes, _require_valid,
                     _require_valid_graph, identity)
 from .limits import (Cospan, Span, _commutes, _is_pullback, _UnionFind, pullback,
                      pushout)
@@ -532,26 +538,29 @@ def _pullback_sort(alpha_map: dict[str, str], host_labels: dict[str, str],
 
 def _deletion(rule: PbpoRule, alpha: GraphMorphism, stamp):
     """``g_L`` and ``u'``, the legs of the pullback ``G_K`` of ``alpha`` and
-    ``l'``, and the ids of the node and edge pairs over host elements the
-    rule acts on.  Every other host element passes through unchanged (the
+    ``l'``, the ids of the node and edge pairs over host elements the rule
+    acts on, and the patch: those elements, their pairs, the edges
+    redirected.  Every other host element passes through unchanged (the
     plain-fibre lemma of the module docstring); an edge between those keeps
     its endpoints unless one was duplicated."""
     host, kp = alpha.dom, rule.Kp
     meet = host.lattice.meet
     (plain_nodes, plain_edges), (node_fibres, edge_fibres) = rule._plain, rule._fibres
-    node_labels, gl_nodes, up_nodes, _, node_pairs = _pullback_sort(
+    node_labels, gl_nodes, up_nodes, acted_nodes, node_pairs = _pullback_sort(
         alpha.node_map, host.node_labels, plain_nodes, node_fibres, kp.node_labels,
         meet, stamp)
     edge_labels, gl_edges, up_edges, acted, edge_pairs = _pullback_sort(
         alpha.edge_map, host.edge_labels, plain_edges, edge_fibres, kp.edge_labels,
         meet, stamp)
     duplicated = {g for (g, _), x in node_pairs.items() if x != g}
+    patch = ({*acted_nodes, *node_pairs.values()}, {*acted, *edge_pairs.values()})
     ends = []
     for host_ends, kp_ends in ((host.src, kp.src), (host.tgt, kp.tgt)):
         ends_of = dict(host_ends)
         for e in acted:
             del ends_of[e]
         for e in [*compress(ends_of, map(duplicated.__contains__, ends_of.values()))]:
+            patch[1].add(e)
             ends_of[e] = node_pairs[ends_of[e], kp_ends[up_edges[e]]]
         for (e, c), x in edge_pairs.items():
             end = host_ends[e]
@@ -560,14 +569,15 @@ def _deletion(rule: PbpoRule, alpha: GraphMorphism, stamp):
     g_mid = LabeledGraph(host.lattice, frozenset(node_labels), frozenset(edge_labels),
                          ends[0], ends[1], node_labels, edge_labels)
     return (GraphMorphism(g_mid, host, gl_nodes, gl_edges),
-            GraphMorphism(g_mid, kp, up_nodes, up_edges), (node_pairs, edge_pairs))
+            GraphMorphism(g_mid, kp, up_nodes, up_edges), (node_pairs, edge_pairs), patch)
 
 
 def _pushout_sort(u_map: dict[str, str], r_map: dict[str, str], mid_labels: dict[str, str],
                   r_labels: dict[str, str], join, stamp):
     """One sort of the addition pushout, edited into copies of ``G_K``'s
-    maps: the labels of ``G_R``, ``g_R`` and ``w``, and the ``G_K``
-    elements merged into a class under another id.
+    maps: the labels of ``G_R``, ``g_R`` and ``w``, the ``G_K`` elements
+    merged into a class under another id, and the classes whose id is new
+    or whose label changed.
 
     Only ``u(K)`` and ``R`` go through the union-find.  A class keeps the id
     of its smallest ``G_K`` member; a class of ``R`` elements alone is
@@ -581,6 +591,7 @@ def _pushout_sort(u_map: dict[str, str], r_map: dict[str, str], mid_labels: dict
     g_r = dict(zip(mid_labels, mid_labels))
     w: dict[str, str] = {}
     merged: set[str] = set()
+    relabelled: set[str] = set()
     for root, members in classes.items():
         ident = created.get(root, root[1])
         joined = []
@@ -595,27 +606,31 @@ def _pushout_sort(u_map: dict[str, str], r_map: dict[str, str], mid_labels: dict
                 merged.add(x)
                 del labels[x]
         labels[ident] = join(joined)
-    return labels, g_r, w, merged
+        if labels[ident] != mid_labels.get(ident):
+            relabelled.add(ident)
+    return labels, g_r, w, merged, relabelled
 
 
-def _addition(rule: PbpoRule, u: GraphMorphism,
-              stamp) -> tuple[GraphMorphism, GraphMorphism]:
+def _addition(rule: PbpoRule, u: GraphMorphism, stamp):
     """``g_R`` and ``w``, the legs of the pushout ``G_R`` of ``u`` and
-    ``r``.  An edge of ``G_K`` keeps its endpoints unless one was merged
-    into a class under another id; an edge ``R`` creates takes its
-    endpoints from ``w``."""
+    ``r``, and the patch: the elements merged, the classes new or
+    relabelled, the edges redirected.  An edge of ``G_K`` keeps its
+    endpoints unless one was merged into a class under another id; an edge
+    ``R`` creates takes its endpoints from ``w``."""
     g_mid, r, rhs = u.cod, rule.r, rule.R
     join = rhs.lattice.join
-    node_labels, gr_nodes, w_nodes, merged = _pushout_sort(
+    node_labels, gr_nodes, w_nodes, merged, new_nodes = _pushout_sort(
         u.node_map, r.node_map, g_mid.node_labels, rhs.node_labels, join, stamp)
-    edge_labels, gr_edges, w_edges, gone = _pushout_sort(
+    edge_labels, gr_edges, w_edges, gone, new_edges = _pushout_sort(
         u.edge_map, r.edge_map, g_mid.edge_labels, rhs.edge_labels, join, stamp)
+    patch = (merged | new_nodes, gone | new_edges)
     ends = []
     for mid_ends, r_ends in ((g_mid.src, rhs.src), (g_mid.tgt, rhs.tgt)):
         ends_of = dict(mid_ends)
         for e in gone:
             del ends_of[e]
         for e in [*compress(ends_of, map(merged.__contains__, ends_of.values()))]:
+            patch[1].add(e)
             ends_of[e] = gr_nodes[ends_of[e]]
         for z, x in w_edges.items():
             if x not in ends_of:
@@ -624,7 +639,7 @@ def _addition(rule: PbpoRule, u: GraphMorphism,
     g_out = LabeledGraph(g_mid.lattice, frozenset(node_labels), frozenset(edge_labels),
                          ends[0], ends[1], node_labels, edge_labels)
     return (GraphMorphism(g_mid, g_out, gr_nodes, gr_edges),
-            GraphMorphism(rhs, g_out, w_nodes, w_edges))
+            GraphMorphism(rhs, g_out, w_nodes, w_edges), patch)
 
 
 def pbpo_step(rule: PbpoRule, match: Match, step: int = 0,
@@ -638,9 +653,9 @@ def pbpo_step(rule: PbpoRule, match: Match, step: int = 0,
     ``G_K`` member, and an element the replacement creates is stamped after
     its ``R`` element (see :func:`_stamper`).  Repeated runs produce
     identical traces, and the result holds the indexes its host held,
-    patched (see :func:`~pbpoplus.graph._carry_indexes`) from one diff of
-    host and result (see :func:`_changed`), which is appended to a list
-    given as ``changed``.  An invalid rule
+    patched (see :func:`~pbpoplus.graph._carry_indexes`) at the ids of the
+    step's patch, which the step check verifies and a list given as
+    ``changed`` gets appended.  An invalid rule
     raises :class:`RuleError`, an invalid or mismatched match
     :class:`MorphismError`, a match that is not strong
     :class:`StrongMatchError`; a construction that fails any property of
@@ -659,26 +674,26 @@ def pbpo_step(rule: PbpoRule, match: Match, step: int = 0,
         raise StrongMatchError("strong-match-failure: the supplied match is not "
                                f"a strong match for the rule: {report}")
     try:
-        trace = _construct(rule, match, step)
+        trace, patch = _construct(rule, match, step)
     except KeyError as exc:
         raise InternalMediatorError("internal-mediator-failure: the construction looked up "
                                     f"an element it did not build: {exc}") from exc
-    report = _check_step(trace)
+    report = _check_step(trace, patch)
     if not report.ok:
         raise InternalMediatorError(f"internal-mediator-failure: {report}")
-    diff = _changed(trace.g_in, trace.g_out)
-    _carry_indexes(trace.g_in, trace.g_out, diff[1])
+    _carry_indexes(trace.g_in, trace.g_out, patch)
     if changed is not None:
-        changed.append(diff)
+        changed.append(patch)
     return trace.g_out, trace
 
 
-def _construct(rule: PbpoRule, match: Match, step: int) -> RewriteTrace:
+def _construct(rule: PbpoRule, match: Match, step: int) -> tuple[RewriteTrace, list]:
     """The graphs and legs of a step at a strong match, unchecked but for
-    the validity of ``u`` and the endpoints of each edge built."""
+    the validity of ``u`` and the endpoints of each edge built, and the
+    node and edge ids the deletion and the addition wrote, its patch."""
     m, alpha = match.m, match.alpha
     stamp = _stamper(step, alpha.dom)
-    g_l, u_prime, (node_pairs, edge_pairs) = _deletion(rule, alpha, stamp)
+    g_l, u_prime, (node_pairs, edge_pairs), deleted = _deletion(rule, alpha, stamp)
     g_mid = g_l.dom
     _require_graph(g_mid)
 
@@ -693,10 +708,11 @@ def _construct(rule: PbpoRule, match: Match, step: int) -> RewriteTrace:
         embed(rule.K.sorted_nodes, rule.l.node_map, m.node_map, rule.tK.node_map, node_pairs),
         embed(rule.K.sorted_edges, rule.l.edge_map, m.edge_map, rule.tK.edge_map, edge_pairs))
     _require_valid(InternalMediatorError, "internal-mediator-failure", ("u", u))
-    g_r, w = _addition(rule, u, stamp)
+    g_r, w, added = _addition(rule, u, stamp)
     _require_graph(g_r.cod)
-    return RewriteTrace(rule=rule, g_in=alpha.dom, g_mid=g_mid, g_out=g_r.cod, m=m,
-                        alpha=alpha, g_l=g_l, g_r=g_r, u=u, u_prime=u_prime, w=w)
+    return (RewriteTrace(rule=rule, g_in=alpha.dom, g_mid=g_mid, g_out=g_r.cod, m=m,
+                         alpha=alpha, g_l=g_l, g_r=g_r, u=u, u_prime=u_prime, w=w),
+            [deleted[0] | added[0], deleted[1] | added[1]])
 
 
 def _require_graph(g: LabeledGraph) -> None:
@@ -723,14 +739,6 @@ class NormalizeResult:
         return "fixpoint" if self.reached_fixpoint else "step-limit-exceeded"
 
 
-def _changed(before: LabeledGraph, after: LabeledGraph) -> tuple[set[str], set[str]]:
-    """The node and edge ids of ``after`` that ``before`` lacks, or has with
-    another label or, for an edge, other endpoints."""
-    edges = _moved(after.edge_labels, before.edge_labels)
-    edges.update(_moved(after.src, before.src), _moved(after.tgt, before.tgt))
-    return _moved(after.node_labels, before.node_labels), edges
-
-
 def normalize(g: LabeledGraph, rules: Sequence[PbpoRule],
               max_steps: Optional[int] = None,
               keep_traces: bool = True) -> NormalizeResult:
@@ -746,8 +754,8 @@ def normalize(g: LabeledGraph, rules: Sequence[PbpoRule],
 
     A rule whose pattern does not occur in the host at all is certified:
     until it occurs again it is skipped without a search.  Each step adds
-    the ids it changed (see :func:`_changed`) to every certificate's
-    pending set, and a certified rule's next turn asks only whether an
+    the ids it changed (its verified patch, see :func:`pbpo_step`) to every
+    certificate's pending set, and a certified rule's next turn asks only whether an
     occurrence goes through one of them (see the module docstring).  No such
     occurrence certifies the rule at the current host; one drops the
     certificate and the rule gets the full search of

@@ -1,4 +1,4 @@
-"""The check of a completed PBPO+ step, decided in one pass over ``G_K``.
+"""The check of a completed PBPO+ step, decided where the step changed its host.
 
 :func:`_check_step` decides every property of a step beyond its match:
 the validity of ``g_L, g_R, u, u', w``, ``u' . u = tK``, ``u`` injective,
@@ -11,12 +11,30 @@ the ``g_L``-fibre over ``m(L)``, and the pushout of ``u`` and ``r`` has a
 class for each element of ``G_K`` outside ``u(K)`` and for each class of
 ``u(K)`` and ``R``.  :func:`~pbpoplus.rewriting.pbpo_step` and
 :func:`~pbpoplus.rewriting.verify_trace` both run this check.
+
+The construction reports, per sort, the ids it wrote: its *patch*.  The
+patch lemma: let ``alpha`` and ``l'`` be morphisms, and let ``G_K`` have
+the host's elements, labels and endpoints outside the patch, ``G_R``
+have ``G_K``'s, ``g_L`` and ``g_R`` be the identity and ``u'`` be ``plain
+. alpha`` (``plain`` sends a plain element of ``L'`` to the element of
+``K'`` over it).  Then an element ``x`` of ``G_K`` outside the patch has
+its host label, below ``alpha(x)``'s and so ``u'(x)``'s, hence their
+meet, which ``G_R`` keeps; ``l'(u'(x)) = alpha(x)``; if ``x`` is an edge
+between nodes outside the patch, every leg maps its endpoints as it
+must; and in each square ``x`` counts as itself, the one pair over its
+host element and a class of its own.  So whole-map comparisons in C
+decide the premise, the patch and the edges at its nodes are decided
+element by element, and the squares count the patch alone.  A premise
+that fails widens the patch to the whole sort, so a wrong patch is
+decided, and reported, as if none were given.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import Report
@@ -51,23 +69,54 @@ def _map(f: GraphMorphism, edges: bool) -> dict[str, str]:
 class _Findings:
     """What the pass over one sort of ``G_K`` found, for valid legs."""
 
+    patch: set[str]                 # the verified patch, with the edges at its nodes
+    inside: set[str]                # the elements of G_K in the patch
     deletion_commutes: bool = True  # alpha . g_L = l' . u'
     meets: bool = True              # each label is the meet of its images' labels
     kept: bool = True               # G_R keeps the label of each element outside u(K)
     middle: int = 0                 # size of the pullback of m along g_L
 
 
-def _pass_over_g_k(trace: RewriteTrace, edges: bool) -> Optional[_Findings]:
-    """One sort of ``G_K`` in one pass: ``None`` if ``g_L``, ``u'`` or
+def _outside(entries: dict, patch: set[str]) -> dict:
+    """A copy of ``entries`` without the keys in ``patch``."""
+    out = entries.copy()
+    for x in patch:
+        out.pop(x, None)
+    return out
+
+
+def _unchanged_outside(trace: RewriteTrace, edges: bool, patch: set[str]) -> bool:
+    """The premise of the patch lemma (module docstring) on one sort: outside
+    ``patch``, ``G_K`` is the host, ``G_R`` is ``G_K``, ``g_L`` and ``g_R``
+    are the identity and ``u'`` is ``plain . alpha``."""
+    host, mid, out = trace.g_in, trace.g_mid, trace.g_out
+    alpha, plain = _map(trace.alpha, edges), trace.rule._plain[edges]
+    pairs = [(_sort(host, edges)[1], _sort(mid, edges)[1]),
+             (_sort(mid, edges)[1], _sort(out, edges)[1]),
+             (dict(zip(alpha, map(plain.get, alpha.values()))), _map(trace.u_prime, edges))]
+    if edges:
+        pairs += [(host.src, mid.src), (host.tgt, mid.tgt), (mid.src, out.src),
+                  (mid.tgt, out.tgt)]
+    return (all(a == b or _outside(a, patch) == _outside(b, patch) for a, b in pairs)
+            and all(sum(map(ne, f, f.values())) == sum(f[x] != x for x in patch if x in f)
+                    for f in (_map(trace.g_l, edges), _map(trace.g_r, edges))))
+
+
+def _pass_over_g_k(trace: RewriteTrace, edges: bool,
+                   patch: list[Optional[set[str]]]) -> Optional[_Findings]:
+    """One sort of ``G_K``, its patch (the node, then the edge one in
+    ``patch``) decided element by element: ``None`` if ``g_L``, ``u'`` or
     ``g_R`` is invalid at an element, else what the squares need.
 
-    Each leg must map exactly the elements of ``G_K`` into its codomain,
-    which two set comparisons decide before the pass.  A label equal to
-    the meet of its ``g_L`` and ``u'`` images' labels is below both, so the
-    label conditions of those legs are looked at only where it is not;
-    likewise ``g_R``'s, where ``G_R`` does not keep the label.  The edge
-    pass checks the endpoints of all three legs; the node pass has found
-    every node mapped."""
+    A patch that is ``None`` or whose premise fails is replaced by the whole
+    sort; the edges at a node of the patch are decided too.  Each leg must
+    map exactly the elements of ``G_K`` into its codomain, which two set
+    comparisons decide before the pass.  A label equal to the meet of its
+    ``g_L`` and ``u'`` images' labels is below both, so the label conditions
+    of those legs are looked at only where it is not; likewise ``g_R``'s,
+    where ``G_R`` does not keep the label.  The edge pass checks the
+    endpoints of all three legs; the node pass has found every node mapped.
+    An element outside the patch counts as itself."""
     rule = trace.rule
     ids, labels = _sort(trace.g_mid, edges)
     gl, up, gr = _map(trace.g_l, edges), _map(trace.u_prime, edges), _map(trace.g_r, edges)
@@ -77,6 +126,14 @@ def _pass_over_g_k(trace: RewriteTrace, edges: bool) -> Optional[_Findings]:
     if not all(f.keys() == ids and cod.issuperset(f.values())
                for f, cod in ((gl, g_ids), (up, k_ids), (gr, r_ids))):
         return None
+    if patch[edges] is None or not _unchanged_outside(trace, edges, patch[edges]):
+        patch[edges] = set(g_ids).union(ids, r_ids)
+    near = set(patch[edges])
+    if edges:
+        src, tgt = trace.g_mid.src, trace.g_mid.tgt
+        at = patch[0].__contains__
+        near.update(compress(src, map(at, src.values())), compress(tgt, map(at, tgt.values())))
+    inside = near.intersection(ids)
     alpha, lp = _map(trace.alpha, edges), _map(rule.lp, edges)
     interface = set(_map(trace.u, edges).values())
     over_m = Counter(_map(trace.m, edges).values())
@@ -84,13 +141,13 @@ def _pass_over_g_k(trace: RewriteTrace, edges: bool) -> Optional[_Findings]:
     # The meet memo answers a pair of labels met before without a call.
     above, known_meets, meet = lat._above, lat._meets, lat.meet
     if edges:
-        src, tgt = trace.g_mid.src, trace.g_mid.tgt
         g_src, g_tgt, k_src, k_tgt = trace.g_in.src, trace.g_in.tgt, rule.Kp.src, rule.Kp.tgt
         r_src, r_tgt = trace.g_out.src, trace.g_out.tgt
         gl_n, up_n, gr_n = trace.g_l.node_map, trace.u_prime.node_map, trace.g_r.node_map
-    found = _Findings()
-    for x, g, kp, r in zip(ids, map(gl.__getitem__, ids), map(up.__getitem__, ids),
-                           map(gr.__getitem__, ids)):
+    found = _Findings(near, inside,
+                      middle=sum(n for g, n in over_m.items() if g not in near))
+    for x, g, kp, r in zip(inside, map(gl.__getitem__, inside), map(up.__getitem__, inside),
+                           map(gr.__getitem__, inside)):
         lab, g_lab, k_lab, r_lab = labels[x], g_labels[g], k_labels[kp], r_labels[r]
         if known_meets.get((g_lab, k_lab)) != lab:
             below = above.get(lab)
@@ -140,11 +197,14 @@ def _is_middle_pullback(trace: RewriteTrace, edges: bool, found: _Findings) -> b
 def _is_deletion_pullback(trace: RewriteTrace, edges: bool, found: _Findings) -> bool:
     """Whether ``G_K`` is the pullback of ``alpha`` and ``l'`` on one sort of
     a commuting square: its pairs are distinct, labelled with meets, and as
-    many as the pullback has (the counting lemma of the module docstring)."""
-    gl, up = _map(trace.g_l, edges), _map(trace.u_prime, edges)
-    fibre = trace.rule._fibre_sizes[edges]
-    size = sum(map(fibre.__getitem__, _map(trace.alpha, edges).values()))
-    return found.meets and len(gl) == size == len(set(zip(gl.values(), map(up.__getitem__, gl))))
+    many as the pullback has (the counting lemma of the module docstring).
+    A pair of the patch over a host element outside it repeats that
+    element's own pair, so only pairs over the patch are counted."""
+    gl, up, alpha = _map(trace.g_l, edges), _map(trace.u_prime, edges), _map(trace.alpha, edges)
+    fibre, patch, inside = trace.rule._fibre_sizes[edges], found.patch, found.inside
+    size = sum(fibre[alpha[g]] for g in patch if g in alpha)
+    return found.meets and len(inside) == size == len(
+        {(gl[x], up[x]) for x in inside if gl[x] in patch})
 
 
 def _is_addition_pushout(trace: RewriteTrace, edges: bool, found: _Findings) -> bool:
@@ -154,7 +214,7 @@ def _is_addition_pushout(trace: RewriteTrace, edges: bool, found: _Findings) -> 
     ``u(K)`` and ``R`` come from a union-find of that size and must be
     labelled with joins.  The classes' images are distinct and cover
     ``G_R`` exactly when the images of ``g_R`` and ``w`` are as many as
-    the classes and as ``G_R``."""
+    the classes and as ``G_R``, which outside the patch they are."""
     rule = trace.rule
     u, r, gr, w = (_map(trace.u, edges), _map(rule.r, edges), _map(trace.g_r, edges),
                    _map(trace.w, edges))
@@ -167,33 +227,38 @@ def _is_addition_pushout(trace: RewriteTrace, edges: bool, found: _Findings) -> 
         uf.union(("0", v), ("1", r[k]))
     classes = uf.classes()
     join = rule.R.lattice.join
-    images = set(gr.values())
+    images = set(map(gr.__getitem__, found.inside))
     images.update(w.values())
     return (found.kept
-            and len(images) == len(gr) - len(interface) + len(classes) == len(out_ids)
+            and len(images & found.patch) == len(found.inside) - len(interface) + len(classes)
+            == len(found.patch & out_ids)
             and all(out_labels[feet[side][0][x]] == join(feet[s][1][y] for s, y in members)
                     for (side, x), members in classes.items()))
 
 
-def _check_step(trace: RewriteTrace) -> Report:
+def _check_step(trace: RewriteTrace, patch: Optional[list] = None) -> Report:
     """Every property of a step beyond its match, each decided once; the
     arrangement of the trace and the match are established by the caller.
 
-    One pass over ``G_K``, nodes then edges, checks ``g_L``, ``u'`` and
-    ``g_R`` at each element and collects what the deletion, middle and
-    addition squares need; ``u`` and ``w`` are ``K``- and ``R``-sized and
-    validated whole.  A leg found invalid ends the check, with the defects
-    named by the :func:`~pbpoplus.graph.validate_morphism` reports of the
-    legs.  A square has its universal property decided only if it
-    commutes, and no limit is built (see the module docstring).
+    ``patch``, the construction's node and edge patch or ``None`` for whole
+    sorts, is widened in place where its premise fails, so it then holds
+    every id at which ``G_R`` differs from the host.  One pass over the
+    patch of ``G_K``, nodes then edges, checks ``g_L``, ``u'`` and ``g_R``
+    at each element and collects what the deletion, middle and addition
+    squares need; ``u`` and ``w`` are ``K``- and ``R``-sized and validated
+    whole.  A leg found invalid ends the check, with the defects named by
+    the :func:`~pbpoplus.graph.validate_morphism` reports of the legs.  A
+    square has its universal property decided only if it commutes, and no
+    limit is built (see the module docstring).
     """
     rule, u, u_prime = trace.rule, trace.u, trace.u_prime
     found = None
     if (u._report.ok and trace.w._report.ok
             and all(g.lattice == trace.g_mid.lattice
                     for g in (trace.g_in, trace.g_out, rule.Kp))):
-        nodes = _pass_over_g_k(trace, False)
-        found = nodes and (nodes, _pass_over_g_k(trace, True))
+        patch = [None, None] if patch is None else patch
+        nodes = _pass_over_g_k(trace, False, patch)
+        found = nodes and (nodes, _pass_over_g_k(trace, True, patch))
     report = Report()
     if not found or found[1] is None:
         for name in ("g_l", "g_r", "u", "u_prime", "w"):

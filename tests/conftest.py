@@ -1,11 +1,15 @@
 import os
+import time
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import settings
 
-from pbpoplus import (GraphMorphism, LabeledGraph, RhsSpec, TruthTable,
+from pbpoplus import (Bdd, GraphMorphism, LabeledGraph, RhsSpec, TruthTable,
                       bdd_lattice, build_decision_tree, complete_rule,
-                      unit_lattice)
+                      oracle_reduce, reduce_bdd, unit_lattice)
+
+from genhelpers import sweep_tables
 
 # ``HYPOTHESIS_PROFILE=deep`` runs each property that does not pin its own
 # ``max_examples`` on 2,000 examples instead of 100.
@@ -55,3 +59,28 @@ def pq_table():
 @pytest.fixture()
 def pq_tree(pq_table):
     return build_decision_tree(pq_table)
+
+
+@dataclass
+class SweepRun:
+    table: TruthTable
+    tree: Bdd
+    reduced: Bdd
+    result: object
+    oracle: Bdd
+
+
+@pytest.fixture(scope="session")
+def bdd_sweep():
+    """The criterion-7 corpus reduced with every trace kept, and the time
+    the reductions took."""
+    tables = sweep_tables()
+    start = time.perf_counter()
+    runs = []
+    for table in tables:
+        tree = build_decision_tree(table)
+        reduced, result = reduce_bdd(tree)
+        runs.append(SweepRun(table=table, tree=tree, reduced=reduced,
+                             result=result, oracle=oracle_reduce(table)))
+    elapsed = time.perf_counter() - start
+    return runs, elapsed

@@ -10,12 +10,11 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import pytest
 
-from pbpoplus import (Bdd, Cospan, GraphMorphism, LabeledGraph, Match, Span,
-                      TruthTable, bdd_lattice, build_decision_tree,
+from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, Match, Span,
+                      bdd_lattice, build_decision_tree,
                       check_strong_match, compose, enumerate_homomorphisms,
                       evaluate, find_matches, identity, is_isomorphic,
                       is_pullback_square, is_pushout_square, is_reduced,
@@ -29,7 +28,7 @@ from pbpoplus.lattice import FALSE, TRUE
 from genhelpers import (corpus_lattices, permute_ids, pullback_candidates,
                         pushout_candidates, random_cospan, random_graph,
                         random_host_with_match, random_morphism_into,
-                        random_rule, random_span, sweep_tables)
+                        random_rule, random_span)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -58,29 +57,6 @@ def limit_corpus():
     while len(cospans) < 50:
         cospans.append(random_cospan(rng, lattices[len(cospans) % len(lattices)]))
     return spans, cospans
-
-
-@dataclass
-class SweepRun:
-    table: TruthTable
-    tree: Bdd
-    reduced: Bdd
-    result: object
-    oracle: Bdd
-
-
-@pytest.fixture(scope="module")
-def bdd_sweep():
-    tables = sweep_tables()
-    start = time.perf_counter()
-    runs = []
-    for table in tables:
-        tree = build_decision_tree(table)
-        reduced, result = reduce_bdd(tree)
-        runs.append(SweepRun(table=table, tree=tree, reduced=reduced,
-                             result=result, oracle=oracle_reduce(table)))
-    elapsed = time.perf_counter() - start
-    return runs, elapsed
 
 
 # -------------------------------------------------------------- criteria

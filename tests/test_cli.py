@@ -229,3 +229,22 @@ def test_cli_deterministic_output():
     second = subprocess.run(cmd, capture_output=True, text=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout == "7 -> 4 nodes in 3 steps\n"
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda g: {**g, "nodes": 7},
+    lambda g: {**g, "nodes": [7, *g["nodes"]]},
+    lambda g: {**g, "edges": "e"},
+    lambda g: {**g, "edges": [["e", "a", "b"]]},
+    lambda g: 7,
+], ids=["nodes-number", "node-not-object", "edges-string", "edge-not-object", "graph-number"])
+def test_cli_malformed_graph_shape_is_a_parse_error(tmp_path, capsys, mangle):
+    """A graph whose record, nodes or edges have the wrong shape is reported
+    as a ``parse-error`` with exit 1, not as a traceback."""
+    ws = json.loads(pathlib.Path(WS).read_text())
+    ws["graphs"]["L"] = mangle(ws["graphs"]["L"])
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    assert main(["validate", "--workspace", str(path), "--graph", "L"]) == 1
+    err = capsys.readouterr().err
+    assert "parse-error" in err and "Traceback" not in err

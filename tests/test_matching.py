@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pbpoplus import (Cospan, GraphError, GraphMorphism, LabeledGraph, MorphismError,
+from pbpoplus import (Cospan, GraphError, GraphMorphism, LabeledGraph, Match, MorphismError,
                       RhsSpec, Span, TruthTable, build_decision_tree,
                       check_strong_match, complete_rule, compose,
                       enumerate_homomorphisms, find_matches, identity,
@@ -494,3 +494,22 @@ def test_a_rule_without_a_sink_is_searched(keep_rule, replace_rule, lat2):
     assert (adherence_maps(_adherences_for(m, two_loops, host))
             == adherence_maps(searched_adherences(m, two_loops, host)))
     assert len(searched_adherences(m, two_loops, host)) == 2
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(deadline=None)
+def test_find_matches_come_in_sort_key_order(seed, sink):
+    """``find_matches`` returns the matches as ``iter_matches`` yields them,
+    which is already ascending :meth:`Match.sort_key` order: on random sink
+    rules (adherences built) and rules without a sink (pooled search)."""
+    if sink:
+        rule, host = sink_instance(seed)
+    else:
+        rng = random.Random(seed)
+        lat = rng.choice(corpus_lattices())
+        rule = random_rule(rng, lat)
+        while rule._sink is not None:
+            rule = random_rule(rng, lat)
+        host = random_host_with_match(rng, rule)[0]
+    matches = find_matches(rule, host)
+    assert matches == sorted(matches, key=Match.sort_key)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pbpoplus import (EngineError, GraphError, GraphMorphism, LabeledGraph, Match,
-                      MorphismError, PbpoRule, RhsSpec, RuleError,
+from pbpoplus import (EngineError, GraphError, GraphMorphism, InternalMediatorError,
+                      LabeledGraph, Match, MorphismError, PbpoRule, RhsSpec, RuleError,
                       StrongMatchError, ToyPbRule, ToyPoRule, TruthTable,
                       bdd_lattice, build_decision_tree, complete_rule, compose,
                       find_matches, identity, is_isomorphic, leaf_rule,
@@ -15,12 +15,13 @@ from pbpoplus import (EngineError, GraphError, GraphMorphism, LabeledGraph, Matc
                       validate_morphism, validate_rule, verify_match_square,
                       verify_trace)
 
-from pbpoplus import limits, matching, rewriting
+from pbpoplus import limits, matching, rewriting, stepcheck
+from pbpoplus.errors import Report
 from pbpoplus.rewriting import _check_step
 
 from genhelpers import (corpus_lattices, random_host_with_match, random_rule,
-                        random_truth_table, reference_check_step, reference_normalize,
-                        reference_step)
+                        random_sink_rule, random_truth_table, reference_check_step,
+                        reference_normalize, reference_step)
 
 
 # --------------------------------------------------------------- ToyPO
@@ -912,6 +913,236 @@ def test_a_step_carries_its_hosts_indexes_patched(seed):
         fresh = dataclasses.replace(result)
         for name in INDEXES:
             assert vars(result)[name] == getattr(fresh, name), name
+
+
+# ------------------------------------------- steps checked on their patch
+
+
+def patched_outcome(trace, patch):
+    """The step check on a copy of ``patch``, as :func:`pbpo_step` runs it."""
+    return outcome_of(lambda t: _check_step(t, [set(patch[0]), set(patch[1])]), trace)
+
+
+def widened(rng, trace, patch):
+    """``patch`` with a random set of further ids of each sort of the
+    trace's graphs: a patch too large must be decided alike."""
+    graphs = (trace.g_in, trace.g_mid, trace.g_out)
+    pools = (sorted(set().union(*(g.nodes for g in graphs))),
+             sorted(set().union(*(g.edges for g in graphs))))
+    return [p | set(rng.sample(pool, rng.randint(0, len(pool))))
+            for p, pool in zip(patch, pools)]
+
+
+def differing_ids(a, b, edges):
+    """The ids of one sort at which two traces of a step differ: in a label
+    or an endpoint of one of their graphs, or in the image under a leg or
+    ``alpha``."""
+    def maps(t):
+        graphs = (t.g_in, t.g_mid, t.g_out)
+        legs = (t.g_l, t.u_prime, t.g_r, t.alpha)
+        if edges:
+            return ([g.edge_labels for g in graphs] + [g.src for g in graphs]
+                    + [g.tgt for g in graphs] + [f.edge_map for f in legs])
+        return [g.node_labels for g in graphs] + [f.node_map for f in legs]
+
+    return {x for p, q in zip(maps(a), maps(b)) for x in p.keys() | q.keys()
+            if p.get(x) != q.get(x)}
+
+
+def run_recording_patches(host, rules, max_steps):
+    """Normalize, recording each step's trace and the patch its
+    construction reported."""
+    steps = []
+    construct = rewriting._construct
+
+    def recording(rule, match, step):
+        trace, patch = construct(rule, match, step)
+        steps.append((trace, [set(patch[0]), set(patch[1])]))
+        return trace, patch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewriting, "_construct", recording)
+        normalize(host, rules, max_steps=max_steps)
+    return steps
+
+
+def assert_patch_holds(trace, patch):
+    """The patch a correct step reports satisfies the premise of the patch
+    lemma, so its check is not widened to the whole graphs."""
+    assert all(stepcheck._unchanged_outside(trace, edges, patch[edges]) for edges in (False, True))
+
+
+def random_rule_without_sink(rng, lat):
+    """A random rule whose context is not a sink, so that its adherences
+    come from the pooled search; after 20 tries, any random rule."""
+    for _ in range(20):
+        rule = random_rule(rng, lat)
+        if rule._sink is None:
+            break
+    return rule
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None)
+def test_a_step_checked_on_its_patch_decides_as_the_full_check(seed):
+    """On every step of a run of random sink rules, random rules without a
+    sink or BDD rules, whole or with a defect aimed at one decision of the
+    pass, the check on the patch the construction reports gives the verdict,
+    codes and messages of the check on the whole graphs."""
+    rng = random.Random(seed)
+    kind = rng.choice(["sink", "no sink", "bdd"])
+    if kind == "bdd":
+        tree = build_decision_tree(random_truth_table(
+            rng, [f"x{i}" for i in range(rng.randint(1, 3))]))
+        host, rules, budget = tree.graph, reduction_rules(tree.variables, tree.graph.lattice), None
+    else:
+        lat = rng.choice(corpus_lattices())
+        make = random_sink_rule if kind == "sink" else random_rule_without_sink
+        rules = [make(rng, lat) for _ in range(rng.randint(1, 3))]
+        host, budget = random_host_with_match(rng, rng.choice(rules))[0], rng.randint(1, 4)
+    for trace, patch in run_recording_patches(host, rules, budget):
+        assert_patch_holds(trace, patch)
+        for t in (trace, corrupt(rng, trace)):
+            assert (patched_outcome(t, patch) == patched_outcome(t, widened(rng, t, patch))
+                    == outcome_of(_check_step, t))
+
+
+def test_a_patch_around_each_defect_decides_as_the_full_check(leaf_steps):
+    """Each corrupted field, missing universal property and defect aimed at
+    a decision of the pass, with the ids where it differs from the step
+    added to the patch, so the premise holds and the defect is decided
+    element by element: the verdict is the full check's."""
+    rule, first, second, trace, _ = leaf_steps
+    _, patch = rewriting._construct(rule, first, 0)
+    bad = [dataclasses.replace(trace, **{name: f})
+           for name, (f, _) in corrupted_fields(rule, second, trace).items()]
+    bad += lacking_universal_property(rule, trace).values()
+    bad += [t for t, _ in aimed_at_fused_checks(rule, trace).values()]
+    for t in bad:
+        around = [patch[edges] | differing_ids(trace, t, edges) for edges in (False, True)]
+        assert patched_outcome(t, around) == outcome_of(_check_step, t)
+
+
+def test_sweep_steps_checked_on_their_patch_decide_as_the_full_check(bdd_sweep):
+    """On every step of the criterion-7 corpus, rebuilt from its match to
+    get its patch: the step keeps to its patch, and with a defect aimed at
+    one decision of the pass its check on the patch is the full check."""
+    rng = random.Random(13)
+    runs, _ = bdd_sweep
+    for run in runs:
+        for i, trace in enumerate(run.result.traces):
+            rebuilt, patch = rewriting._construct(
+                trace.rule, Match(trace.m, trace.alpha, trace.rule.tL), i)
+            assert rebuilt == trace
+            assert_patch_holds(trace, patch)
+            bad = corrupt(rng, trace)
+            assert patched_outcome(bad, patch) == outcome_of(_check_step, bad)
+
+
+def with_entry(trace, edges, field, x, value):
+    """``trace`` with the entry at ``x`` of one sort of a leg (``g_l``,
+    ``u_prime``, ``g_r``) or of a map of ``G_K`` or ``G_R`` (``g_mid.src``,
+    ``g_out.node_labels``, ...) set to ``value``; the legs are rebuilt
+    around a changed graph."""
+    if "." not in field:
+        f = getattr(trace, field)
+        maps = {"node_map": dict(f.node_map), "edge_map": dict(f.edge_map)}
+        maps["edge_map" if edges else "node_map"][x] = value
+        return dataclasses.replace(trace, **{field: dataclasses.replace(f, **maps)})
+    graph, attr = field.split(".")
+    g = getattr(trace, graph)
+    g = dataclasses.replace(g, **{attr: {**getattr(g, attr), x: value}})
+    mid, out = (g, trace.g_out) if graph == "g_mid" else (trace.g_mid, g)
+    return dataclasses.replace(
+        trace, g_mid=mid, g_out=out, u=retarget(trace.u, cod=mid),
+        g_l=retarget(trace.g_l, dom=mid), u_prime=retarget(trace.u_prime, dom=mid),
+        g_r=retarget(trace.g_r, dom=mid, cod=out), w=retarget(trace.w, cod=out))
+
+
+# Where a construction can go wrong at one element: a label or an endpoint
+# of G_K, of G_R or of both (as when G_R copies a wrong G_K), or a leg.
+FAULTS = ("g_mid.labels", "g_out.labels", "both.labels", "g_l", "u_prime", "g_r")
+EDGE_FAULTS = ("g_mid.src", "g_out.tgt", "both.tgt")
+
+
+def fault_at(rng, trace, edges, x, fault):
+    """``trace`` with ``fault`` at the ``G_K`` element ``x`` of one sort (or
+    at its image in ``G_R``), the entry set to another value of its kind;
+    ``None`` if there is none."""
+    image = (trace.g_r.edge_map if edges else trace.g_r.node_map)[x]
+    where, _, attr = fault.rpartition(".")
+    attr = attr.replace("labels", "edge_labels" if edges else "node_labels")
+    if where:
+        g = trace.g_mid if where != "g_out" else trace.g_out
+        old = getattr(g, attr).get(x if where != "g_out" else image)
+        values = g.sorted_nodes if attr in ("src", "tgt") else g.lattice.sorted_elements()
+    else:
+        f = getattr(trace, attr)
+        old = (f.edge_map if edges else f.node_map)[x]
+        values = f.cod.sorted_edges if edges else f.cod.sorted_nodes
+    values = [v for v in values if v != old]
+    if not values:
+        return None
+    value = rng.choice(values)
+    if not where:
+        return with_entry(trace, edges, attr, x, value)
+    if where != "g_out":
+        trace = with_entry(trace, edges, f"g_mid.{attr}", x, value)
+    if where != "g_mid":
+        trace = with_entry(trace, edges, f"g_out.{attr}", image, value)
+    return trace
+
+
+def step_with_fault(rule, match, edges, fault, how, rng):
+    """:func:`pbpo_step` at step 1 under a construction that puts ``fault``
+    at a random element of one sort of ``G_K``: ``"outside"`` its patch,
+    ``"inside"`` it, or inside and then ``"dropped"`` from it; with no
+    fault, it drops an element from a correct patch.  The result, or the
+    message raised, and the trace built, or ``None`` if no element fits."""
+    construct = rewriting._construct
+    made = [None]
+
+    def faulty(rule, match, step):
+        trace, patch = construct(rule, match, step)
+        ids = sorted(trace.g_mid.edges if edges else trace.g_mid.nodes)
+        pool = [x for x in ids if (x in patch[edges]) != (how == "outside")]
+        if pool:
+            x = rng.choice(pool)
+            if how == "dropped":
+                patch[edges].discard(x)
+            made[0] = fault_at(rng, trace, edges, x, fault) if fault else trace
+        return made[0] or trace, patch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewriting, "_construct", faulty)
+        try:
+            return pbpo_step(rule, match, step=1), made[0]
+        except InternalMediatorError as exc:
+            return str(exc), made[0]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None)
+def test_a_fault_outside_the_reported_patch_is_still_caught(seed):
+    """A construction that puts a fault of some kind outside the patch it
+    reports, inside it, or at an element it then drops from the patch,
+    makes :func:`pbpo_step` raise with the report of the full check; an
+    element dropped from a correct patch changes nothing.  Each example
+    tries five of the kinds."""
+    rng = random.Random(seed)
+    rule, match = random_step(rng)
+    want = pbpo_step(rule, match, step=1)
+    faults = [(edges, fault) for edges in (False, True)
+              for fault in (*FAULTS, *EDGE_FAULTS[:3 * edges], None)]
+    for edges, fault in rng.sample(faults, 5):
+        how = rng.choice(["outside", "inside", "dropped"]) if fault else "dropped"
+        got, made = step_with_fault(rule, match, edges, fault, how, rng)
+        full = _check_step(made) if made is not None else Report()
+        if full.ok:
+            assert got == (want if made is None else (made.g_out, made))
+            assert fault or made is None or made == want[1]
+        else:
+            assert got == f"internal-mediator-failure: {full}"
 
 
 # --------------------------------------------- matches rebuilt by hand
