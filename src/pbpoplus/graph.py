@@ -15,6 +15,7 @@ Unlabeled rewriting is the special case of the one-point lattice.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -98,6 +99,11 @@ class LabeledGraph:
             if self.tgt[e] != self.src[e]:
                 inc[self.tgt[e]].append(e)
         return {n: tuple(es) for n, es in inc.items()}
+
+    @cached_property
+    def _identity(self) -> "GraphMorphism":
+        """:func:`identity` of this graph, kept: graphs are values."""
+        return identity(self)
 
     def rename(self, node_map: Mapping[str, str],
                edge_map: Mapping[str, str]) -> "LabeledGraph":
@@ -205,7 +211,7 @@ class GraphMorphism:
 
 
 def identity(g: LabeledGraph) -> GraphMorphism:
-    return GraphMorphism(g, g, {n: n for n in g.nodes}, {e: e for e in g.edges})
+    return GraphMorphism(g, g, dict(zip(g.nodes, g.nodes)), dict(zip(g.edges, g.edges)))
 
 
 def compose(f: GraphMorphism, g: GraphMorphism) -> GraphMorphism:
@@ -326,94 +332,63 @@ def _require_valid(error: type[Exception], code: str,
             raise error(f"{code}: morphism {name} is invalid: {f._report}")
 
 
+def _sort(g: LabeledGraph, edges: bool) -> tuple[frozenset[str], dict[str, str]]:
+    """The ids and labels of one sort of ``g``."""
+    return (g.edges, g.edge_labels) if edges else (g.nodes, g.node_labels)
+
+
+def _map(f: GraphMorphism, edges: bool) -> dict[str, str]:
+    return f.edge_map if edges else f.node_map
+
+
 def _node_signature(g: LabeledGraph, n: str) -> tuple:
     out_labels = tuple(sorted(g.edge_labels[e] for e in g.out_edges[n]))
     in_labels = tuple(sorted(g.edge_labels[e] for e in g.in_edges[n]))
     return (g.node_labels[n], out_labels, in_labels)
 
 
-def _label_counts(labels: Iterable[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    return counts
-
-
 def is_isomorphic(g: LabeledGraph, h: LabeledGraph) -> Optional[GraphMorphism]:
     """Search for a label-preserving structure-preserving bijection.
 
-    Exhaustive backtracking with label and degree pruning; intended for
-    graphs up to a few dozen nodes.  Returns a witness morphism or ``None``.
+    Runs the backtracking search of :mod:`~pbpoplus.matching` for an
+    injective homomorphism ``g -> h`` with each node confined to the nodes
+    of ``h`` with its label and the labels of its out- and in-edges, and
+    each edge to the edges with its label.  Between graphs of equal size
+    such a homomorphism is a bijection whose inverse is a homomorphism too.
+    The search takes the nodes in id order, on a copy of ``g`` renamed
+    breadth first from the rarest signatures, so that each node but the
+    first of its component is tried only among the neighbours of a node
+    placed before it.  Returns a witness morphism or ``None``.
     """
+    from .matching import _hom_search
+
     if g.lattice != h.lattice:
         raise LatticeError("isomorphism check needs a shared lattice")
     if len(g.nodes) != len(h.nodes) or len(g.edges) != len(h.edges):
         return None
-    g_sigs = sorted(_node_signature(g, n) for n in g.nodes)
-    h_sigs = sorted(_node_signature(h, n) for n in h.nodes)
-    if g_sigs != h_sigs:
-        return None
-
-    h_by_sig: dict[tuple, list[str]] = {}
+    signatures = {n: _node_signature(g, n) for n in g.nodes}
+    pools: dict[tuple, list[str]] = {}
     for n in h.sorted_nodes:
-        h_by_sig.setdefault(_node_signature(h, n), []).append(n)
-    # Most-constrained first: rarest signature, then id for determinism.
-    order = sorted(g.sorted_nodes,
-                   key=lambda n: (len(h_by_sig[_node_signature(g, n)]), n))
-
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(n: str, cand: str) -> bool:
-        for m_node, m_img in assignment.items():
-            for (a, b, x, y) in ((n, m_node, cand, m_img), (m_node, n, m_img, cand)):
-                g_counts = _label_counts(g.edge_labels[e] for e in g.edges_between(a, b))
-                h_counts = _label_counts(h.edge_labels[e] for e in h.edges_between(x, y))
-                if g_counts != h_counts:
-                    return False
-        g_loop = _label_counts(g.edge_labels[e] for e in g.edges_between(n, n))
-        h_loop = _label_counts(h.edge_labels[e] for e in h.edges_between(cand, cand))
-        return g_loop == h_loop
-
-    def extend(i: int) -> Optional[dict[str, str]]:
-        if i == len(order):
-            return dict(assignment)
-        n = order[i]
-        for cand in h_by_sig[_node_signature(g, n)]:
-            if cand in used or not consistent(n, cand):
-                continue
-            assignment[n] = cand
-            used.add(cand)
-            found = extend(i + 1)
-            if found is not None:
-                return found
-            del assignment[n]
-            used.discard(cand)
+        pools.setdefault(_node_signature(h, n), []).append(n)
+    if Counter(signatures.values()) != {sig: len(pool) for sig, pool in pools.items()}:
         return None
-
-    node_map = extend(0)
-    if node_map is None:
-        return None
-
-    # With the node bijection fixed, parallel edges with equal endpoints and
-    # equal label are interchangeable; pair them off in sorted order.
-    edge_map: dict[str, str] = {}
-    g_groups: dict[tuple[str, str, str], list[str]] = {}
-    for e in g.sorted_edges:
-        key = (node_map[g.src[e]], node_map[g.tgt[e]], g.edge_labels[e])
-        g_groups.setdefault(key, []).append(e)
-    h_groups: dict[tuple[str, str, str], list[str]] = {}
-    for e in h.sorted_edges:
-        key = (h.src[e], h.tgt[e], h.edge_labels[e])
-        h_groups.setdefault(key, []).append(e)
-    if set(g_groups) != set(h_groups):
-        return None
-    for key, g_es in g_groups.items():
-        h_es = h_groups[key]
-        if len(g_es) != len(h_es):
-            return None
-        edge_map.update(zip(g_es, h_es))
-    return GraphMorphism(g, h, node_map, edge_map)
+    ids: dict[str, str] = {}
+    for first in sorted(g.sorted_nodes, key=lambda n: len(pools[signatures[n]])):
+        queue = [first]
+        for n in queue:
+            if n not in ids:
+                ids[n] = f"{len(ids):09d}"
+                queue += [x for e in g.incident_edges[n] for x in (g.src[e], g.tgt[e])
+                          if x not in ids]
+    by_label: dict[str, set[str]] = {}
+    for e in h.edges:
+        by_label.setdefault(h.edge_labels[e], set()).add(e)
+    found = next(_hom_search(g.rename(ids, {}), h, True,
+                             {ids[n]: pools[sig] for n, sig in signatures.items()},
+                             {e: by_label.get(g.edge_labels[e], ()) for e in g.edges},
+                             lex=True), None)
+    return found and GraphMorphism(g, h, {n: found.node_map[x] for n, x in ids.items()},
+                                   found.edge_map)
 
 
 @dataclass(frozen=True)

@@ -22,27 +22,45 @@ pushout class as ``"0:x"``/``"1:y"``.  Two elements named alike raise
 :class:`~pbpoplus.errors.SquareError` (``id-collision``) rather than
 merge: ids that themselves contain ``|`` can render two pairs alike.
 
-``is_pullback_square``/``is_pushout_square`` validate the legs, check that
-the square commutes and build the canonical limit; a private core then
-decides the universal property by checking that the forced mediating
-morphism to (or from) the given corner is an isomorphism; rule
-validation calls the core on the commuting left square.  The exhaustive
-mediator enumeration :func:`enumerate_mediators` runs on the
-homomorphism search of :mod:`~pbpoplus.matching`, its equations narrowing
-candidates.  Every function here raises
+Whether a given square is a limit is decided by counting, with no limit
+built.  The counting lemma: a commuting square with corner ``A``, legs
+``p : A -> B`` and ``q : A -> C`` over ``f : B -> D`` and ``g : C -> D``
+is a pullback iff, in each sort, the pairs ``(p(a), q(a))`` are distinct,
+each ``a`` is labelled with the meet of its pair's labels, and there are
+
+    sum over b in B of |g^-1(f(b))|
+
+of them.  For then the forced mediator ``a -> (p(a), q(a))`` into the
+canonical pullback is injective, onto because that sum is the canonical
+pullback's size, and keeps labels, so it is an isomorphism.  Dually, a
+commuting square closing the span ``f : A -> B``, ``g : A -> C`` with
+``h : B -> D`` and ``k : C -> D`` is a pushout iff, in each sort, the
+classes of ``B + C`` under ``f(a) ~ g(a)`` go to distinct elements that
+cover ``D``, each labelled with the join of its class.  Only the apex
+image enters the union-find.  :func:`_is_pullback_sort` and
+:func:`_is_pushout_sort` decide one sort; a caller that knows the square
+outside some elements may restrict both to the elements it decides.
+Every square check of the package uses them: ``is_pullback_square``,
+``is_pushout_square``, rule validation, the strong-match check and the
+step check of :mod:`~pbpoplus.stepcheck`.
+
+The exhaustive mediator enumeration :func:`enumerate_mediators` runs on
+the homomorphism search of :mod:`~pbpoplus.matching`, its equations
+narrowing candidates.  Every function here raises
 :class:`~pbpoplus.errors.SquareError` naming an invalid morphism it is
 given; each morphism is validated once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
+from typing import Collection, Optional
 
 from .errors import (MorphismError, NonCommutingSquareError, SquareError,
                      UnknownLabelError)
-from .graph import GraphMorphism, LabeledGraph, _require_valid, compose
+from .graph import GraphMorphism, LabeledGraph, _map, _require_valid, _sort
 from .lattice import LabelLattice
 
 
@@ -327,23 +345,73 @@ def preimage(t: GraphMorphism, f: GraphMorphism) -> PreimageResult:
     return PreimageResult(renamed, inclusion, projection)
 
 
-def _maps_equal(f: GraphMorphism, g: GraphMorphism) -> bool:
-    return f.node_map == g.node_map and f.edge_map == g.edge_map
+def _commutes(f: GraphMorphism, g: GraphMorphism, h: GraphMorphism,
+              k: GraphMorphism) -> bool:
+    """Whether ``g . f = k . h``, compared in place; ``f`` and ``h`` share a
+    domain and every map is defined where the composites need it."""
+    return all([*map(_map(g, e).__getitem__, _map(f, e).values())]
+               == [*map(_map(k, e).__getitem__, map(_map(h, e).__getitem__, _map(f, e)))]
+               for e in (False, True))
 
 
-def _is_exact_bijection(x: LabeledGraph, y: LabeledGraph, node_map: dict[str, str],
-                        edge_map: dict[str, str]) -> bool:
-    """Whether maps defined on all of ``x`` are a bijection onto ``y`` that
-    keeps every label."""
-    return (len(x.nodes) == len(y.nodes) == len(set(node_map.values()))
-            and len(x.edges) == len(y.edges) == len(set(edge_map.values()))
-            and all(x.node_labels[a] == y.node_labels[b] for a, b in node_map.items())
-            and all(x.edge_labels[a] == y.edge_labels[b] for a, b in edge_map.items()))
+def _is_pullback_sort(p: GraphMorphism, q: GraphMorphism, edges: bool, size: int,
+                      ids: Optional[Collection[str]] = None) -> bool:
+    """Whether one sort of the corner of a commuting square with legs ``p``
+    and ``q`` is a pullback, by the counting lemma of the module docstring:
+    the pairs ``(p(a), q(a))`` of the corner elements ``ids`` (all by
+    default) are distinct and ``size`` many, and each ``a`` is labelled with
+    the meet of its pair's labels."""
+    if edges:
+        p_map, q_map, labels = p.edge_map, q.edge_map, p.dom.edge_labels
+        p_labels, q_labels = p.cod.edge_labels, q.cod.edge_labels
+    else:
+        p_map, q_map, labels = p.node_map, q.node_map, p.dom.node_labels
+        p_labels, q_labels = p.cod.node_labels, q.cod.node_labels
+    ids = labels if ids is None else ids
+    if not len(ids) == size == len({(p_map[a], q_map[a]) for a in ids}):
+        return False
+    # The meet memo answers a pair of labels met before without a call.
+    known, meet = p.dom.lattice._meets, p.dom.lattice.meet
+    for a in ids:
+        label, key = labels[a], (p_labels[p_map[a]], q_labels[q_map[a]])
+        if known.get(key) != label and meet(key) != label:
+            return False
+    return True
 
 
-def _commutes(s: Span, c: Cospan) -> bool:
-    """Whether the square of the span and the cospan commutes."""
-    return _maps_equal(compose(s.left, c.left), compose(s.right, c.right))
+def _is_pushout_sort(f: GraphMorphism, g: GraphMorphism, h: GraphMorphism, k: GraphMorphism,
+                     edges: bool, b_ids: Optional[Collection[str]] = None,
+                     d_ids: Optional[Collection[str]] = None) -> bool:
+    """Whether one sort of the corner ``D`` of a commuting square closing the
+    span ``(f, g)`` with ``(h, k)`` is a pushout, by the counting lemma of
+    the module docstring: the classes of the elements ``b_ids`` of ``B``
+    (all by default) and of ``C`` go to distinct elements that are exactly
+    ``d_ids`` (all of ``D`` by default), each labelled with its class's
+    join.  Only the apex image enters the union-find; every other element
+    is a class of its own."""
+    f_map, g_map, b_labels = _map(f, edges), _map(g, edges), _sort(f.cod, edges)[1]
+    c_labels, d_labels = _sort(g.cod, edges)[1], _sort(h.cod, edges)[1]
+    uf = _UnionFind([("0", x) for x in f_map.values()] + [("1", y) for y in g_map.values()])
+    for a, x in f_map.items():
+        uf.union(("0", x), ("1", g_map[a]))
+    legs = {"0": (_map(h, edges), b_labels), "1": (_map(k, edges), c_labels)}
+    images = []
+    for (side, x), members in uf.classes().items():
+        image = legs[side][0][x]
+        if d_labels[image] != h.cod.lattice.join(legs[s][1][y] for s, y in members):
+            return False
+        images.append(image)
+    for (leg, labels), ids, glued in ((legs["0"], b_labels if b_ids is None else b_ids, f_map),
+                                      (legs["1"], c_labels, g_map)):
+        glued = set(glued.values())
+        for x in ids:
+            if x not in glued:
+                if d_labels[leg[x]] != labels[x]:
+                    return False
+                images.append(leg[x])
+    d_ids = d_labels if d_ids is None else d_ids
+    return (len(images) == len(d_ids) == len(set(images))
+            and all(map(d_ids.__contains__, images)))
 
 
 def _require_square(s: Span, c: Cospan, lined_up_with: str) -> None:
@@ -354,7 +422,7 @@ def _require_square(s: Span, c: Cospan, lined_up_with: str) -> None:
                    ("cospan.right", c.right))
     if s.left.cod != c.left.dom or s.right.cod != c.right.dom:
         raise SquareError(f"invalid-square: square legs do not line up with the {lined_up_with}")
-    if not _commutes(s, c):
+    if not _commutes(s.left, c.left, s.right, c.right):
         raise NonCommutingSquareError("candidate square does not commute")
 
 
@@ -364,24 +432,13 @@ def is_pullback_square(c: Cospan, s: Span) -> bool:
     The span supplies the candidate corner and its two legs ``(A -> B,
     A -> C)``; the cospan is ``(B -> D, C -> D)``.  Raises on an invalid
     leg and on a non-commuting square, which is distinct from a negative
-    answer.
+    answer.  Decided by counting (module docstring), so no ids are made
+    and none can collide.
     """
     _require_square(s, c, "cospan")
-    return _is_pullback(pullback(c), s)
-
-
-def _is_pullback(canon: LimitResult, s: Span) -> bool:
-    """Whether the corner of ``s`` is a pullback, given ``canon``, the
-    pullback of the cospan that ``s`` closes into a commuting square."""
-    p, q = s.left, s.right
-    pair_index = {v: k for k, v in canon.node_naming.items()}
-    pair_eindex = {v: k for k, v in canon.edge_naming.items()}
-    A = p.dom
-    node_map = {a: pair_index[(p.node_map[a], q.node_map[a])] for a in A.nodes}
-    edge_map = {e: pair_eindex[(p.edge_map[e], q.edge_map[e])] for e in A.edges}
-    # The forced mediator is always label-compatible; the corner is a
-    # pullback exactly when it is bijective and label-exact.
-    return _is_exact_bijection(A, canon.object, node_map, edge_map)
+    return all(_is_pullback_sort(s.left, s.right, edges, sum(map(
+        Counter(_map(c.right, edges).values()).__getitem__, _map(c.left, edges).values())))
+        for edges in (False, True))
 
 
 def is_pushout_square(s: Span, c: Cospan) -> bool:
@@ -389,23 +446,8 @@ def is_pushout_square(s: Span, c: Cospan) -> bool:
 
     Raises on an invalid leg and on a non-commuting square."""
     _require_square(s, c, "span")
-    return _is_pushout(pushout(s), c)
-
-
-def _is_pushout(canon: LimitResult, c: Cospan) -> bool:
-    """Whether the corner of ``c`` is a pushout, given ``canon``, the
-    pushout of the span that ``c`` closes into a commuting square.  The
-    members of a class share their image because the square commutes, so
-    the forced mediator sends a class where its root goes."""
-
-    def forced(naming: dict[str, tuple], left: dict[str, str],
-               right: dict[str, str]) -> dict[str, str]:
-        maps = {"0": left, "1": right}
-        return {rep: maps[side][ident] for rep, ((side, ident), *_) in naming.items()}
-
-    node_map = forced(canon.node_naming, c.left.node_map, c.right.node_map)
-    edge_map = forced(canon.edge_naming, c.left.edge_map, c.right.edge_map)
-    return _is_exact_bijection(canon.object, c.left.cod, node_map, edge_map)
+    return all(_is_pushout_sort(s.left, s.right, c.left, c.right, edges)
+               for edges in (False, True))
 
 
 def enumerate_mediators(dom: LabeledGraph,

@@ -14,12 +14,13 @@ match check (that naive route lives in the test suite, for
 cross-checking), but stays fast when the host has many interchangeable
 pattern occurrences.
 
-One backtracking search serves plain enumeration, adherence extension and
-the mediator enumeration of :mod:`~pbpoplus.limits`; callers confine
-elements through per-element candidate maps.  It starts with a forced
-pass: every node with exactly one candidate (after pools and labels) is
-placed, and every edge between placed nodes gets its targets, once for all
-results; edges with the same pool, label and endpoint images share them.
+One backtracking search serves plain enumeration, adherence extension,
+the mediator enumeration of :mod:`~pbpoplus.limits` and the isomorphism
+search of :mod:`~pbpoplus.graph`; callers confine elements through
+per-element candidate maps.  It starts with a forced pass: every node with
+exactly one candidate (after pools and labels) is placed, and every edge
+between placed nodes gets its targets, once for all results; edges with
+the same pool, label and endpoint images share them.
 A node or edge without candidates, or two forced elements on one image
 under injectivity, ends the search there.  A non-injective search
 (adherences and mediators, into a rule-sized codomain) then narrows the
@@ -56,8 +57,8 @@ The same search answers the rooted existence query of
 one of a set of seed elements.  Each seed is one search with the seed
 pinned, so the anchored nodes around it are found among its neighbours.
 
-The strong-match square is decided by counting, with no pullback built:
-see :func:`_is_match_pullback`.
+The strong-match square is decided by counting, with no pullback built
+(the counting lemma of :mod:`~pbpoplus.limits`).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Seque
 
 from .errors import LatticeError, MorphismError, NonCommutingSquareError
 from .graph import GraphMorphism, LabeledGraph, _require_valid_graph, identity
-from .limits import Cospan, Span, is_pullback_square
+from .limits import Cospan, Span, _is_pullback_sort, is_pullback_square
 
 if TYPE_CHECKING:
     from .rewriting import PbpoRule
@@ -93,8 +94,8 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
                 node_pools: Optional[Mapping[str, Collection[str]]] = None,
                 edge_pools: Optional[Mapping[str, Collection[str]]] = None,
                 lex: bool = False) -> Iterator[GraphMorphism]:
-    """Backtracking core shared by plain enumeration, adherence extension
-    and mediator enumeration.
+    """Backtracking core shared by plain enumeration, adherence extension,
+    mediator enumeration and the isomorphism search.
 
     ``node_pools``/``edge_pools`` map an element of ``dom`` to the elements
     of ``cod`` its image must come from; an element without an entry may go
@@ -340,14 +341,18 @@ def check_strong_match(t_l: GraphMorphism, alpha: GraphMorphism) -> Optional[Mat
 
     The match morphism sends each pattern element to the host element typed
     like it; it exists when each element of ``t_l(L)`` has a preimage under
-    ``alpha``, and the square it closes commutes.  The square is then
-    decided by :func:`_is_match_pullback`, without building the pullback.
+    ``alpha``, and the square it closes commutes.  That square is a
+    pullback when its pairs ``(m(l), l)`` are as many as the host elements
+    over ``t_l(L)`` (``t_l`` is injective) and each ``l`` is labelled with
+    the meet of its pair's labels (the counting lemma of
+    :mod:`~pbpoplus.limits`); the pairs are distinct, and ``m`` is then
+    injective.
     """
     if alpha.cod != t_l.cod:
         raise MorphismError("typing-mismatch: adherence and typing target different graphs")
     if not t_l.is_injective():
         raise MorphismError("not-injective: context typings must be injective")
-    maps = []
+    maps, sizes = [], []
     for a_map, t_map in ((alpha.node_map, t_l.node_map), (alpha.edge_map, t_l.edge_map)):
         image = set(t_map.values())
         over = list(compress(a_map, map(image.__contains__, a_map.values())))
@@ -355,33 +360,12 @@ def check_strong_match(t_l: GraphMorphism, alpha: GraphMorphism) -> Optional[Mat
         if len(typed_as) < len(image):
             return None
         maps.append({l: typed_as[t] for l, t in t_map.items()})
-    m = GraphMorphism(t_l.dom, alpha.dom, *maps)
-    return Match(m=m, alpha=alpha, typing=t_l) if _is_match_pullback(m, alpha, t_l) else None
-
-
-def _is_match_pullback(m: GraphMorphism, alpha: GraphMorphism, t_l: GraphMorphism) -> bool:
-    """Whether the commuting square ``alpha . m = t_l`` with injective
-    ``t_l`` is a pullback, decided by counting.
-
-    The canonical pullback pairs each host element over ``t_l(L)`` with the
-    one pattern element typed like it, so it has as many elements as the
-    host has over ``t_l(L)``.  The forced map ``l -> (m(l), l)`` into it is
-    injective; it is onto when that count is ``|L|``, and keeps labels when
-    ``meet(label m(l), label l) = label l``.  ``m`` is then injective, which
-    is checked as well rather than assumed.
-    """
-    L, G = t_l.dom, alpha.dom
-    meet = L.lattice.meet
-    for m_map, a_map, t_map, l_labels, g_labels in (
-            (m.node_map, alpha.node_map, t_l.node_map, L.node_labels, G.node_labels),
-            (m.edge_map, alpha.edge_map, t_l.edge_map, L.edge_labels, G.edge_labels)):
-        image = set(t_map.values())
-        if not (sum(map(image.__contains__, a_map.values())) == len(t_map)
-                == len(set(m_map.values()))
-                and all(meet((g_labels[g], l_labels[l])) == l_labels[l]
-                        for l, g in m_map.items())):
-            return False
-    return True
+        sizes.append(len(over))
+    m, pattern = GraphMorphism(t_l.dom, alpha.dom, *maps), t_l.dom._identity
+    if not (_is_pullback_sort(m, pattern, False, sizes[0])
+            and _is_pullback_sort(m, pattern, True, sizes[1])):
+        return None
+    return Match(m=m, alpha=alpha, typing=t_l)
 
 
 def _adherences_for(m: GraphMorphism, rule: "PbpoRule",

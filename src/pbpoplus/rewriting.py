@@ -53,35 +53,13 @@ not grow with the number of steps.
 :func:`pbpo_step` always checks every property of the step exactly once,
 so an invalid rule or match is an error, never a wrong graph, and a fault
 of the construction is an :class:`InternalMediatorError`.  At entry it
-checks the rule, ``m``, ``alpha`` and the match square, whose universal
-property is decided by counting the host elements over ``tL(L)`` (see
-:func:`~pbpoplus.matching._is_match_pullback`).  After the construction,
-:func:`~pbpoplus.stepcheck._check_step`, which :func:`verify_trace` runs
-too, checks the validity of ``g_L, g_R, u, u', w``, ``u' . u = tK``, that
-``u`` is injective, and that the middle (``u`` is the pullback of ``m``
-along ``g_L``), deletion and addition squares commute and, only then, are
-limits.
-
-That check builds no limit; it counts.  A commuting square is a pullback
-exactly when the forced map ``x -> (p(x), q(x))`` into the canonical
-pullback is a bijection that keeps labels.  The canonical pullback of
-``alpha`` and ``l'`` has, in each sort,
-
-    sum over g in G_L of |l'^-1(alpha(g))|
-
-elements.  So the deletion square is a pullback when the pairs ``(g_L(x),
-u'(x))`` are distinct, there are that many, and each ``x`` is labelled
-with the meet of its pair's labels.  The fibre sizes of ``l'`` are kept on
-the rule.  The middle square is decided the same way: its canonical
-pullback is the ``g_L``-fibre over ``m(L)``, which must have ``|K|``
-elements.
-
-The pushout of ``(u, r)`` has a class of its own for each element of
-``G_K`` outside ``u(K)``, with that element's label, and one for each
-class of ``u(K)`` and ``R`` under ``u(k) ~ r(k)``, labelled with the join
-of its members.  A commuting ``(g_R, w)`` is the pushout when each class's
-image carries the class's label and the images of ``g_R`` and ``w`` are as
-many as the classes and as ``G_R``.
+checks the rule, ``m``, ``alpha`` and the match square.  After the
+construction, :func:`~pbpoplus.stepcheck._check_step`, which
+:func:`verify_trace` runs too, checks the validity of ``g_L, g_R, u, u',
+w``, ``u' . u = tK``, that ``u`` is injective, and that the middle (``u``
+is the pullback of ``m`` along ``g_L``), deletion and addition squares
+commute and, only then, are limits.  No check builds a limit: each square
+is decided by the counting lemma of :mod:`~pbpoplus.limits`.
 
 The construction reports the ids it wrote, its *patch*.  Outside it the
 plain-fibre lemma leaves ``G_K`` the host, ``G_R`` ``G_K``, ``g_L`` and
@@ -89,9 +67,10 @@ plain-fibre lemma leaves ``G_K`` the host, ``G_R`` ``G_K``, ``g_L`` and
 whole-map comparisons confirm; each element there then passes every
 check and counts as itself in each square (the patch lemma of
 :mod:`~pbpoplus.stepcheck`).  So one pass over the patch, nodes then
-edges, gathers all of this with the validity of ``g_L``, ``u'`` and
-``g_R``.  A step builds no limit, neither to make its result nor to check
-it, and looks element by element only where it changed the host.
+edges, checks the validity of ``g_L``, ``u'`` and ``g_R`` and counts what
+the squares need.  A step builds no limit, neither to make its result
+nor to check it, and looks element by element only where it changed the
+host.
 
 Because ids survive a step, what :func:`normalize` learnt about one host
 carries over to the next.  Call an element of ``G_R`` *unchanged* when
@@ -116,11 +95,11 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import (EngineError, InternalMediatorError, MorphismError, Report,
                      RuleError, StrongMatchError)
-from .graph import (GraphMorphism, LabeledGraph, _carry_indexes, _require_valid,
-                    _require_valid_graph, identity)
-from .limits import (Cospan, Span, _commutes, _is_pullback, _UnionFind, pullback,
+from .graph import (GraphMorphism, LabeledGraph, _carry_indexes, _map, _require_valid,
+                    _require_valid_graph)
+from .limits import (Cospan, Span, _commutes, _is_pullback_sort, _UnionFind, pullback,
                      pushout)
-from .matching import Match, _first_match, _is_match_pullback, _occurs_at
+from .matching import Match, _first_match, _occurs_at, check_strong_match
 from .stepcheck import _check_square, _check_step
 
 
@@ -303,9 +282,11 @@ def validate_rule(rule: PbpoRule) -> Report:
         report.add("non-injective-typing", "tL must be injective in this engine")
     if not rule.tK.is_injective():
         report.add("non-injective-typing", "tK must be injective in this engine")
-    typed, interface = Cospan(rule.tL, rule.lp), Span(rule.l, rule.tK)
-    _check_square(report, _commutes(interface, typed),
-                  lambda: _is_pullback(pullback(typed), interface),
+    # The canonical pullback has, over each element of L, its l'-fibre.
+    _check_square(report, _commutes(rule.l, rule.tL, rule.tK, rule.lp),
+                  lambda: all(_is_pullback_sort(rule.l, rule.tK, edges, sum(map(
+                      rule._fibre_sizes[edges].__getitem__, _map(rule.tL, edges).values())))
+                      for edges in (False, True)),
                   ("left-square-commutation", "tL . l differs from l' . tK"),
                   ("left-square-pullback",
                    "the interface is not the full preimage of the typed pattern"))
@@ -447,11 +428,12 @@ class RewriteTrace:
 
 def _check_match(report: Report, m: GraphMorphism, alpha: GraphMorphism,
                  t_l: GraphMorphism) -> None:
-    """The match square, its universal property decided by counting (see
-    :func:`~pbpoplus.matching._is_match_pullback`)."""
-    typed, pattern = Cospan(alpha, t_l), Span(m, identity(t_l.dom))
-    _check_square(report, _commutes(pattern, typed),
-                  lambda: _is_match_pullback(m, alpha, t_l),
+    """The match square.  A commuting one is a pullback exactly when
+    :func:`~pbpoplus.matching.check_strong_match` finds ``alpha`` a strong
+    match, since a pullback leaves one host element over each element of
+    ``t_l(L)``, and so no other ``m`` for the square to commute with."""
+    _check_square(report, _commutes(m, alpha, t_l.dom._identity, t_l),
+                  lambda: check_strong_match(t_l, alpha) is not None,
                   ("match-square", "alpha . m differs from tL"),
                   ("match-square", "the strong-match square is not a pullback"))
 

@@ -3,13 +3,9 @@
 :func:`_check_step` decides every property of a step beyond its match:
 the validity of ``g_L, g_R, u, u', w``, ``u' . u = tK``, ``u`` injective,
 and that the middle, deletion and addition squares commute and, only then,
-are limits.  It builds no limit.  A square's universal property is decided
-by counting, as the module docstring of :mod:`~pbpoplus.rewriting` states:
-the canonical pullback of ``alpha`` and ``l'`` has ``sum over g in G_L of
-|l'^-1(alpha(g))|`` elements of each sort, that of ``m`` and ``g_L`` is
-the ``g_L``-fibre over ``m(L)``, and the pushout of ``u`` and ``r`` has a
-class for each element of ``G_K`` outside ``u(K)`` and for each class of
-``u(K)`` and ``R``.  :func:`~pbpoplus.rewriting.pbpo_step` and
+are limits.  It builds no limit: each square is decided by the counting
+verdicts of :mod:`~pbpoplus.limits`.
+:func:`~pbpoplus.rewriting.pbpo_step` and
 :func:`~pbpoplus.rewriting.verify_trace` both run this check.
 
 The construction reports, per sort, the ids it wrote: its *patch*.  The
@@ -24,9 +20,10 @@ between nodes outside the patch, every leg maps its endpoints as it
 must; and in each square ``x`` counts as itself, the one pair over its
 host element and a class of its own.  So whole-map comparisons in C
 decide the premise, the patch and the edges at its nodes are decided
-element by element, and the squares count the patch alone.  A premise
-that fails widens the patch to the whole sort, so a wrong patch is
-decided, and reported, as if none were given.
+element by element, and the verdicts of the deletion and addition squares
+are restricted to the patch.  A premise that fails widens the patch to
+the whole sort, so a wrong patch is decided, and reported, as if none were
+given.
 """
 
 from __future__ import annotations
@@ -38,8 +35,8 @@ from operator import ne
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import Report
-from .graph import GraphMorphism, LabeledGraph
-from .limits import _UnionFind
+from .graph import _map, _sort
+from .limits import _commutes, _is_pullback_sort, _is_pushout_sort
 
 if TYPE_CHECKING:
     from .rewriting import RewriteTrace
@@ -56,15 +53,6 @@ def _check_square(report: Report, commutes: bool, is_limit: Callable[[], bool],
         report.add(*not_universal)
 
 
-def _sort(g: LabeledGraph, edges: bool) -> tuple[frozenset[str], dict[str, str]]:
-    """The ids and labels of one sort of ``g``."""
-    return (g.edges, g.edge_labels) if edges else (g.nodes, g.node_labels)
-
-
-def _map(f: GraphMorphism, edges: bool) -> dict[str, str]:
-    return f.edge_map if edges else f.node_map
-
-
 @dataclass
 class _Findings:
     """What the pass over one sort of ``G_K`` found, for valid legs."""
@@ -72,8 +60,6 @@ class _Findings:
     patch: set[str]                 # the verified patch, with the edges at its nodes
     inside: set[str]                # the elements of G_K in the patch
     deletion_commutes: bool = True  # alpha . g_L = l' . u'
-    meets: bool = True              # each label is the meet of its images' labels
-    kept: bool = True               # G_R keeps the label of each element outside u(K)
     middle: int = 0                 # size of the pullback of m along g_L
 
 
@@ -116,7 +102,7 @@ def _pass_over_g_k(trace: RewriteTrace, edges: bool,
     of those legs are looked at only where it is not; likewise ``g_R``'s,
     where ``G_R`` does not keep the label.  The edge pass checks the
     endpoints of all three legs; the node pass has found every node mapped.
-    An element outside the patch counts as itself."""
+    An element outside the patch counts as itself in the middle square."""
     rule = trace.rule
     ids, labels = _sort(trace.g_mid, edges)
     gl, up, gr = _map(trace.g_l, edges), _map(trace.u_prime, edges), _map(trace.g_r, edges)
@@ -135,11 +121,10 @@ def _pass_over_g_k(trace: RewriteTrace, edges: bool,
         near.update(compress(src, map(at, src.values())), compress(tgt, map(at, tgt.values())))
     inside = near.intersection(ids)
     alpha, lp = _map(trace.alpha, edges), _map(rule.lp, edges)
-    interface = set(_map(trace.u, edges).values())
     over_m = Counter(_map(trace.m, edges).values())
     lat = trace.g_mid.lattice
-    # The meet memo answers a pair of labels met before without a call.
-    above, known_meets, meet = lat._above, lat._meets, lat.meet
+    # A label that the meet memo holds for its images' labels is below both.
+    above, known_meets = lat._above, lat._meets
     if edges:
         g_src, g_tgt, k_src, k_tgt = trace.g_in.src, trace.g_in.tgt, rule.Kp.src, rule.Kp.tgt
         r_src, r_tgt = trace.g_out.src, trace.g_out.tgt
@@ -153,13 +138,8 @@ def _pass_over_g_k(trace: RewriteTrace, edges: bool,
             below = above.get(lab)
             if below is None or g_lab not in below or k_lab not in below:
                 return None
-            if meet((g_lab, k_lab)) != lab:
-                found.meets = False
-        if r_lab != lab:
-            if r_lab not in above[lab]:
-                return None
-            if x not in interface:
-                found.kept = False
+        if r_lab != lab and r_lab not in above[lab]:
+            return None
         if alpha[g] != lp[kp]:
             found.deletion_commutes = False
         if g in over_m:
@@ -170,70 +150,6 @@ def _pass_over_g_k(trace: RewriteTrace, edges: bool,
                     or k_tgt[kp] != up_n[t] or r_src[r] != gr_n[s] or r_tgt[r] != gr_n[t]):
                 return None
     return found
-
-
-def _composites_equal(edges: bool, f: GraphMorphism, g: GraphMorphism,
-                      h: GraphMorphism, k: GraphMorphism) -> bool:
-    """Whether ``g . f = k . h`` on one sort; ``f`` and ``h`` share a
-    domain, ``K`` in every square that needs this."""
-    f_map, g_map, h_map, k_map = (_map(x, edges) for x in (f, g, h, k))
-    return all(g_map[y] == k_map[h_map[x]] for x, y in f_map.items())
-
-
-def _is_middle_pullback(trace: RewriteTrace, edges: bool, found: _Findings) -> bool:
-    """Whether ``(l, u)`` is the pullback of ``m`` along ``g_L`` on one sort
-    of a commuting square: its pairs are distinct, as many as the
-    ``g_L``-fibre over ``m(L)`` and labelled with meets."""
-    rule = trace.rule
-    l, u = _map(rule.l, edges), _map(trace.u, edges)
-    k_labels, l_labels = _sort(rule.K, edges)[1], _sort(rule.L, edges)[1]
-    mid_labels = _sort(trace.g_mid, edges)[1]
-    meet = rule.K.lattice.meet
-    return (len(u) == found.middle == len({(l[k], v) for k, v in u.items()})
-            and all(k_labels[k] == meet((l_labels[l[k]], mid_labels[v]))
-                    for k, v in u.items()))
-
-
-def _is_deletion_pullback(trace: RewriteTrace, edges: bool, found: _Findings) -> bool:
-    """Whether ``G_K`` is the pullback of ``alpha`` and ``l'`` on one sort of
-    a commuting square: its pairs are distinct, labelled with meets, and as
-    many as the pullback has (the counting lemma of the module docstring).
-    A pair of the patch over a host element outside it repeats that
-    element's own pair, so only pairs over the patch are counted."""
-    gl, up, alpha = _map(trace.g_l, edges), _map(trace.u_prime, edges), _map(trace.alpha, edges)
-    fibre, patch, inside = trace.rule._fibre_sizes[edges], found.patch, found.inside
-    size = sum(fibre[alpha[g]] for g in patch if g in alpha)
-    return found.meets and len(inside) == size == len(
-        {(gl[x], up[x]) for x in inside if gl[x] in patch})
-
-
-def _is_addition_pushout(trace: RewriteTrace, edges: bool, found: _Findings) -> bool:
-    """Whether ``G_R`` is the pushout of ``u`` and ``r`` on one sort of a
-    commuting square.  An element of ``G_K`` outside ``u(K)`` is a class
-    of its own, which the pass found keeps its label; the classes of
-    ``u(K)`` and ``R`` come from a union-find of that size and must be
-    labelled with joins.  The classes' images are distinct and cover
-    ``G_R`` exactly when the images of ``g_R`` and ``w`` are as many as
-    the classes and as ``G_R``, which outside the patch they are."""
-    rule = trace.rule
-    u, r, gr, w = (_map(trace.u, edges), _map(rule.r, edges), _map(trace.g_r, edges),
-                   _map(trace.w, edges))
-    interface = set(u.values())
-    r_ids, r_labels = _sort(rule.R, edges)
-    out_ids, out_labels = _sort(trace.g_out, edges)
-    feet = {"0": (gr, _sort(trace.g_mid, edges)[1]), "1": (w, r_labels)}
-    uf = _UnionFind([("0", v) for v in interface] + [("1", z) for z in r_ids])
-    for k, v in u.items():
-        uf.union(("0", v), ("1", r[k]))
-    classes = uf.classes()
-    join = rule.R.lattice.join
-    images = set(map(gr.__getitem__, found.inside))
-    images.update(w.values())
-    return (found.kept
-            and len(images & found.patch) == len(found.inside) - len(interface) + len(classes)
-            == len(found.patch & out_ids)
-            and all(out_labels[feet[side][0][x]] == join(feet[s][1][y] for s, y in members)
-                    for (side, x), members in classes.items()))
 
 
 def _check_step(trace: RewriteTrace, patch: Optional[list] = None) -> Report:
@@ -266,26 +182,46 @@ def _check_step(trace: RewriteTrace, patch: Optional[list] = None) -> Report:
         return report
     sorts = tuple(zip((False, True), found))
 
+    def is_middle_pullback(edges: bool, found: _Findings) -> bool:
+        return _is_pullback_sort(rule.l, u, edges, found.middle)
+
+    def is_deletion_pullback(edges: bool, found: _Findings) -> bool:
+        # A pair of the patch over a host element outside it repeats that
+        # element's own pair, so every pair of the patch must be over it.
+        gl, alpha, fibre = _map(trace.g_l, edges), _map(trace.alpha, edges), rule._fibre_sizes
+        over = [x for x in found.inside if gl[x] in found.patch]
+        return len(over) == len(found.inside) and _is_pullback_sort(trace.g_l, u_prime, edges, sum(
+            fibre[edges][alpha[g]] for g in found.patch if g in alpha), over)
+
+    def is_addition_pushout(edges: bool, found: _Findings) -> bool:
+        # Outside the patch an element of G_K is a class of its own, sent to
+        # itself with its label.  So only the elements of G_R in the patch or
+        # hit from u(K) or R are decided, with the elements of G_K in the
+        # patch or among them: every other class goes to itself, outside them.
+        gr = _map(trace.g_r, edges)
+        out = found.patch.intersection(_sort(trace.g_out, edges)[0])
+        out.update(map(gr.__getitem__, _map(u, edges).values()), _map(trace.w, edges).values())
+        decided = found.inside.union(out.intersection(_sort(trace.g_mid, edges)[0]))
+        return _is_pushout_sort(u, rule.r, trace.g_r, trace.w, edges, decided, out)
+
     def on_both(decide) -> bool:
-        return all(decide(trace, edges, findings) for edges, findings in sorts)
+        return all(decide(edges, findings) for edges, findings in sorts)
 
     if not all(_map(u_prime, edges)[v] == _map(rule.tK, edges)[k]
                for edges, _ in sorts for k, v in _map(u, edges).items()):
         report.add("mediator", "u' . u differs from tK")
     if not u.is_injective():
         report.add("mediator", "interface embedding u is not injective")
-    _check_square(report, all(_composites_equal(edges, rule.l, trace.m, u, trace.g_l)
-                              for edges, _ in sorts),
-                  lambda: on_both(_is_middle_pullback),
+    _check_square(report, _commutes(rule.l, trace.m, u, trace.g_l),
+                  lambda: on_both(is_middle_pullback),
                   ("middle-square", "g_L . u differs from m . l"),
                   ("mediator", "u is not the pullback of m along g_L"))
     _check_square(report, all(findings.deletion_commutes for findings in found),
-                  lambda: on_both(_is_deletion_pullback),
+                  lambda: on_both(is_deletion_pullback),
                   ("middle-square", "alpha . g_L differs from l' . u'"),
                   ("middle-square", "the deletion square is not a pullback"))
-    _check_square(report, all(_composites_equal(edges, u, trace.g_r, rule.r, trace.w)
-                              for edges, _ in sorts),
-                  lambda: on_both(_is_addition_pushout),
+    _check_square(report, _commutes(u, trace.g_r, rule.r, trace.w),
+                  lambda: on_both(is_addition_pushout),
                   ("right-square", "g_R . u differs from w . r"),
                   ("right-square", "the addition square is not a pushout"))
     return report

@@ -15,11 +15,11 @@ from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, LabelLattice,
                       SquareError, UnknownLabelError, bdd_lattice,
                       NormalizeResult, check_strong_match, complete_rule,
                       compose, enumerate_homomorphisms, identity, pbpo_step,
-                      preimage, unit_lattice)
+                      preimage, pullback_mediators, pushout_mediators,
+                      unit_lattice)
 from pbpoplus.graph import _require_valid
 from pbpoplus.matching import _hom_search, iter_matches
-from pbpoplus.limits import (_commutes, _is_pullback, _is_pushout, _maps_equal,
-                             _UnionFind, pair_id, pullback, pushout)
+from pbpoplus.limits import _UnionFind, pair_id, pullback, pushout
 
 
 def diamond_lattice() -> LabelLattice:
@@ -912,42 +912,77 @@ def reference_step(rule, match: Match, step: int = 0):
                                alpha=alpha, g_l=g_l, g_r=g_r, u=u, u_prime=u_prime, w=w)
 
 
+def same_maps(f: GraphMorphism, g: GraphMorphism) -> bool:
+    return f.node_map == g.node_map and f.edge_map == g.edge_map
+
+
+def commutes(span: Span, cospan: Cospan) -> bool:
+    """Whether the square commutes, on composed morphisms."""
+    return same_maps(compose(span.left, cospan.left), compose(span.right, cospan.right))
+
+
+def is_exact_bijection(f: GraphMorphism) -> bool:
+    """Whether ``f`` is a bijection onto its codomain that keeps every label."""
+    dom, cod = f.dom, f.cod
+    return (len(set(f.node_map.values())) == len(dom.nodes) == len(cod.nodes)
+            and len(set(f.edge_map.values())) == len(dom.edges) == len(cod.edges)
+            and all(dom.node_labels[a] == cod.node_labels[b] for a, b in f.node_map.items())
+            and all(dom.edge_labels[a] == cod.edge_labels[b] for a, b in f.edge_map.items()))
+
+
+def reference_is_pullback(cospan: Cospan, span: Span) -> bool:
+    """Whether a commuting square is a pullback, by exhaustive search: the
+    one mediator from its corner into the canonical pullback is a
+    label-exact bijection.  The reference for the counting verdict of
+    :func:`pbpoplus.is_pullback_square`."""
+    (mediator,) = pullback_mediators(pullback(cospan), span, limit=2)
+    return is_exact_bijection(mediator)
+
+
+def reference_is_pushout(span: Span, cospan: Cospan) -> bool:
+    """Whether a commuting square is a pushout, by exhaustive search: the
+    one mediator from the canonical pushout into its corner is a
+    label-exact bijection."""
+    (mediator,) = pushout_mediators(pushout(span), cospan, limit=2)
+    return is_exact_bijection(mediator)
+
+
 def reference_check_step(trace) -> Report:
     """The composite step check: the reference for
     :func:`pbpoplus.rewriting._check_step`, which decides the same
-    properties in one pass over ``G_K``.
+    properties by counting, on the patch of ``G_K``.
 
     Every leg is validated whole, each equation is checked on composed
     maps, and each square that commutes has its universal property decided
-    over its canonical limit, built afresh: the middle square over
-    ``pullback(Cospan(m, g_L))``, the deletion square over
-    ``pullback(Cospan(alpha, l'))`` and the addition square over
-    ``pushout(Span(u, r))``."""
+    by the exhaustive mediator search over its canonical limit, built
+    afresh: the middle square over ``pullback(Cospan(m, g_L))``, the
+    deletion square over ``pullback(Cospan(alpha, l'))`` and the addition
+    square over ``pushout(Span(u, r))``."""
     report = Report()
     for name in ("g_l", "g_r", "u", "u_prime", "w"):
         report.extend(getattr(trace, name)._report, prefix=f"{name}: ")
     if not report.ok:
         return report
     rule = trace.rule
-    if not _maps_equal(compose(trace.u, trace.u_prime), rule.tK):
+    if not same_maps(compose(trace.u, trace.u_prime), rule.tK):
         report.add("mediator", "u' . u differs from tK")
     if not trace.u.is_injective():
         report.add("mediator", "interface embedding u is not injective")
     matched, interface = Cospan(trace.m, trace.g_l), Span(rule.l, trace.u)
     deletion, kept = Cospan(trace.alpha, rule.lp), Span(trace.g_l, trace.u_prime)
     addition, glued = Span(trace.u, rule.r), Cospan(trace.g_r, trace.w)
-    for span, cospan, is_limit, commutes, universal in (
-            (interface, matched, lambda: _is_pullback(pullback(matched), interface),
+    for span, cospan, is_limit, commuting, universal in (
+            (interface, matched, lambda: reference_is_pullback(matched, interface),
              ("middle-square", "g_L . u differs from m . l"),
              ("mediator", "u is not the pullback of m along g_L")),
-            (kept, deletion, lambda: _is_pullback(pullback(deletion), kept),
+            (kept, deletion, lambda: reference_is_pullback(deletion, kept),
              ("middle-square", "alpha . g_L differs from l' . u'"),
              ("middle-square", "the deletion square is not a pullback")),
-            (addition, glued, lambda: _is_pushout(pushout(addition), glued),
+            (addition, glued, lambda: reference_is_pushout(addition, glued),
              ("right-square", "g_R . u differs from w . r"),
              ("right-square", "the addition square is not a pushout"))):
-        if not _commutes(span, cospan):
-            report.add(*commutes)
+        if not commutes(span, cospan):
+            report.add(*commuting)
         elif not is_limit():
             report.add(*universal)
     return report

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbpoplus import (EngineError, GraphMorphism, LabeledGraph, LatticeError,
-                      MorphismError, Report, bdd_lattice, compose,
-                      disjoint_union, identity, is_isomorphic, unit_lattice,
-                      validate_graph, validate_morphism)
+                      MorphismError, Report, bdd_lattice, build_decision_tree,
+                      compose, disjoint_union, enumerate_homomorphisms,
+                      identity, is_isomorphic, unit_lattice, validate_graph,
+                      validate_morphism)
 
-from genhelpers import (corpus_lattices, diamond_lattice, random_graph,
-                        random_morphism_into, reference_validate_morphism)
+from genhelpers import (corpus_lattices, diamond_lattice, permute_ids,
+                        random_graph, random_morphism_into,
+                        random_truth_table, reference_validate_morphism)
 
 
 def chain(lat, n, label=None):
@@ -291,3 +294,68 @@ def test_iso_transitive_via_compose(lat2):
     f3 = compose(f1, f2)
     assert validate_morphism(f3).ok
     assert f3.node_image() == k.nodes
+
+
+def assert_isomorphism(f):
+    """``f`` is a valid morphism, bijective on nodes and edges, that keeps
+    every label exactly."""
+    g, h = f.dom, f.cod
+    assert validate_morphism(f).ok
+    assert f.node_image() == h.nodes and len(f.node_map) == len(g.nodes) == len(h.nodes)
+    assert f.edge_image() == h.edges and len(f.edge_map) == len(g.edges) == len(h.edges)
+    assert all(g.node_labels[a] == h.node_labels[b] for a, b in f.node_map.items())
+    assert all(g.edge_labels[a] == h.edge_labels[b] for a, b in f.edge_map.items())
+
+
+def test_isomorphism_of_a_1023_node_tree():
+    """A full 9-variable decision tree against a copy with shuffled ids: the
+    search runs on an explicit stack, so its depth is not bounded by the
+    recursion limit."""
+    rng = random.Random(9)
+    g = build_decision_tree(random_truth_table(rng, [f"x{i}" for i in range(9)])).graph
+    assert len(g.nodes) == 1023
+    wit = is_isomorphic(g, permute_ids(rng, g).cod)
+    assert wit is not None
+    assert_isomorphism(wit)
+
+
+def relabelled(rng, g):
+    """A copy of ``g`` with one element's label changed, or ``None``."""
+    choices = [(ids, labels) for ids, labels in ((g.sorted_nodes, g.node_labels),
+                                                 (g.sorted_edges, g.edge_labels)) if ids]
+    if not choices or len(g.lattice.elements) < 2:
+        return None
+    ids, labels = rng.choice(choices)
+    x = rng.choice(ids)
+    changed = dict(labels)
+    changed[x] = rng.choice([lab for lab in g.lattice.sorted_elements() if lab != labels[x]])
+    field = "node_labels" if labels is g.node_labels else "edge_labels"
+    return dataclasses.replace(g, **{field: changed})
+
+
+def rewired(rng, g):
+    """A copy of ``g`` with one edge given a random new source, or ``g``."""
+    if not g.edges:
+        return g
+    e = rng.choice(g.sorted_edges)
+    return dataclasses.replace(g, src={**g.src, e: rng.choice(g.sorted_nodes)})
+
+
+@given(small_graphs(), st.randoms(use_true_random=False))
+@settings(deadline=None)
+def test_isomorphism_agrees_with_injective_homomorphisms(g, rng):
+    """Against a shuffled copy of ``g``, possibly with one edge rewired, the
+    verdict is that of brute force: some injective homomorphism between
+    graphs of equal size keeps every label exactly.  A copy with one label
+    changed is never isomorphic."""
+    h = permute_ids(rng, rewired(rng, g)).cod
+    wit = is_isomorphic(g, h)
+    assert (wit is not None) == any(
+        all(g.node_labels[a] == h.node_labels[b] for a, b in f.node_map.items())
+        and all(g.edge_labels[a] == h.edge_labels[b] for a, b in f.edge_map.items())
+        for f in enumerate_homomorphisms(g, h, injective=True))
+    if wit is not None:
+        assert_isomorphism(wit)
+    other = relabelled(rng, h)
+    if other is not None:
+        assert is_isomorphic(g, other) is None

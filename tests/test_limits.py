@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, MorphismError,
                       NonCommutingSquareError, Span, SquareError,
@@ -11,10 +13,11 @@ from pbpoplus import (Cospan, GraphMorphism, LabeledGraph, MorphismError,
                       unit_lattice, validate_morphism)
 
 from genhelpers import (add_isolated_node, corpus_lattices, diamond_lattice,
-                        pullback_candidates, pushout_candidates, random_cospan,
-                        random_graph, random_morphism_into,
+                        merge_two_nodes, pullback_candidates, pushout_candidates,
+                        random_cospan, random_graph, random_morphism_into,
                         random_morphism_out_of, random_span,
-                        reference_homomorphisms, reference_pullback,
+                        reference_homomorphisms, reference_is_pullback,
+                        reference_is_pushout, reference_pullback,
                         reference_pushout)
 
 
@@ -212,6 +215,23 @@ def test_pullback_rejects_colliding_pair_ids(unit):
     with pytest.raises(SquareError, match="id-collision"):
         pullback(Cospan(GraphMorphism(b, d, {"a|b": "t", "a": "t"}, {}),
                         GraphMorphism(c, d, {"c": "t", "b|c": "t"}, {})))
+
+
+def test_square_checks_answer_on_pairs_that_render_alike(unit):
+    """The pairs ("a|b", "c") and ("a", "b|c") would both be named "a|b|c",
+    but deciding a square names nothing: a corner over all four pairs is the
+    pullback, one over three of them is not."""
+    d = LabeledGraph.build(unit, {"t": "*"})
+    b = LabeledGraph.build(unit, {"a|b": "*", "a": "*"})
+    c = LabeledGraph.build(unit, {"c": "*", "b|c": "*"})
+    cospan = Cospan(GraphMorphism(b, d, {"a|b": "t", "a": "t"}, {}),
+                    GraphMorphism(c, d, {"c": "t", "b|c": "t"}, {}))
+    pairs = [(x, y) for x in b.sorted_nodes for y in c.sorted_nodes]
+    for corner, is_pb in ((pairs, True), (pairs[1:], False)):
+        apex = LabeledGraph.build(unit, {f"p{i}": "*" for i in range(len(corner))})
+        span = Span(GraphMorphism(apex, b, {f"p{i}": x for i, (x, _) in enumerate(corner)}, {}),
+                    GraphMorphism(apex, c, {f"p{i}": y for i, (_, y) in enumerate(corner)}, {}))
+        assert is_pullback_square(cospan, span) is is_pb
 
 
 def assert_same_limit(got, want):
@@ -523,3 +543,62 @@ def test_mediator_into_a_large_pullback():
     (mediator,) = pullback_mediators(pb, Span(pb.left_leg, pb.right_leg), limit=1)
     assert mediator.node_map == identity(pb.object).node_map
     assert mediator.edge_map == identity(pb.object).edge_map
+
+
+def with_a_second_copy(span: Span, rng, drop_one: bool = False) -> Span | None:
+    """The span with its corner enlarged by a copy of one of its nodes, over
+    the same two images: it commutes but is too large to be a pullback.
+    With ``drop_one`` an isolated node other than the copied one is dropped
+    too, so the corner has the pullback's size but repeats a pair.  ``None``
+    when there is no node to copy or to drop."""
+    apex = span.left.dom
+    if not apex.nodes:
+        return None
+    n = rng.choice(apex.sorted_nodes)
+    isolated = [x for x in apex.sorted_nodes if x != n and not apex.incident_edges[x]]
+    if drop_one and not isolated:
+        return None
+    gone = rng.choice(isolated) if drop_one else None
+    corner = LabeledGraph.build(
+        apex.lattice, {**{x: lab for x, lab in apex.node_labels.items() if x != gone},
+                       "copy": apex.node_labels[n]},
+        {e: (apex.src[e], apex.tgt[e], apex.edge_labels[e]) for e in apex.edges})
+    return Span(*(GraphMorphism(corner, f.cod, {x: f.node_map[n if x == "copy" else x]
+                                                for x in corner.nodes}, f.edge_map)
+                  for f in (span.left, span.right)))
+
+
+def merged_and_extended(result, rng) -> Cospan | None:
+    """The canonical pushout with two nodes merged and an isolated node
+    added: as many nodes as the pushout, but one hit twice and one not at
+    all.  ``None`` with fewer than two nodes."""
+    h = result.object
+    if len(h.nodes) < 2:
+        return None
+    keep, drop = sorted(rng.sample(h.sorted_nodes, 2))
+    merge = merge_two_nodes(h, keep, drop)
+    q = compose(merge, add_isolated_node(merge.cod, h.lattice.top or h.lattice.sorted_elements()[0]))
+    return Cospan(compose(result.left_leg, q), compose(result.right_leg, q))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None)
+def test_square_verdicts_agree_with_the_mediator_reference(seed):
+    """On random commuting squares, the canonical limit and corners that
+    are renamed, too large, too small, relabelled, or of the limit's size
+    but with an element repeated and one missing, the counting verdicts of
+    ``is_pullback_square`` and ``is_pushout_square`` are those of the
+    exhaustive mediator search."""
+    rng = random.Random(seed)
+    lat = rng.choice(corpus_lattices())
+    cospan = random_cospan(rng, lat)
+    spans = [span for span, _ in pullback_candidates(rng, cospan, pullback(cospan))]
+    spans += [with_a_second_copy(spans[0], rng), with_a_second_copy(spans[0], rng, True)]
+    for span in filter(None, spans):
+        assert is_pullback_square(cospan, span) == reference_is_pullback(cospan, span)
+    span = random_span(rng, lat)
+    po = pushout(span)
+    cospans = [cospan for cospan, _ in pushout_candidates(rng, span, po)]
+    cospans.append(merged_and_extended(po, rng))
+    for cospan in filter(None, cospans):
+        assert is_pushout_square(span, cospan) == reference_is_pushout(span, cospan)

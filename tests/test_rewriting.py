@@ -1145,6 +1145,39 @@ def test_a_fault_outside_the_reported_patch_is_still_caught(seed):
             assert got == f"internal-mediator-failure: {full}"
 
 
+def test_a_created_node_glued_onto_an_untouched_one_is_caught(unit):
+    """A construction that drops the node ``R`` creates and has ``w`` send
+    it onto a host node outside the patch and outside ``u(K)`` keeps the
+    premise of the patch lemma, but gives that host node two classes of the
+    addition pushout: the check on the patch reports it."""
+    pattern = LabeledGraph.build(unit, {"a": "*"})
+    context = LabeledGraph.build(unit, {"a": "*", "c": "*"})
+    rule = complete_rule(pattern, GraphMorphism(pattern, context, {"a": "a"}, {}),
+                         identity(context), RhsSpec(fresh_nodes={"n": "*"}))
+    match = find_matches(rule, LabeledGraph.build(unit, {"h1": "*", "h2": "*"}))[0]
+    construct = rewriting._construct
+    made = []
+
+    def gluing(rule, match, step):
+        trace, patch = construct(rule, match, step)
+        created = trace.w.node_map["n"]
+        out = LabeledGraph.build(unit, {x: lab for x, lab in trace.g_out.node_labels.items()
+                                        if x != created})
+        (untouched,) = out.nodes - patch[0] - trace.u.node_image()
+        made.append(dataclasses.replace(
+            trace, g_out=out, g_r=retarget(trace.g_r, cod=out),
+            w=retarget(trace.w, cod=out, node_changes={"n": untouched})))
+        assert_patch_holds(made[0], patch)
+        return made[0], patch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewriting, "_construct", gluing)
+        with pytest.raises(InternalMediatorError,
+                           match="the addition square is not a pushout"):
+            pbpo_step(rule, match, step=1)
+    assert outcome_of(_check_step, made[0]) == outcome_of(reference_check_step, made[0])
+
+
 # --------------------------------------------- matches rebuilt by hand
 
 
