@@ -3,7 +3,10 @@
 One self-describing JSON shape serves every object kind; a workspace file
 bundles named objects under ``lattices``/``graphs``/``morphisms``/``rules``
 /``squares`` sections that may reference each other by name.  Loading is
-strict: unknown names raise, omitted labels default to the lattice top,
+strict: every field is shape-checked by :func:`_field` before it is used,
+and a field of the wrong shape raises :class:`ParseError` naming its JSON
+path, such as ``rules.replace.tL.nodeMap.a``; unknown names raise
+``dangling-reference``, omitted labels default to the lattice top,
 omitted edge maps are accepted only when the node map induces them
 uniquely, and the order relation of a lattice is closed reflexively and
 transitively.  Serialization is canonical (sorted keys and members), so
@@ -25,6 +28,62 @@ from .matching import Match
 from .rewriting import PbpoRule, RewriteTrace, RhsSpec, complete_rule, validate_rule
 
 
+# ----------------------------------------------------------------- shapes
+
+
+_REQUIRED = object()
+_JSON = {str: "a string", list: "an array", Mapping: "an object", type(None): "null"}
+
+
+def _at(at: str, *keys: Any) -> str:
+    """The JSON path of ``keys`` below the path ``at``."""
+    return ".".join(map(str, (at, *keys) if at else keys))
+
+
+def _check(value: Any, kind: Any, at: str) -> Any:
+    """``value``, the field at path ``at``, if it has the shape ``kind``: a
+    type or a tuple of types, ``[k]`` for an array of ``k``, ``[k, k]`` for
+    an array of exactly two ``k``, ``{str: k}`` for an object of ``k``.
+    Otherwise a :class:`ParseError` names the first field that differs."""
+    if isinstance(kind, list):
+        _check(value, list, at)
+        if len(kind) > 1 and len(value) != len(kind):
+            raise ParseError(f"parse-error: {at}: expected {len(kind)} items, got {value!r}")
+        for i, item in enumerate(value):
+            _check(item, kind[0], _at(at, i))
+    elif isinstance(kind, dict):
+        for key, item in _check(value, Mapping, at).items():
+            _check(item, kind[str], _at(at, key))
+    elif not isinstance(value, kind):
+        names = " or ".join(_JSON[k] for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ParseError(f"parse-error: {at}: expected {names}, got {value!r}")
+    return value
+
+
+def _field(rec: Mapping[str, Any], key: str, kind: Any, at: str,
+           default: Any = _REQUIRED) -> Any:
+    """``rec[key]`` of the object at path ``at``, checked by :func:`_check`;
+    ``default``, if one is given, when ``rec`` has no ``key``."""
+    if key in rec:
+        return _check(rec[key], kind, _at(at, key))
+    if default is _REQUIRED:
+        raise ParseError(f"parse-error: {_at(at, key)}: missing")
+    return default
+
+
+def _named(table: Optional[Mapping[str, Any]], kind: str, name: str, at: str = "") -> Any:
+    """The object called ``name`` in ``table``; ``dangling-reference`` if none."""
+    if name not in (table or {}):
+        raise DanglingReferenceError(f"dangling-reference: {kind} {name!r}"
+                                     + (f" at {at}" if at else ""))
+    return table[name]
+
+
+def _maps(f: GraphMorphism) -> dict:
+    return {"nodeMap": dict(sorted(f.node_map.items())),
+            "edgeMap": dict(sorted(f.edge_map.items()))}
+
+
 # ---------------------------------------------------------------- records
 
 
@@ -38,16 +97,18 @@ def lattice_record(lat: LabelLattice) -> dict:
 
 
 def lattice_from_record(rec: Mapping[str, Any]) -> LabelLattice:
-    try:
-        elements = list(rec["elements"])
-        order = [(a, b) for a, b in rec.get("order", [])]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"parse-error: bad lattice record: {exc}") from exc
-    for a, b in order:
+    return _lattice(_check(rec, Mapping, "lattice"), "lattice")
+
+
+def _lattice(rec: Mapping[str, Any], at: str) -> LabelLattice:
+    elements = _field(rec, "elements", [str], at)
+    order = _field(rec, "order", [[str, str]], at, [])
+    for i, (a, b) in enumerate(order):
         if a not in elements or b not in elements:
-            raise ParseError(f"parse-error: order pair [{a!r}, {b!r}] uses unknown elements")
-    return LabelLattice.from_order(elements, order,
-                                   top=rec.get("top"), bottom=rec.get("bottom"))
+            raise ParseError(f"parse-error: {_at(at, 'order', i)}: pair [{a!r}, {b!r}] "
+                             "uses unknown elements")
+    top, bottom = (_field(rec, key, (str, type(None)), at, None) for key in ("top", "bottom"))
+    return LabelLattice.from_order(elements, order, top=top, bottom=bottom)
 
 
 def graph_record(g: LabeledGraph, lattice_ref: Optional[str] = None) -> dict:
@@ -59,57 +120,35 @@ def graph_record(g: LabeledGraph, lattice_ref: Optional[str] = None) -> dict:
     }
 
 
-def _records(rec: Mapping[str, Any], key: str) -> list:
-    """The list of objects under ``key`` of a graph record, empty if absent."""
-    items = rec.get(key, [])
-    if not isinstance(items, list) or not all(isinstance(item, Mapping) for item in items):
-        raise ParseError(f"parse-error: graph {key!r} must be a list of objects, got {items!r}")
-    return items
-
-
 def graph_from_record(rec: Mapping[str, Any],
                       lattices: Optional[Mapping[str, LabelLattice]] = None) -> LabeledGraph:
-    if not isinstance(rec, Mapping):
-        raise ParseError(f"parse-error: a graph record must be an object, got {rec!r}")
-    lat_ref = rec.get("lattice")
-    if isinstance(lat_ref, str):
-        if not lattices or lat_ref not in lattices:
-            raise DanglingReferenceError(f"dangling-reference: lattice {lat_ref!r}")
-        lat = lattices[lat_ref]
-    elif isinstance(lat_ref, Mapping):
-        lat = lattice_from_record(lat_ref)
-    else:
-        raise ParseError("parse-error: graph record needs a 'lattice' name or record")
-    if lat.top is None:
-        default = None
-    else:
-        default = lat.top
-    nodes: dict[str, str] = {}
-    for item in _records(rec, "nodes"):
-        ident = item.get("id")
-        if not isinstance(ident, str):
-            raise ParseError(f"parse-error: node record without string id: {item!r}")
-        if ident in nodes:
-            raise ParseError(f"parse-error: duplicate node id {ident!r}")
-        label = item.get("label", default)
-        if label is None:
-            raise ParseError(f"parse-error: node {ident!r} needs a label (lattice has no top)")
-        nodes[ident] = label
-    edges: dict[str, tuple[str, str, str]] = {}
-    for item in _records(rec, "edges"):
-        ident = item.get("id")
-        if not isinstance(ident, str):
-            raise ParseError(f"parse-error: edge record without string id: {item!r}")
-        if ident in edges:
-            raise ParseError(f"parse-error: duplicate edge id {ident!r}")
-        label = item.get("label", default)
-        if label is None:
-            raise ParseError(f"parse-error: edge {ident!r} needs a label (lattice has no top)")
-        try:
-            edges[ident] = (item["src"], item["tgt"], label)
-        except KeyError as exc:
-            raise ParseError(f"parse-error: edge {ident!r} misses {exc}") from exc
-    return LabeledGraph.build(lat, nodes, edges)
+    return _graph(_check(rec, Mapping, "graph"), "graph", lattices)
+
+
+def _graph(rec: Mapping[str, Any], at: str,
+           lattices: Optional[Mapping[str, LabelLattice]]) -> LabeledGraph:
+    ref = _field(rec, "lattice", (str, Mapping), at)
+    lat = (_named(lattices, "lattice", ref, _at(at, "lattice")) if isinstance(ref, str)
+           else _lattice(ref, _at(at, "lattice")))
+    label = _REQUIRED if lat.top is None else lat.top
+    return LabeledGraph.build(lat, _elements(rec, "nodes", at, (), label),
+                              _elements(rec, "edges", at, ("src", "tgt"), label))
+
+
+def _elements(rec: Mapping[str, Any], key: str, at: str, ends: tuple[str, ...],
+              label: Any = _REQUIRED) -> dict:
+    """The array of node or edge objects at ``rec[key]`` by id: the label of
+    each, or with ``ends`` its endpoints and label.  Ids must be unique."""
+    found: dict = {}
+    for i, item in enumerate(_field(rec, key, [Mapping], at, [])):
+        where = _at(at, key, i)
+        ident = _field(item, "id", str, where)
+        if ident in found:
+            raise ParseError(f"parse-error: {where}.id: duplicate id {ident!r}")
+        fields = (*(_field(item, end, str, where) for end in ends),
+                  _field(item, "label", str, where, label))
+        found[ident] = fields if ends else fields[0]
+    return found
 
 
 def induced_edge_map(dom: LabeledGraph, cod: LabeledGraph,
@@ -139,20 +178,18 @@ def morphism_record(f: GraphMorphism, dom_ref: Optional[str] = None,
     return {
         "dom": dom_ref if dom_ref is not None else graph_record(f.dom),
         "cod": cod_ref if cod_ref is not None else graph_record(f.cod),
-        "nodeMap": dict(sorted(f.node_map.items())),
-        "edgeMap": dict(sorted(f.edge_map.items())),
+        **_maps(f),
     }
 
 
-def _resolve_graph(ref: Any, graphs: Optional[Mapping[str, LabeledGraph]],
-                   lattices: Optional[Mapping[str, LabelLattice]]) -> LabeledGraph:
+def _graph_ref(rec: Mapping[str, Any], key: str, at: str,
+               graphs: Optional[Mapping[str, LabeledGraph]],
+               lattices: Optional[Mapping[str, LabelLattice]]) -> LabeledGraph:
+    """The graph named, or given as a record, at ``rec[key]``."""
+    ref = _field(rec, key, (str, Mapping), at)
     if isinstance(ref, str):
-        if not graphs or ref not in graphs:
-            raise DanglingReferenceError(f"dangling-reference: graph {ref!r}")
-        return graphs[ref]
-    if isinstance(ref, Mapping):
-        return graph_from_record(ref, lattices)
-    raise ParseError(f"parse-error: expected a graph name or record, got {ref!r}")
+        return _named(graphs, "graph", ref, _at(at, key))
+    return _graph(ref, _at(at, key), lattices)
 
 
 def morphism_from_record(rec: Mapping[str, Any],
@@ -160,32 +197,34 @@ def morphism_from_record(rec: Mapping[str, Any],
                          lattices: Optional[Mapping[str, LabelLattice]] = None,
                          dom: Optional[LabeledGraph] = None,
                          cod: Optional[LabeledGraph] = None) -> GraphMorphism:
-    if dom is None:
-        dom = _resolve_graph(rec.get("dom"), graphs, lattices)
-    if cod is None:
-        cod = _resolve_graph(rec.get("cod"), graphs, lattices)
-    node_map = dict(rec.get("nodeMap", {}))
-    if "edgeMap" in rec:
-        edge_map = dict(rec["edgeMap"])
-    else:
-        edge_map = induced_edge_map(dom, cod, node_map)
-    return GraphMorphism(dom, cod, node_map, edge_map)
+    return _morphism(_check(rec, Mapping, "morphism"), "morphism", graphs, lattices, dom, cod)
+
+
+def _morphism(rec: Mapping[str, Any], at: str,
+              graphs: Optional[Mapping[str, LabeledGraph]] = None,
+              lattices: Optional[Mapping[str, LabelLattice]] = None,
+              dom: Optional[LabeledGraph] = None,
+              cod: Optional[LabeledGraph] = None) -> GraphMorphism:
+    dom = dom or _graph_ref(rec, "dom", at, graphs, lattices)
+    cod = cod or _graph_ref(rec, "cod", at, graphs, lattices)
+    node_map = dict(_field(rec, "nodeMap", {str: str}, at, {}))
+    edge_map = _field(rec, "edgeMap", {str: str}, at, None)
+    return GraphMorphism(dom, cod, node_map, induced_edge_map(dom, cod, node_map)
+                         if edge_map is None else dict(edge_map))
 
 
 def rhs_spec_from_record(rec: Mapping[str, Any]) -> RhsSpec:
-    fresh_nodes = {}
-    for item in rec.get("freshNodes", []):
-        fresh_nodes[item["id"]] = item["label"]
-    fresh_edges = {}
-    for item in rec.get("freshEdges", []):
-        fresh_edges[item["id"]] = (item["src"], item["tgt"], item["label"])
+    return _rhs_spec(_check(rec, Mapping, "rSpec"), "rSpec")
+
+
+def _rhs_spec(rec: Mapping[str, Any], at: str) -> RhsSpec:
     return RhsSpec(
-        merge_nodes=tuple(tuple(g) for g in rec.get("mergeNodes", [])),
-        merge_edges=tuple(tuple(g) for g in rec.get("mergeEdges", [])),
-        node_labels=dict(rec.get("nodeLabels", {})),
-        edge_labels=dict(rec.get("edgeLabels", {})),
-        fresh_nodes=fresh_nodes,
-        fresh_edges=fresh_edges,
+        merge_nodes=tuple(map(tuple, _field(rec, "mergeNodes", [[str]], at, []))),
+        merge_edges=tuple(map(tuple, _field(rec, "mergeEdges", [[str]], at, []))),
+        node_labels=dict(_field(rec, "nodeLabels", {str: str}, at, {})),
+        edge_labels=dict(_field(rec, "edgeLabels", {str: str}, at, {})),
+        fresh_nodes=_elements(rec, "freshNodes", at, ()),
+        fresh_edges=_elements(rec, "freshEdges", at, ("src", "tgt")),
     )
 
 
@@ -197,16 +236,7 @@ def rule_record(rule: PbpoRule) -> dict:
         "R": graph_record(rule.R),
         "Lp": graph_record(rule.Lp),
         "Kp": graph_record(rule.Kp),
-        "l": {"nodeMap": dict(sorted(rule.l.node_map.items())),
-              "edgeMap": dict(sorted(rule.l.edge_map.items()))},
-        "r": {"nodeMap": dict(sorted(rule.r.node_map.items())),
-              "edgeMap": dict(sorted(rule.r.edge_map.items()))},
-        "tL": {"nodeMap": dict(sorted(rule.tL.node_map.items())),
-               "edgeMap": dict(sorted(rule.tL.edge_map.items()))},
-        "tK": {"nodeMap": dict(sorted(rule.tK.node_map.items())),
-               "edgeMap": dict(sorted(rule.tK.edge_map.items()))},
-        "lp": {"nodeMap": dict(sorted(rule.lp.node_map.items())),
-               "edgeMap": dict(sorted(rule.lp.edge_map.items()))},
+        **{key: _maps(getattr(rule, key)) for key in ("l", "r", "tL", "tK", "lp")},
     }
 
 
@@ -214,78 +244,59 @@ def rule_from_record(rec: Mapping[str, Any],
                      graphs: Optional[Mapping[str, LabeledGraph]] = None,
                      lattices: Optional[Mapping[str, LabelLattice]] = None,
                      name: str = "") -> PbpoRule:
-    name = rec.get("name", name)
-    L = _resolve_graph(rec["L"], graphs, lattices)
-    Lp = _resolve_graph(rec["Lp"], graphs, lattices)
-    Kp = _resolve_graph(rec["Kp"], graphs, lattices)
-    t_l = morphism_from_record(rec["tL"], dom=L, cod=Lp)
-    l_prime = morphism_from_record(rec["lp"], dom=Kp, cod=Lp)
+    return _rule(_check(rec, Mapping, "rule"), "rule", graphs, lattices, name)
+
+
+def _rule(rec: Mapping[str, Any], at: str,
+          graphs: Optional[Mapping[str, LabeledGraph]],
+          lattices: Optional[Mapping[str, LabelLattice]], name: str) -> PbpoRule:
+    def graph(key: str) -> LabeledGraph:
+        return _graph_ref(rec, key, at, graphs, lattices)
+
+    def morphism(key: str, dom: LabeledGraph, cod: LabeledGraph) -> GraphMorphism:
+        return _morphism(_field(rec, key, Mapping, at), _at(at, key), dom=dom, cod=cod)
+
+    name = _field(rec, "name", str, at, name)
+    L, Lp, Kp = graph("L"), graph("Lp"), graph("Kp")
+    t_l, l_prime = morphism("tL", L, Lp), morphism("lp", Kp, Lp)
     if "rSpec" in rec:
         # Reduced authoring form: the interface and replacement are derived.
-        return complete_rule(L, t_l, l_prime,
-                             rhs_spec_from_record(rec["rSpec"]), name=name)
-    try:
-        K = _resolve_graph(rec["K"], graphs, lattices)
-        R = _resolve_graph(rec["R"], graphs, lattices)
-        l = morphism_from_record(rec["l"], dom=K, cod=L)
-        r = morphism_from_record(rec["r"], dom=K, cod=R)
-        t_k = morphism_from_record(rec["tK"], dom=K, cod=Kp)
-    except KeyError as exc:
-        raise ParseError(f"parse-error: rule record misses {exc}") from exc
-    return PbpoRule(L=L, K=K, R=R, Lp=Lp, Kp=Kp, l=l, r=r, tL=t_l, tK=t_k,
+        spec = _rhs_spec(_field(rec, "rSpec", Mapping, at), _at(at, "rSpec"))
+        return complete_rule(L, t_l, l_prime, spec, name=name)
+    K, R = graph("K"), graph("R")
+    return PbpoRule(L=L, K=K, R=R, Lp=Lp, Kp=Kp, l=morphism("l", K, L),
+                    r=morphism("r", K, R), tL=t_l, tK=morphism("tK", K, Kp),
                     lp=l_prime, name=name)
 
 
 def match_record(match: Match, rule_ref: str = "rule", graph_ref: str = "graph") -> dict:
     return {
-        "m": {"dom": f"{rule_ref}.L", "cod": graph_ref,
-              "nodeMap": dict(sorted(match.m.node_map.items())),
-              "edgeMap": dict(sorted(match.m.edge_map.items()))},
-        "alpha": {"dom": graph_ref, "cod": f"{rule_ref}.Lp",
-                  "nodeMap": dict(sorted(match.alpha.node_map.items())),
-                  "edgeMap": dict(sorted(match.alpha.edge_map.items()))},
+        "m": {"dom": f"{rule_ref}.L", "cod": graph_ref, **_maps(match.m)},
+        "alpha": {"dom": graph_ref, "cod": f"{rule_ref}.Lp", **_maps(match.alpha)},
     }
 
 
 def trace_record(trace: RewriteTrace) -> dict:
-    def maps(f: GraphMorphism) -> dict:
-        return {"nodeMap": dict(sorted(f.node_map.items())),
-                "edgeMap": dict(sorted(f.edge_map.items()))}
-
     return {
         "rule": rule_record(trace.rule),
         "gIn": graph_record(trace.g_in),
         "gMid": graph_record(trace.g_mid),
         "gOut": graph_record(trace.g_out),
-        "m": maps(trace.m),
-        "alpha": maps(trace.alpha),
-        "gL": maps(trace.g_l),
-        "gR": maps(trace.g_r),
-        "u": maps(trace.u),
-        "uPrime": maps(trace.u_prime),
-        "w": maps(trace.w),
+        **{key: _maps(getattr(trace, attr)) for key, attr in (
+            ("m", "m"), ("alpha", "alpha"), ("gL", "g_l"), ("gR", "g_r"), ("u", "u"),
+            ("uPrime", "u_prime"), ("w", "w"))},
     }
 
 
 def serialize(obj: Any) -> str:
     """Canonical JSON text for any interchange object."""
-    if isinstance(obj, LabelLattice):
-        rec: Any = lattice_record(obj)
-    elif isinstance(obj, LabeledGraph):
-        rec = graph_record(obj)
-    elif isinstance(obj, GraphMorphism):
-        rec = morphism_record(obj)
-    elif isinstance(obj, PbpoRule):
-        rec = rule_record(obj)
-    elif isinstance(obj, RewriteTrace):
-        rec = trace_record(obj)
-    elif isinstance(obj, Workspace):
-        rec = workspace_record(obj)
-    elif isinstance(obj, (dict, list)):
-        rec = obj
-    else:
-        raise ParseError(f"parse-error: cannot serialize {type(obj).__name__}")
-    return json.dumps(rec, indent=2, sort_keys=True) + "\n"
+    for kind, record in ((LabelLattice, lattice_record), (LabeledGraph, graph_record),
+                         (GraphMorphism, morphism_record), (PbpoRule, rule_record),
+                         (RewriteTrace, trace_record), (Workspace, workspace_record),
+                         ((dict, list), lambda rec: rec)):
+        if isinstance(obj, kind):
+            return json.dumps(record(obj), indent=2, sort_keys=True) + "\n"
+    raise ParseError(f"parse-error: cannot serialize {type(obj).__name__}")
 
 
 def parse_lattice(text: str) -> LabelLattice:
@@ -325,19 +336,13 @@ class Workspace:
     squares: dict[str, dict] = field(default_factory=dict)
 
     def graph(self, name: str) -> LabeledGraph:
-        if name not in self.graphs:
-            raise DanglingReferenceError(f"dangling-reference: graph {name!r}")
-        return self.graphs[name]
+        return _named(self.graphs, "graph", name)
 
     def rule(self, name: str) -> PbpoRule:
-        if name not in self.rules:
-            raise DanglingReferenceError(f"dangling-reference: rule {name!r}")
-        return self.rules[name]
+        return _named(self.rules, "rule", name)
 
     def morphism(self, name: str) -> GraphMorphism:
-        if name not in self.morphisms:
-            raise DanglingReferenceError(f"dangling-reference: morphism {name!r}")
-        return self.morphisms[name]
+        return _named(self.morphisms, "morphism", name)
 
 
 def workspace_record(ws: Workspace) -> dict:
@@ -362,59 +367,44 @@ def parse_workspace(paths, validate: bool = True) -> Workspace:
     for path in paths:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                data = _load_json(handle.read())
+                data = _check(_load_json(handle.read()), Mapping, path)
         except OSError as exc:
             raise ParseError(f"parse-error: cannot read {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ParseError(f"parse-error: {path}: workspace must be an object")
-        for section in raw:
-            for name, rec in data.get(section, {}).items():
-                if name in raw[section]:
+        for section, records in raw.items():
+            for name, rec in _field(data, section, {str: Mapping}, "", {}).items():
+                if name in records:
                     raise ParseError(
                         f"parse-error: {path}: duplicate {section[:-1]} name {name!r}")
-                raw[section][name] = rec
+                records[name] = rec
 
     ws = Workspace()
     for name, rec in sorted(raw["lattices"].items()):
-        ws.lattices[name] = lattice_from_record(rec)
+        ws.lattices[name] = _lattice(rec, _at("lattices", name))
     for name, rec in sorted(raw["graphs"].items()):
-        ws.graphs[name] = graph_from_record(rec, ws.lattices)
+        ws.graphs[name] = _graph(rec, _at("graphs", name), ws.lattices)
     for name, rec in sorted(raw["morphisms"].items()):
-        ws.morphisms[name] = morphism_from_record(rec, ws.graphs, ws.lattices)
+        ws.morphisms[name] = _morphism(rec, _at("morphisms", name), ws.graphs, ws.lattices)
     for name, rec in sorted(raw["rules"].items()):
-        ws.rules[name] = rule_from_record(rec, ws.graphs, ws.lattices, name=name)
+        ws.rules[name] = _rule(rec, _at("rules", name), ws.graphs, ws.lattices, name)
     for name, rec in sorted(raw["squares"].items()):
-        if rec.get("kind") not in ("pushout", "pullback"):
-            raise ParseError(f"parse-error: square {name!r} needs kind pushout|pullback")
+        at = _at("squares", name)
+        if _field(rec, "kind", str, at) not in ("pushout", "pullback"):
+            raise ParseError(f"parse-error: {at}.kind: expected pushout or pullback")
         for key in ("inner", "outer"):
-            legs = rec.get(key)
-            if (not isinstance(legs, list) or len(legs) != 2
-                    or any(not isinstance(x, str) for x in legs)):
-                raise ParseError(f"parse-error: square {name!r} needs two {key} morphism names")
-            for mname in legs:
-                if mname not in ws.morphisms:
-                    raise DanglingReferenceError(
-                        f"dangling-reference: morphism {mname!r} in square {name!r}")
+            for i, leg in enumerate(_field(rec, key, [str, str], at)):
+                _named(ws.morphisms, "morphism", leg, _at(at, key, i))
         ws.squares[name] = dict(rec)
 
     if validate:
         problems = []
-        for name, lat in ws.lattices.items():
-            report = validate_lattice(lat)
-            if not report.ok:
-                problems.append(f"lattice {name!r}: {report}")
-        for name, g in ws.graphs.items():
-            report = validate_graph(g)
-            if not report.ok:
-                problems.append(f"graph {name!r}: {report}")
-        for name, f in ws.morphisms.items():
-            report = validate_morphism(f)
-            if not report.ok:
-                problems.append(f"morphism {name!r}: {report}")
-        for name, rule in ws.rules.items():
-            report = validate_rule(rule)
-            if not report.ok:
-                problems.append(f"rule {name!r}: {report}")
+        for kind, objects, check in (("lattice", ws.lattices, validate_lattice),
+                                     ("graph", ws.graphs, validate_graph),
+                                     ("morphism", ws.morphisms, validate_morphism),
+                                     ("rule", ws.rules, validate_rule)):
+            for name, obj in objects.items():
+                report = check(obj)
+                if not report.ok:
+                    problems.append(f"{kind} {name!r}: {report}")
         if problems:
             raise ParseError("parse-error: invalid workspace objects:\n"
                              + "\n".join(problems))

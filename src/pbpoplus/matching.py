@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Sequence
 
-from .errors import LatticeError, MorphismError, NonCommutingSquareError
+from .errors import LatticeError, MorphismError, NonCommutingSquareError, RuleError
 from .graph import GraphMorphism, LabeledGraph, _require_valid_graph, identity
 from .limits import Cospan, Span, _is_pullback_sort, is_pullback_square
 
@@ -234,7 +234,14 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
         placed.add(n)
         closing.append(tuple(e for e in incident[n]
                              if dom_src[e] in placed and dom_tgt[e] in placed))
-    candidate_sets = {n: frozenset(candidates[n]) for n in anchors}
+    # Anchored nodes that share a candidate tuple share its set.
+    shared_sets: dict[int, frozenset[str]] = {}
+    candidate_sets: dict[str, frozenset[str]] = {}
+    for n in anchors:
+        key = id(candidates[n])
+        if key not in shared_sets:
+            shared_sets[key] = frozenset(candidates[n])
+        candidate_sets[n] = shared_sets[key]
     cod_incident = cod.incident_edges
 
     def node_targets(n: str) -> Sequence[str]:
@@ -413,7 +420,12 @@ def _adherences_for(m: GraphMorphism, rule: "PbpoRule",
     yield from _hom_search(g, l_prime, False, node_pools, edge_pools, lex=True)
 
 
-def iter_matches(rule: "PbpoRule", g: LabeledGraph, check_rule: bool = True,
+def _require_valid_rule(rule: "PbpoRule") -> None:
+    if not rule._report.ok:
+        raise RuleError(f"invalid-rule: {rule.name or '?'}: {rule._report}")
+
+
+def iter_matches(rule: "PbpoRule", g: LabeledGraph,
                  occurs: Optional[list[bool]] = None) -> Iterator[Match]:
     """Strong matches in ascending :meth:`Match.sort_key` order, lazily.
 
@@ -424,16 +436,12 @@ def iter_matches(rule: "PbpoRule", g: LabeledGraph, check_rule: bool = True,
     the pattern has nodes rule out every match at once, and an occurrence
     that misses one gets no adherence search.
 
-    ``check_rule=False`` skips the rule check.  The rule's validation
-    report is kept on the rule, so after the first call the check is a
-    lookup either way.  A list given as ``occurs`` gets, once the matches
-    run out, whether the pattern occurs in ``g`` at all; only when every
-    match is ruled out at once is that one more search.
+    The rule's validation report is kept on the rule, so after the first
+    call the rule check is a lookup.  A list given as ``occurs`` gets, once
+    the matches run out, whether the pattern occurs in ``g`` at all; only
+    when every match is ruled out at once is that one more search.
     """
-    if check_rule:
-        from .rewriting import _require_valid_rule
-
-        _require_valid_rule(rule)
+    _require_valid_rule(rule)
     if g.lattice != rule.L.lattice:
         raise LatticeError("host graph must share the rule lattice")
     occurrences = _hom_search(rule.L, g, injective=True, lex=True)
@@ -464,7 +472,7 @@ def _first_match(rule: "PbpoRule", g: LabeledGraph) -> tuple[Optional[Match], bo
     A strong match is an occurrence; a scan that finds none has run the
     pattern search to its end and reports whether it produced one."""
     occurs: list[bool] = []
-    match = next(iter_matches(rule, g, check_rule=False, occurs=occurs), None)
+    match = next(iter_matches(rule, g, occurs=occurs), None)
     return match, match is not None or occurs[0]
 
 
@@ -512,12 +520,11 @@ def _occurs_at(pattern: LabeledGraph, g: LabeledGraph,
     return False
 
 
-def find_matches(rule: "PbpoRule", g: LabeledGraph,
-                 check_rule: bool = True) -> list[Match]:
+def find_matches(rule: "PbpoRule", g: LabeledGraph) -> list[Match]:
     """All strong matches of the rule pattern in ``g``, in ascending
     :meth:`Match.sort_key` order, which is the order :func:`iter_matches`
     yields them in."""
-    return list(iter_matches(rule, g, check_rule=check_rule))
+    return list(iter_matches(rule, g))
 
 
 def verify_match_square(match: Match) -> bool:

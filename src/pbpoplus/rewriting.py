@@ -99,7 +99,8 @@ from .graph import (GraphMorphism, LabeledGraph, _carry_indexes, _map, _require_
                     _require_valid_graph)
 from .limits import (Cospan, Span, _commutes, _is_pullback_sort, _UnionFind, pullback,
                      pushout)
-from .matching import Match, _first_match, _occurs_at, check_strong_match
+from .matching import (Match, _first_match, _occurs_at, _require_valid_rule,
+                       check_strong_match)
 from .stepcheck import _check_square, _check_step
 
 
@@ -253,11 +254,6 @@ class PbpoRule:
         top = self.Lp.edge_labels[loops[0]]
         below = frozenset(x for x, up in self.Lp.lattice._above.items() if top in up)
         return (*context, loops[0], below, self.tL.edge_image())
-
-
-def _require_valid_rule(rule: PbpoRule) -> None:
-    if not rule._report.ok:
-        raise RuleError(f"invalid-rule: {rule.name or '?'}: {rule._report}")
 
 
 def validate_rule(rule: PbpoRule) -> Report:

@@ -237,7 +237,11 @@ def test_cli_deterministic_output():
     lambda g: {**g, "edges": "e"},
     lambda g: {**g, "edges": [["e", "a", "b"]]},
     lambda g: 7,
-], ids=["nodes-number", "node-not-object", "edges-string", "edge-not-object", "graph-number"])
+    lambda g: {**g, "nodes": [{"id": "a", "label": ["bot"]}]},
+    lambda g: {**g, "edges": [{"id": "e", "src": "a", "tgt": "a", "label": ["bot"]}]},
+    lambda g: {**g, "edges": [{"id": "e", "src": ["a"], "tgt": "a", "label": "bot"}]},
+], ids=["nodes-number", "node-not-object", "edges-string", "edge-not-object", "graph-number",
+        "node-label-list", "edge-label-list", "edge-src-list"])
 def test_cli_malformed_graph_shape_is_a_parse_error(tmp_path, capsys, mangle):
     """A graph whose record, nodes or edges have the wrong shape is reported
     as a ``parse-error`` with exit 1, not as a traceback."""
@@ -246,5 +250,32 @@ def test_cli_malformed_graph_shape_is_a_parse_error(tmp_path, capsys, mangle):
     path = tmp_path / "ws.json"
     path.write_text(json.dumps(ws))
     assert main(["validate", "--workspace", str(path), "--graph", "L"]) == 1
+    err = capsys.readouterr().err
+    assert "parse-error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fixture, command, mangle", [
+    (WS, ["match", "--rule", "replace", "--graph", "host"],
+     lambda ws: ws["rules"]["replace"]["tL"].update(nodeMap=["a"])),
+    (WS, ["match", "--rule", "replace", "--graph", "host"],
+     lambda ws: ws["rules"]["replace"]["tL"].update(nodeMap={"a": 1})),
+    (WS, ["match", "--rule", "replace", "--graph", "host"],
+     lambda ws: ws["rules"]["replace"].pop("L")),
+    (WS, ["validate", "--lattice", "bdd2"],
+     lambda ws: ws.update(squares=["good"])),
+    (SQ, ["check", "--square", "good"],
+     lambda ws: ws["squares"]["good"].update(inner=["f", 1])),
+    (WS, ["validate", "--lattice", "bdd2"],
+     lambda ws: ws["lattices"]["bdd2"]["order"].append(["bot", "x1", "top"])),
+], ids=["nodemap-list", "nodemap-number", "rule-without-L", "squares-list",
+        "square-inner-number", "order-triple"])
+def test_cli_malformed_record_shape_is_a_parse_error(tmp_path, capsys, fixture, command, mangle):
+    """A lattice, morphism, rule or square record, or a workspace section,
+    of the wrong shape is reported as a ``parse-error`` with exit 1."""
+    ws = json.loads(pathlib.Path(fixture).read_text())
+    mangle(ws)
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    assert main([command[0], "--workspace", str(path), *command[1:]]) == 1
     err = capsys.readouterr().err
     assert "parse-error" in err and "Traceback" not in err

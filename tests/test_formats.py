@@ -1,16 +1,23 @@
+import contextlib
+import copy
+import io
+import json
 import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pbpoplus import (DanglingReferenceError, GraphMorphism, LabeledGraph,
+from pbpoplus import (DanglingReferenceError, EngineError, GraphMorphism, LabeledGraph,
                       ParseError, bdd_lattice, find_matches, unit_lattice)
-from pbpoplus.formats import (graph_from_record, graph_record, morphism_record,
+from pbpoplus.cli import main
+from pbpoplus.formats import (Workspace, graph_from_record, graph_record, morphism_record,
                               morphism_from_record, parse_graph, parse_lattice,
                               parse_morphism, parse_rule, parse_workspace,
                               rule_record, serialize, trace_record)
 
-from genhelpers import diamond_lattice, random_graph
+from genhelpers import diamond_lattice, random_graph, random_morphism_into, random_rule
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -138,3 +145,104 @@ def test_round_trip_all_fixture_objects():
             assert parse_morphism(serialize(f)) == f
         for rule in ws.rules.values():
             assert parse_rule(serialize(rule)) == rule
+
+
+# ------------------------------------------------ mutated workspaces
+
+
+WRONG_VALUES = (None, 0, 2.5, True, "", [], {}, ["a"], {"a": "b"}, [1, 2, 3], [["a", "b"]])
+
+
+def _fields(value):
+    """``(container, key)`` of every field at any depth below ``value``."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield value, key
+        yield from _fields(item)
+
+
+def mutated(record, rng):
+    """A copy of ``record`` with one field, at any depth, retyped, dropped,
+    pointed at a missing name, or duplicated."""
+    record = copy.deepcopy(record)
+    holder, key = rng.choice(list(_fields(record)))
+    op = rng.choice(("retype", "drop", "dangle", "duplicate"))
+    if op == "drop":
+        del holder[key]
+    elif op == "dangle" and isinstance(holder[key], str):
+        holder[key] = "missing"
+    elif op == "dangle" and isinstance(holder, dict):
+        holder["missing"] = holder.pop(key)
+    elif op == "duplicate" and isinstance(holder, list):
+        holder.insert(key, copy.deepcopy(holder[key]))
+    else:
+        holder[key] = copy.deepcopy(rng.choice(WRONG_VALUES))
+    return record
+
+
+def random_workspace(rng):
+    """The record of a workspace holding one of each random object, under
+    the names ``lat``, ``host``, ``f``, ``rule`` and ``sq``."""
+    lat = rng.choice((unit_lattice(), diamond_lattice(), bdd_lattice(["p", "q"])))
+    host = random_graph(rng, lat, max_nodes=4, max_edges=4)
+    ws = Workspace(lattices={"lat": lat}, graphs={"host": host},
+                   morphisms={"f": random_morphism_into(rng, host)},
+                   rules={"rule": random_rule(rng, lat)},
+                   squares={"sq": {"kind": "pullback", "inner": ["f", "f"],
+                                   "outer": ["f", "f"]}})
+    return json.loads(serialize(ws))
+
+
+# Each base: fixture file (or None for a random workspace), rule, graph, square.
+BASES = [("variable_replace.json", "replace", "host", "good"),
+         ("squares.json", "replace", "apex", "good"),
+         (None, "rule", "host", "sq")]
+
+
+@pytest.fixture(scope="module")
+def ws_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "ws.json"
+
+
+def _write_mutation(ws_file, fixture, seed):
+    rng = random.Random(seed)
+    base = (json.loads((FIXTURES / fixture).read_text()) if fixture
+            else random_workspace(rng))
+    ws_file.write_text(json.dumps(mutated(base, rng)))
+    return str(ws_file)
+
+
+@given(st.sampled_from(BASES), st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None)
+def test_a_mutated_workspace_parses_or_raises_an_engine_error(ws_file, base, seed):
+    """Every field of a fixture or of a random workspace, retyped, dropped,
+    renamed or duplicated, loads or fails as an ``EngineError``."""
+    path = _write_mutation(ws_file, base[0], seed)
+    try:
+        parse_workspace(path)
+    except EngineError:
+        pass
+
+
+# Each example runs five commands, so a quarter of the profile's examples
+# keeps the default run cheap.
+@given(st.sampled_from(BASES), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=settings.default.max_examples // 4, deadline=None)
+def test_the_cli_on_a_mutated_workspace_exits_without_a_traceback(ws_file, base, seed):
+    path = _write_mutation(ws_file, base[0], seed)
+    _, rule, graph, square = base
+    ws = ["--workspace", path]
+    for argv in (["validate", *ws, "--graph", graph],
+                 ["match", *ws, "--rule", rule, "--graph", graph],
+                 ["apply", *ws, "--rule", rule, "--graph", graph],
+                 ["check", *ws, "--square", square, "--exhaustive"],
+                 ["normalize", *ws, "--rules", rule, "--graph", graph, "--max-steps", "3"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()

@@ -161,7 +161,7 @@ def test_find_matches_agrees_with_naive(lat2):
     for _ in range(15):
         rule = random_rule(rng, lat2)
         host, _ = random_host_with_match(rng, rule)
-        fast = find_matches(rule, host, check_rule=False)
+        fast = find_matches(rule, host)
         slow = naive_find_matches(rule, host)
         assert [m.sort_key() for m in fast] == [m.sort_key() for m in slow]
         agreements += len(fast)
@@ -183,7 +183,7 @@ def test_find_matches_agrees_with_naive_where_no_context_node_fits(seed):
                                      for i in range(rng.randint(0, 3))}}
     host = LabeledGraph.build(lat, labels, {e: (host.src[e], host.tgt[e], host.edge_labels[e])
                                             for e in host.edges})
-    fast = find_matches(rule, host, check_rule=False)
+    fast = find_matches(rule, host)
     assert [m.sort_key() for m in fast] == [m.sort_key() for m in naive_find_matches(rule, host)]
 
 
@@ -192,7 +192,7 @@ def test_every_match_passes_square_and_injectivity(lat2):
     for _ in range(10):
         rule = random_rule(rng, lat2)
         host, planted = random_host_with_match(rng, rule)
-        matches = find_matches(rule, host, check_rule=False)
+        matches = find_matches(rule, host)
         keys = [m.sort_key() for m in matches]
         assert planted.sort_key() in keys
         for match in matches:
@@ -263,7 +263,7 @@ def test_find_matches_agrees_with_naive_on_bdd_hosts():
         # Two thirds in, where the exponential naive route stays affordable.
         host = result.traces[2 * len(result.traces) // 3].g_in
         for rule in reduction_rules(variables, tree.graph.lattice):
-            fast = find_matches(rule, host, check_rule=False)
+            fast = find_matches(rule, host)
             slow = naive_find_matches(rule, host)
             assert [m.sort_key() for m in fast] == [m.sort_key() for m in slow]
             found += len(fast)
