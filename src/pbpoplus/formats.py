@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
-from .errors import DanglingReferenceError, ParseError
+from .errors import DanglingReferenceError, EngineError, ParseError
 from .graph import GraphMorphism, LabeledGraph, validate_graph, validate_morphism
 from .lattice import LabelLattice, validate_lattice
 from .matching import Match
@@ -262,7 +262,10 @@ def _rule(rec: Mapping[str, Any], at: str,
     if "rSpec" in rec:
         # Reduced authoring form: the interface and replacement are derived.
         spec = _rhs_spec(_field(rec, "rSpec", Mapping, at), _at(at, "rSpec"))
-        return complete_rule(L, t_l, l_prime, spec, name=name)
+        try:
+            return complete_rule(L, t_l, l_prime, spec, name=name)
+        except EngineError as exc:
+            raise ParseError(f"parse-error: {at}: {exc}") from exc
     K, R = graph("K"), graph("R")
     return PbpoRule(L=L, K=K, R=R, Lp=Lp, Kp=Kp, l=morphism("l", K, L),
                     r=morphism("r", K, R), tL=t_l, tK=morphism("tK", K, Kp),

@@ -262,7 +262,8 @@ def _require_valid_graph(*graphs: LabeledGraph) -> None:
 
 
 def validate_morphism(f: GraphMorphism) -> Report:
-    """Report commutation failures and label-condition failures by element.
+    """Report commutation failures, label-condition failures and labels
+    outside the lattice (``label-domain``) by element.
 
     One pass over the domain in id order, nodes then edges, records each
     defect as it is found; on a valid morphism it costs one lookup per
@@ -273,52 +274,40 @@ def validate_morphism(f: GraphMorphism) -> Report:
         report.add("lattice-mismatch", "dom and cod use different lattices")
         return report
     add = report.add
-    lat = dom.lattice
-    above, leq = lat._above, lat.leq
-    node_map, edge_map = f.node_map, f.edge_map
-    dom_labels, cod_labels, cod_nodes = dom.node_labels, cod.node_labels, cod.nodes
-    mapped_nodes = 0
-    for n, v in zip(dom.sorted_nodes, map(node_map.get, dom.sorted_nodes)):
-        if v is None:
-            add("unmapped-node", f"node {n!r} has no image")
-            continue
-        mapped_nodes += 1
-        if v not in cod_nodes:
-            add("bad-target", f"node {n!r} maps to unknown node {v!r}")
-            continue
-        lab, img_lab = dom_labels[n], cod_labels[v]
-        up = above.get(lab)
-        if (up is None or img_lab not in up) and not leq(lab, img_lab):
-            add("label-condition",
-                f"node {n!r}: {lab!r} is not below {img_lab!r} at {v!r}")
-    dom_src, dom_tgt, cod_src, cod_tgt = dom.src, dom.tgt, cod.src, cod.tgt
-    dom_labels, cod_labels, cod_edges = dom.edge_labels, cod.edge_labels, cod.edges
-    mapped_edges = 0
-    for e, img in zip(dom.sorted_edges, map(edge_map.get, dom.sorted_edges)):
-        if img is None:
-            add("unmapped-edge", f"edge {e!r} has no image")
-            continue
-        mapped_edges += 1
-        if img not in cod_edges:
-            add("bad-target", f"edge {e!r} maps to unknown edge {img!r}")
-            continue
-        s_img = node_map.get(dom_src[e])
-        t_img = node_map.get(dom_tgt[e])
-        if s_img is not None and cod_src[img] != s_img:
-            add("source-commutation", f"edge {e!r}: image source {cod_src[img]!r} "
-                f"differs from mapped source {s_img!r}")
-        if t_img is not None and cod_tgt[img] != t_img:
-            add("target-commutation", f"edge {e!r}: image target {cod_tgt[img]!r} "
-                f"differs from mapped target {t_img!r}")
-        lab, img_lab = dom_labels[e], cod_labels[img]
-        up = above.get(lab)
-        if (up is None or img_lab not in up) and not leq(lab, img_lab):
-            add("label-condition",
-                f"edge {e!r}: {lab!r} is not below {img_lab!r} at {img!r}")
+    above = dom.lattice._above
+    node_map = f.node_map
+    ends = (("source", dom.src, cod.src), ("target", dom.tgt, cod.tgt))
+    mapped = []
+    for kind, mapping, ids, dom_labels, cod_labels, cod_ids in (
+            ("node", node_map, dom.sorted_nodes, dom.node_labels, cod.node_labels, cod.nodes),
+            ("edge", f.edge_map, dom.sorted_edges, dom.edge_labels, cod.edge_labels, cod.edges)):
+        mapped.append(0)
+        for x, img in zip(ids, map(mapping.get, ids)):
+            if img is None:
+                add(f"unmapped-{kind}", f"{kind} {x!r} has no image")
+                continue
+            mapped[-1] += 1
+            if img not in cod_ids:
+                add("bad-target", f"{kind} {x!r} maps to unknown {kind} {img!r}")
+                continue
+            for end, dom_ends, cod_ends in ends if kind == "edge" else ():
+                end_img = node_map.get(dom_ends[x])
+                if end_img is not None and cod_ends[img] != end_img:
+                    add(f"{end}-commutation", f"edge {x!r}: image {end} {cod_ends[img]!r} "
+                        f"differs from mapped {end} {end_img!r}")
+            lab, img_lab = dom_labels[x], cod_labels[img]
+            if img_lab in above.get(lab, ()):
+                continue
+            if lab in above and img_lab in above:
+                add("label-condition",
+                    f"{kind} {x!r}: {lab!r} is not below {img_lab!r} at {img!r}")
+            else:
+                add("label-domain", f"{kind} {x!r} at {img!r}: labels {lab!r} and {img_lab!r} "
+                    "are not both in the lattice")
     # A map with no more keys than mapped domain elements has no foreign key.
-    for kind, mapping, ids, mapped in (("nodes", node_map, dom.nodes, mapped_nodes),
-                                       ("edges", edge_map, dom.edges, mapped_edges)):
-        extra = len(mapping) > mapped and set(mapping) - ids
+    for kind, mapping, ids, count in (("nodes", node_map, dom.nodes, mapped[0]),
+                                      ("edges", f.edge_map, dom.edges, mapped[1])):
+        extra = len(mapping) > count and set(mapping) - ids
         if extra:
             add("bad-domain", f"map defined on foreign {kind} {sorted(extra)}")
     return report

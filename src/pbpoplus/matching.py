@@ -64,12 +64,14 @@ The strong-match square is decided by counting, with no pullback built
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Sequence
 
-from .errors import LatticeError, MorphismError, NonCommutingSquareError, RuleError
+from .errors import LatticeError, MorphismError, NonCommutingSquareError, Report, RuleError
 from .graph import GraphMorphism, LabeledGraph, _require_valid_graph, identity
-from .limits import Cospan, Span, _is_pullback_sort, is_pullback_square
+from .limits import Cospan, Span, _commutes, _is_pullback_sort, is_pullback_square
+from .stepcheck import _check_square
 
 if TYPE_CHECKING:
     from .rewriting import PbpoRule
@@ -88,6 +90,27 @@ class Match:
                 tuple(sorted(self.m.edge_map.items())),
                 tuple(sorted(self.alpha.node_map.items())),
                 tuple(sorted(self.alpha.edge_map.items())))
+
+    @cached_property
+    def _report(self) -> Report:
+        """Whether ``m`` and ``alpha`` are valid and the match square ``alpha
+        . m = typing`` a pullback, decided on first use and kept; the three
+        morphisms must connect ``L``, the host and ``L'``.  A commuting square
+        is a pullback exactly when :func:`check_strong_match` accepts
+        ``alpha``, since a pullback leaves one host element over each element
+        of ``typing(L)``, and so no other ``m`` for the square to commute
+        with.  :func:`iter_matches` stores an ok report on each match it
+        yields, having just decided all of this."""
+        report = Report()
+        for name in ("m", "alpha"):
+            report.extend(getattr(self, name)._report, prefix=f"{name}: ")
+        if report.ok:
+            _check_square(report, _commutes(self.m, self.alpha, self.typing.dom._identity,
+                                            self.typing),
+                          lambda: check_strong_match(self.typing, self.alpha) is not None,
+                          ("match-square", "alpha . m differs from tL"),
+                          ("match-square", "the strong-match square is not a pullback"))
+        return report
 
 
 def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
@@ -437,9 +460,14 @@ def iter_matches(rule: "PbpoRule", g: LabeledGraph,
     that misses one gets no adherence search.
 
     The rule's validation report is kept on the rule, so after the first
-    call the rule check is a lookup.  A list given as ``occurs`` gets, once
-    the matches run out, whether the pattern occurs in ``g`` at all; only
-    when every match is ruled out at once is that one more search.
+    call the rule check is a lookup.  Each match yielded carries an ok
+    :attr:`Match._report`: ``m`` and ``alpha`` are valid as built (the
+    searches and the sink builder admit an image only where its label is
+    above and its endpoints are the mapped ones), and
+    :func:`check_strong_match` has just accepted the square.  A list given
+    as ``occurs`` gets, once the matches run out, whether the pattern
+    occurs in ``g`` at all; only when every match is ruled out at once is
+    that one more search.
     """
     _require_valid_rule(rule)
     if g.lattice != rule.L.lattice:
@@ -460,6 +488,7 @@ def iter_matches(rule: "PbpoRule", g: LabeledGraph,
         for alpha in _adherences_for(m, rule, g):
             match = check_strong_match(rule.tL, alpha)
             if match is not None and match.m == m:
+                match.__dict__["_report"] = Report()
                 yield match
     if occurs is not None:
         occurs.append(occurred)

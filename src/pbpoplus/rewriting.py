@@ -53,8 +53,11 @@ not grow with the number of steps.
 :func:`pbpo_step` always checks every property of the step exactly once,
 so an invalid rule or match is an error, never a wrong graph, and a fault
 of the construction is an :class:`InternalMediatorError`.  At entry it
-checks the rule, ``m``, ``alpha`` and the match square.  After the
-construction, :func:`~pbpoplus.stepcheck._check_step`, which
+checks the rule and reads the match's verdict: the validity of ``m`` and
+``alpha`` and the match square, decided where
+:func:`~pbpoplus.matching.iter_matches` found the match or, for any
+other match, in full (:attr:`~pbpoplus.matching.Match._report`).  After
+the construction, :func:`~pbpoplus.stepcheck._check_step`, which
 :func:`verify_trace` runs too, checks the validity of ``g_L, g_R, u, u',
 w``, ``u' . u = tK``, that ``u`` is injective, and that the middle (``u``
 is the pullback of ``m`` along ``g_L``), deletion and addition squares
@@ -99,8 +102,7 @@ from .graph import (GraphMorphism, LabeledGraph, _carry_indexes, _map, _require_
                     _require_valid_graph)
 from .limits import (Cospan, Span, _commutes, _is_pullback_sort, _UnionFind, pullback,
                      pushout)
-from .matching import (Match, _first_match, _occurs_at, _require_valid_rule,
-                       check_strong_match)
+from .matching import Match, _first_match, _occurs_at, _require_valid_rule
 from .stepcheck import _check_square, _check_step
 
 
@@ -422,21 +424,10 @@ class RewriteTrace:
     w: GraphMorphism      # R -> G_R
 
 
-def _check_match(report: Report, m: GraphMorphism, alpha: GraphMorphism,
-                 t_l: GraphMorphism) -> None:
-    """The match square.  A commuting one is a pullback exactly when
-    :func:`~pbpoplus.matching.check_strong_match` finds ``alpha`` a strong
-    match, since a pullback leaves one host element over each element of
-    ``t_l(L)``, and so no other ``m`` for the square to commute with."""
-    _check_square(report, _commutes(m, alpha, t_l.dom._identity, t_l),
-                  lambda: check_strong_match(t_l, alpha) is not None,
-                  ("match-square", "alpha . m differs from tL"),
-                  ("match-square", "the strong-match square is not a pullback"))
-
-
 def verify_trace(trace: RewriteTrace) -> Report:
     """Re-check every defining property of a completed step: the rule, the
-    match square, then the check :func:`pbpo_step` runs (see
+    match, decided in full as a new :class:`~pbpoplus.matching.Match`, then
+    the check :func:`pbpo_step` runs (see
     :func:`~pbpoplus.stepcheck._check_step`).  An invalid rule or morphism,
     or one that does not connect the trace's graphs, ends the check; a
     square that does not commute is reported, not decided."""
@@ -451,10 +442,9 @@ def verify_trace(trace: RewriteTrace) -> Report:
         mor = getattr(trace, name)
         if mor.dom != dom or mor.cod != cod:
             report.add("bad-arrangement", f"morphism {name} does not connect its graphs")
-    for name in ("m", "alpha"):
-        report.extend(getattr(trace, name)._report, prefix=f"{name}: ")
     if report.ok:
-        _check_match(report, trace.m, trace.alpha, rule.tL)
+        report.extend(Match(trace.m, trace.alpha, rule.tL)._report)
+    if report.ok:
         report.extend(_check_step(trace))
     return report
 
@@ -633,24 +623,30 @@ def pbpo_step(rule: PbpoRule, match: Match, step: int = 0,
     identical traces, and the result holds the indexes its host held,
     patched (see :func:`~pbpoplus.graph._carry_indexes`) at the ids of the
     step's patch, which the step check verifies and a list given as
-    ``changed`` gets appended.  An invalid rule
-    raises :class:`RuleError`, an invalid or mismatched match
-    :class:`MorphismError`, a match that is not strong
-    :class:`StrongMatchError`; a construction that fails any property of
-    :func:`~pbpoplus.stepcheck._check_step`, the check :func:`verify_trace`
-    runs too, or builds a dangling edge raises
+    ``changed`` gets appended.
+
+    The match is decided once, by :attr:`~pbpoplus.matching.Match._report`:
+    a match from :func:`~pbpoplus.matching.find_matches` was decided when
+    it was found, and any other, or one whose typing is not ``rule.tL``,
+    is decided here in full.  An invalid rule raises :class:`RuleError`, an
+    invalid or mismatched match :class:`MorphismError`, a match that is not
+    strong :class:`StrongMatchError`; a construction that fails any
+    property of :func:`~pbpoplus.stepcheck._check_step`, the check
+    :func:`verify_trace` runs too, or builds a dangling edge raises
     :class:`InternalMediatorError`.
     """
     _require_valid_rule(rule)
     m, alpha = match.m, match.alpha
     if m.dom != rule.L or alpha.cod != rule.Lp or m.cod != alpha.dom:
         raise MorphismError("typing-mismatch: the match does not connect L, the host and L'")
-    _require_valid(MorphismError, "invalid-match", ("m", m), ("alpha", alpha))
-    report = Report()
-    _check_match(report, m, alpha, rule.tL)
-    if not report.ok:
+    if match.typing != rule.tL:
+        match = Match(m, alpha, rule.tL)
+    report = match._report
+    if "match-square" in report.codes():
         raise StrongMatchError("strong-match-failure: the supplied match is not "
                                f"a strong match for the rule: {report}")
+    if not report.ok:
+        raise MorphismError(f"invalid-match: a morphism of the match is invalid: {report}")
     try:
         trace, patch = _construct(rule, match, step)
     except KeyError as exc:

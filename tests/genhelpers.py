@@ -807,19 +807,25 @@ def reference_pushout(s: Span) -> LimitResult:
 
 def reference_validate_morphism(f: GraphMorphism) -> Report:
     """The element-by-element check as it was written before its fast path
-    and it were merged: the reference for :func:`pbpoplus.validate_morphism`,
+    and it were merged, reporting a label outside the lattice before the
+    label condition: the reference for :func:`pbpoplus.validate_morphism`,
     which records each defect in one pass with a faster valid path."""
     report = Report()
     if f.dom.lattice != f.cod.lattice:
         report.add("lattice-mismatch", "dom and cod use different lattices")
         return report
-    leq = f.dom.lattice.leq
+    lat = f.dom.lattice
+    leq = lat.leq
     for n in f.dom.sorted_nodes:
         v = f.node_map.get(n)
         if v is None:
             report.add("unmapped-node", f"node {n!r} has no image")
         elif v not in f.cod.nodes:
             report.add("bad-target", f"node {n!r} maps to unknown node {v!r}")
+        elif not {f.dom.node_labels[n], f.cod.node_labels[v]} <= lat.elements:
+            report.add("label-domain", f"node {n!r} at {v!r}: labels "
+                       f"{f.dom.node_labels[n]!r} and {f.cod.node_labels[v]!r} "
+                       "are not both in the lattice")
         elif not leq(f.dom.node_labels[n], f.cod.node_labels[v]):
             report.add("label-condition",
                        f"node {n!r}: {f.dom.node_labels[n]!r} is not below "
@@ -842,7 +848,11 @@ def reference_validate_morphism(f: GraphMorphism) -> Report:
             report.add("target-commutation",
                        f"edge {e!r}: image target {f.cod.tgt[img]!r} differs "
                        f"from mapped target {t_img!r}")
-        if not leq(f.dom.edge_labels[e], f.cod.edge_labels[img]):
+        if not {f.dom.edge_labels[e], f.cod.edge_labels[img]} <= lat.elements:
+            report.add("label-domain", f"edge {e!r} at {img!r}: labels "
+                       f"{f.dom.edge_labels[e]!r} and {f.cod.edge_labels[img]!r} "
+                       "are not both in the lattice")
+        elif not leq(f.dom.edge_labels[e], f.cod.edge_labels[img]):
             report.add("label-condition",
                        f"edge {e!r}: {f.dom.edge_labels[e]!r} is not below "
                        f"{f.cod.edge_labels[img]!r} at {img!r}")

@@ -4,6 +4,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbpoplus import (Bdd, BddError, EngineError, LabeledGraph, TruthTable, bdd_lattice,
                       build_decision_tree, elim_vacuous_rule, evaluate,
@@ -413,6 +415,33 @@ def test_reduction_preserves_semantics_stepwise(pq_table):
         for a in pq_table.assignments():
             assert evaluate(step_bdd, a) == pq_table.value(a)
         assert len(trace.g_out.nodes) == len(trace.g_in.nodes) - 1
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       # Five variables only on the deep profile: a run searches every rule
+       # on every step.
+       st.integers(0, 5 if settings.default.max_examples >= 2000 else 4))
+@settings(max_examples=settings.default.max_examples // 4, deadline=None)
+def test_bdd_normal_form_does_not_depend_on_the_match_chosen(seed, n):
+    """Each step fires a random rule that has a match, at a random one of
+    its matches, and removes one node; every such run ends at the
+    canonical reduced diagram, |tree| - |reduced| steps on (Bryant 1986)."""
+    rng = random.Random(seed)
+    table = random_truth_table(rng, [f"v{i}" for i in range(n)])
+    tree = build_decision_tree(table)
+    rules = reduction_rules(tree.variables, tree.graph.lattice)
+    g, steps = tree.graph, 0
+    while True:
+        options = [(rule, matches) for rule in rules if (matches := find_matches(rule, g))]
+        if not options:
+            break
+        rule, matches = rng.choice(options)
+        result, _ = pbpo_step(rule, rng.choice(matches), step=steps)
+        assert len(result.nodes) == len(g.nodes) - 1
+        g, steps = result, steps + 1
+    oracle = oracle_reduce(table).graph
+    assert is_isomorphic(g, oracle) is not None
+    assert steps == len(tree.graph.nodes) - len(oracle.nodes)
 
 
 def test_every_adherence_of_the_sweep_is_built_not_searched(monkeypatch):

@@ -267,8 +267,10 @@ def test_cli_malformed_graph_shape_is_a_parse_error(tmp_path, capsys, mangle):
      lambda ws: ws["squares"]["good"].update(inner=["f", 1])),
     (WS, ["validate", "--lattice", "bdd2"],
      lambda ws: ws["lattices"]["bdd2"]["order"].append(["bot", "x1", "top"])),
+    (WS, ["validate", "--graph", "L"],
+     lambda ws: ws["graphs"]["L"]["nodes"][0].update(label="weird")),
 ], ids=["nodemap-list", "nodemap-number", "rule-without-L", "squares-list",
-        "square-inner-number", "order-triple"])
+        "square-inner-number", "order-triple", "rule-completion"])
 def test_cli_malformed_record_shape_is_a_parse_error(tmp_path, capsys, fixture, command, mangle):
     """A lattice, morphism, rule or square record, or a workspace section,
     of the wrong shape is reported as a ``parse-error`` with exit 1."""

@@ -52,13 +52,21 @@ def test_commutation_violation(unit):
     assert "source-commutation" in codes and "target-commutation" in codes
 
 
-def test_label_condition_direction(lat2):
+def test_label_condition_direction(lat2, unit):
     low = LabeledGraph.build(lat2, {"a": "x2"})
     high = LabeledGraph.build(lat2, {"b": "Var"})
     bottom = LabeledGraph.build(lat2, {"c": "bot"})
     assert validate_morphism(GraphMorphism(low, high, {"a": "b"}, {})).ok
     report = validate_morphism(GraphMorphism(low, bottom, {"a": "c"}, {}))
     assert "label-condition" in report.codes()
+    # A label outside the lattice, in the domain or the codomain, on a node
+    # or an edge, is reported, not raised.
+    plain = LabeledGraph.build(unit, {"b": "*"}, {"f": ("b", "b", "*")})
+    for node, edge in (("weird", "*"), ("*", "weird")):
+        weird = LabeledGraph.build(unit, {"a": node}, {"e": ("a", "a", edge)})
+        for f in (GraphMorphism(weird, plain, {"a": "b"}, {"e": "f"}),
+                  GraphMorphism(plain, weird, {"b": "a"}, {"f": "e"})):
+            assert validate_morphism(f).codes() == {"label-domain"}, f
 
 
 def corrupted(rng, f):

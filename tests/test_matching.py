@@ -440,12 +440,14 @@ def adherence_maps(alphas):
 def test_sink_adherences_are_what_the_search_finds(seed):
     """At every occurrence of the pattern, the adherences built in closed
     form, or left to the search, are the pooled search's: the same maps,
-    keyed in the same order, in the same order."""
+    keyed in the same order, in the same order.  Each is a valid morphism,
+    which the verdict :func:`iter_matches` stores on a match takes as given."""
     rule, host = sink_instance(seed)
     assert rule._sink is not None
     for m in _hom_search(rule.L, host, True, lex=True):
-        assert (adherence_maps(_adherences_for(m, rule, host))
-                == adherence_maps(searched_adherences(m, rule, host)))
+        built = list(_adherences_for(m, rule, host))
+        assert all(validate_morphism(alpha).ok for alpha in built)
+        assert adherence_maps(built) == adherence_maps(searched_adherences(m, rule, host))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -513,3 +515,27 @@ def test_find_matches_come_in_sort_key_order(seed, sink):
         host = random_host_with_match(rng, rule)[0]
     matches = find_matches(rule, host)
     assert matches == sorted(matches, key=Match.sort_key)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(deadline=None)
+def test_found_matches_decided_afresh_keep_their_verdict_and_step(seed, sink):
+    """The verdict :func:`iter_matches` stores on a match is the one a fresh
+    :class:`Match` of the same morphisms is decided to have, and a step at
+    either gives the same trace: on random sink rules and on random rules
+    without a sink, whose adherences are searched and must be valid too."""
+    if sink:
+        rule, host = sink_instance(seed)
+    else:
+        rng = random.Random(seed)
+        lat = rng.choice(corpus_lattices())
+        rule = random_rule(rng, lat)
+        while rule._sink is not None:
+            rule = random_rule(rng, lat)
+        host = random_host_with_match(rng, rule)[0]
+        for m in _hom_search(rule.L, host, True, lex=True):
+            assert all(validate_morphism(alpha).ok for alpha in _adherences_for(m, rule, host))
+    for found in iter_matches(rule, host):
+        fresh = Match(found.m, found.alpha, found.typing)
+        assert "_report" not in fresh.__dict__ and fresh._report.ok
+        assert pbpo_step(rule, fresh, step=1) == pbpo_step(rule, found, step=1)

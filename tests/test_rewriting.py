@@ -1246,3 +1246,15 @@ def test_step_rejects_a_hand_built_match_that_is_not_strong(leaf_steps):
             continue
         with pytest.raises(StrongMatchError, match="not a pullback"):
             pbpo_step(rule, match)
+
+
+def test_a_match_carried_to_another_typing_is_decided_again(leaf_steps):
+    """A match found for ``LEAF_0`` handed to a copy of the rule whose
+    ``tL`` swaps ``u`` and ``v``: its verdict was for the first typing, and
+    against the second its square does not commute."""
+    rule, first, _, _, _ = leaf_steps
+    swapped = complete_rule(rule.L, GraphMorphism(rule.L, rule.Lp, {"u": "v", "v": "u"}, {}),
+                            rule.lp, RhsSpec(merge_nodes=(("u", "v"),)), name="LEAF_0-swapped")
+    assert swapped.L is rule.L and swapped.Lp is rule.Lp and swapped.tL != rule.tL
+    with pytest.raises(StrongMatchError, match="alpha . m differs from tL"):
+        pbpo_step(swapped, first)
