@@ -23,16 +23,26 @@ placeholder edges, so the surrounding host is typed without being
 restricted and keeps its labels through every step.  A separate
 unique-table construction (:func:`oracle_reduce`) provides the canonical
 reduced diagram for cross-checking.
+
+The rules depend only on the variables and the lattice, so each rule set
+is built, completed and validated once per variable tuple and lattice
+object: a small bounded memo keeps the graph and morphism fields of
+each rule, and :func:`reduction_rules` returns new :class:`PbpoRule`
+objects over them on every call.  Sharing them across reductions is sound
+because graphs and morphisms are values, which the caches on them
+(``_identity``, ``_report``) already assume; no rule and no rule verdict
+is kept, so each new rule validates itself on first use, cheaply, from its
+morphisms' kept reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 from .errors import BddError, Report
 from .graph import GraphMorphism, LabeledGraph, identity, validate_graph
-from .lattice import (BOOL_CLASS, BOTTOM, FALSE, TOP, TRUE, VAR_CLASS,
+from .lattice import (_MEMO_SIZE, BOOL_CLASS, BOTTOM, FALSE, TOP, TRUE, VAR_CLASS,
                       LabelLattice, bdd_lattice)
 from .rewriting import (NormalizeResult, PbpoRule, RhsSpec, complete_rule,
                         normalize)
@@ -377,14 +387,34 @@ def elim_vacuous_rule(lat: LabelLattice) -> PbpoRule:
     return complete_rule(pattern, t_l, l_prime, spec, name="ELIM-VACUOUS")
 
 
+# (variables, id(lattice)) -> (lattice, the fields of each rule).  The entry
+# holds its lattice, so the id in its key names no other object meanwhile.
+_RULE_PARTS: dict[tuple[tuple[str, ...], int], tuple[LabelLattice, list[dict]]] = {}
+
+
+def _rule_parts(variables: tuple[str, ...], lat: LabelLattice) -> list[dict]:
+    """The fields of each reduction rule over ``lat``, built and validated
+    on the first call for this variable tuple and lattice object."""
+    key = (variables, id(lat))
+    entry = _RULE_PARTS.get(key)
+    if entry is None:
+        rules = [leaf_rule(FALSE, lat), leaf_rule(TRUE, lat)]
+        rules.extend(merge_iso_rule(x, lat) for x in variables)
+        rules.append(elim_vacuous_rule(lat))
+        entry = lat, [{f.name: getattr(rule, f.name) for f in fields(PbpoRule)}
+                      for rule in rules]
+        if len(_RULE_PARTS) >= _MEMO_SIZE:
+            _RULE_PARTS.pop(next(iter(_RULE_PARTS)), None)
+        _RULE_PARTS[key] = entry
+    return entry[1]
+
+
 def reduction_rules(variables: tuple[str, ...] | list[str],
                     lat: Optional[LabelLattice] = None) -> list[PbpoRule]:
-    """The ``|vars| + 3`` reduction rules, leaves first."""
+    """The ``|vars| + 3`` reduction rules, leaves first: new rule objects
+    on every call, over parts built once per variable tuple and lattice."""
     lat = lat or bdd_lattice(variables)
-    rules = [leaf_rule(FALSE, lat), leaf_rule(TRUE, lat)]
-    rules.extend(merge_iso_rule(x, lat) for x in variables)
-    rules.append(elim_vacuous_rule(lat))
-    return rules
+    return [PbpoRule(**parts) for parts in _rule_parts(tuple(variables), lat)]
 
 
 def reduce_bdd(b: Bdd, max_steps: Optional[int] = None, keep_traces: bool = True

@@ -11,7 +11,10 @@ which keeps exhaustive axiom checking feasible (:func:`validate_lattice`).
 Two ready-made lattices are provided: the one-point lattice used for
 plain (unlabeled) graph rewriting, and the BDD label lattice over a set of
 decision variables, truth values 0/1, one class label above each of the two
-families, and global top/bottom.
+families, and global top/bottom.  :func:`bdd_lattice` returns one object
+per variable tuple, kept in a small bounded memo, so the trees and rules
+over the same variables share it: comparing their lattices is an identity
+check, and they share its join and meet memos.
 """
 
 from __future__ import annotations
@@ -32,6 +35,11 @@ FALSE = "0"
 TRUE = "1"
 
 UNIT_ELEMENT = "*"
+
+# How many variable tuples the BDD memos (here and in ``bdd``) keep; the
+# oldest entry goes first.
+_MEMO_SIZE = 16
+_BDD_LATTICES: dict[tuple[str, ...], LabelLattice] = {}
 
 
 def _transitive_closure(elements: frozenset[str],
@@ -164,9 +172,14 @@ def bdd_lattice(variables: Iterable[str]) -> LabelLattice:
     Elements are the variables, the truth values ``0`` and ``1``, the class
     labels ``Var`` (above every variable) and ``Bool`` (above both truth
     values), and global ``top``/``bot``.  The variable family and the
-    boolean family are incomparable except through top and bottom.
+    boolean family are incomparable except through top and bottom.  Equal
+    variable tuples get the same object; names are checked on every call,
+    since only valid tuples are ever kept.
     """
-    names = list(variables)
+    names = tuple(variables)
+    lat = _BDD_LATTICES.get(names)
+    if lat is not None:
+        return lat
     seen = set()
     for v in names:
         if v in seen:
@@ -176,7 +189,7 @@ def bdd_lattice(variables: Iterable[str]) -> LabelLattice:
     clash = seen & reserved
     if clash:
         raise LatticeError(f"variable names collide with reserved labels: {sorted(clash)}")
-    elements = names + [FALSE, TRUE, VAR_CLASS, BOOL_CLASS, TOP, BOTTOM]
+    elements = [*names, FALSE, TRUE, VAR_CLASS, BOOL_CLASS, TOP, BOTTOM]
     pairs: list[tuple[str, str]] = [(BOTTOM, TOP), (BOTTOM, VAR_CLASS)]
     for v in names:
         pairs.append((v, VAR_CLASS))
@@ -186,7 +199,11 @@ def bdd_lattice(variables: Iterable[str]) -> LabelLattice:
         pairs.append((BOTTOM, b))
     pairs.append((VAR_CLASS, TOP))
     pairs.append((BOOL_CLASS, TOP))
-    return LabelLattice.from_order(elements, pairs, top=TOP, bottom=BOTTOM)
+    lat = LabelLattice.from_order(elements, pairs, top=TOP, bottom=BOTTOM)
+    if len(_BDD_LATTICES) >= _MEMO_SIZE:
+        _BDD_LATTICES.pop(next(iter(_BDD_LATTICES)), None)
+    _BDD_LATTICES[names] = lat
+    return lat
 
 
 def validate_lattice(lat: LabelLattice, subset_cap: int = 2) -> Report:

@@ -37,7 +37,8 @@ commuting square closing the span ``f : A -> B``, ``g : A -> C`` with
 ``h : B -> D`` and ``k : C -> D`` is a pushout iff, in each sort, the
 classes of ``B + C`` under ``f(a) ~ g(a)`` go to distinct elements that
 cover ``D``, each labelled with the join of its class.  Only the apex
-image enters the union-find.  :func:`_is_pullback_sort` and
+image is grouped into classes: by ``g``-fibre when ``f`` is injective,
+else by a union-find.  :func:`_is_pullback_sort` and
 :func:`_is_pushout_sort` decide one sort; a caller that knows the square
 outside some elements may restrict both to the elements it decides.
 Every square check of the package uses them: ``is_pullback_square``,
@@ -387,23 +388,33 @@ def _is_pushout_sort(f: GraphMorphism, g: GraphMorphism, h: GraphMorphism, k: Gr
     the module docstring: the classes of the elements ``b_ids`` of ``B``
     (all by default) and of ``C`` go to distinct elements that are exactly
     ``d_ids`` (all of ``D`` by default), each labelled with its class's
-    join.  Only the apex image enters the union-find; every other element
-    is a class of its own."""
+    join.  Only the apex image is grouped into classes; every other element
+    is a class of its own.  When ``f`` is injective each class is one
+    ``g``-fibre's ``f``-image and its ``g``-image, so no union-find is
+    built."""
     f_map, g_map, b_labels = _map(f, edges), _map(g, edges), _sort(f.cod, edges)[1]
     c_labels, d_labels = _sort(g.cod, edges)[1], _sort(h.cod, edges)[1]
-    uf = _UnionFind([("0", x) for x in f_map.values()] + [("1", y) for y in g_map.values()])
-    for a, x in f_map.items():
-        uf.union(("0", x), ("1", g_map[a]))
     legs = {"0": (_map(h, edges), b_labels), "1": (_map(k, edges), c_labels)}
+    f_image = set(f_map.values())
+    if len(f_image) == len(f_map):
+        fibres: dict[str, list[str]] = {}
+        for a, x in f_map.items():
+            fibres.setdefault(g_map[a], []).append(b_labels[x])
+        classes = [(legs["1"][0][y], [*labels, c_labels[y]]) for y, labels in fibres.items()]
+    else:
+        uf = _UnionFind([("0", x) for x in f_map.values()] + [("1", y) for y in g_map.values()])
+        for a, x in f_map.items():
+            uf.union(("0", x), ("1", g_map[a]))
+        classes = [(legs[side][0][x], [legs[s][1][y] for s, y in members])
+                   for (side, x), members in uf.classes().items()]
     images = []
-    for (side, x), members in uf.classes().items():
-        image = legs[side][0][x]
-        if d_labels[image] != h.cod.lattice.join(legs[s][1][y] for s, y in members):
+    join = h.cod.lattice.join
+    for image, labels in classes:
+        if d_labels[image] != join(labels):
             return False
         images.append(image)
-    for (leg, labels), ids, glued in ((legs["0"], b_labels if b_ids is None else b_ids, f_map),
-                                      (legs["1"], c_labels, g_map)):
-        glued = set(glued.values())
+    for (leg, labels), ids, glued in ((legs["0"], b_labels if b_ids is None else b_ids, f_image),
+                                      (legs["1"], c_labels, set(g_map.values()))):
         for x in ids:
             if x not in glued:
                 if d_labels[leg[x]] != labels[x]:

@@ -386,6 +386,7 @@ def complete_rule(l_pattern: LabeledGraph, t_l: GraphMorphism,
     The interface is the preimage of the typed pattern under ``l'``
     (named by ``K'`` ids), which makes the left square a pullback by
     construction; the replacement is built from ``r_spec`` on top of it.
+    An invalid ``tL`` or ``l'`` is named before the preimage is taken.
     """
     from .limits import preimage
 
@@ -393,6 +394,7 @@ def complete_rule(l_pattern: LabeledGraph, t_l: GraphMorphism,
         raise RuleError("invalid-rule: typing does not start from the pattern")
     if t_l.cod != l_prime_map.cod:
         raise RuleError("invalid-rule: typing and type-graph map disagree on L'")
+    _require_valid(RuleError, "invalid-rule", ("tL", t_l), ("lp", l_prime_map))
     if not t_l.is_injective():
         raise RuleError("invalid-rule: context typing must be injective")
     pre = preimage(t_l, l_prime_map)

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import itertools
+import json
 import random
 import weakref
 
@@ -7,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbpoplus import (Bdd, BddError, EngineError, LabeledGraph, TruthTable, bdd_lattice,
-                      build_decision_tree, elim_vacuous_rule, evaluate,
+from pbpoplus import (Bdd, BddError, EngineError, LabeledGraph, LabelLattice, TruthTable,
+                      bdd_lattice, build_decision_tree, elim_vacuous_rule, evaluate,
                       find_matches, is_isomorphic, is_reduced, leaf_rule,
                       merge_iso_rule, normalize, oracle_reduce, pbpo_step,
                       reduce_bdd, validate_bdd, validate_rule)
-from pbpoplus import bdd
+from pbpoplus import bdd, lattice
 from pbpoplus.bdd import reduction_rules
+from pbpoplus.formats import trace_record
 
 from genhelpers import count_adherence_searches, random_truth_table, sweep_tables
 
@@ -381,6 +384,58 @@ def test_reduction_ids_do_not_grow_with_steps():
 def test_rule_count():
     lat = bdd_lattice(["p", "q", "r"])
     assert len(reduction_rules(("p", "q", "r"), lat)) == 6
+
+
+def rules_from_scratch(variables, lat):
+    """The reduction rules, each completed by ``complete_rule`` afresh."""
+    return [leaf_rule("0", lat), leaf_rule("1", lat),
+            *(merge_iso_rule(x, lat) for x in variables), elim_vacuous_rule(lat)]
+
+
+def test_reduction_rules_are_new_objects_over_one_built_rule_set():
+    for n in range(1, 5):
+        variables = tuple(f"s{i}" for i in range(n))
+        lat = bdd_lattice(variables)
+        first, again = reduction_rules(variables, lat), reduction_rules(list(variables))
+        assert first == again == rules_from_scratch(variables, lat)
+        assert len(first) == n + 3
+        assert not {id(rule) for rule in first} & {id(rule) for rule in again}
+        assert all(rule._report.ok for rule in again)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+@settings(max_examples=max(settings.default.max_examples // 40, 5), deadline=None)
+def test_shared_rule_sets_step_as_rules_built_from_scratch(seed, n):
+    """A reduction by the shared rule set writes, step for step, the same
+    trace record, byte for byte as canonical JSON, as one by rules
+    completed afresh."""
+    tree = build_decision_tree(random_truth_table(random.Random(seed),
+                                                  [f"v{i}" for i in range(n)]))
+    reduction_rules(tree.variables, tree.graph.lattice)
+    _, shared = reduce_bdd(tree)
+    scratch = normalize(tree.graph, rules_from_scratch(tree.variables, tree.graph.lattice))
+    assert shared.steps == scratch.steps
+    assert ([json.dumps(trace_record(t), sort_keys=True) for t in shared.traces]
+            == [json.dumps(trace_record(t), sort_keys=True) for t in scratch.traces])
+
+
+def test_rule_sets_and_lattices_kept_stay_within_the_bound():
+    for i in range(lattice._MEMO_SIZE + 3):
+        reduction_rules((f"w{i}", "w"))
+    assert len(bdd._RULE_PARTS) == len(lattice._BDD_LATTICES) == lattice._MEMO_SIZE
+
+
+def test_a_tree_over_an_equal_but_distinct_lattice_reduces_to_the_oracle():
+    table = random_truth_table(random.Random(3), ["v0", "v1", "v2"])
+    tree = build_decision_tree(table)
+    lat = tree.graph.lattice
+    twin = LabelLattice.from_order(lat.elements, lat.order, lat.top, lat.bottom)
+    assert twin == lat and twin is not lat
+    reduction_rules(tree.variables, lat)
+    twin_tree = Bdd(dataclasses.replace(tree.graph, lattice=twin), tree.root, tree.variables)
+    reduced, result = reduce_bdd(twin_tree)
+    assert all(t.rule.L.lattice is twin for t in result.traces)
+    assert is_isomorphic(reduced.graph, oracle_reduce(table).graph) is not None
 
 
 def test_oracle_counts(pq_table):

@@ -281,3 +281,4 @@ def test_cli_malformed_record_shape_is_a_parse_error(tmp_path, capsys, fixture, 
     assert main([command[0], "--workspace", str(path), *command[1:]]) == 1
     err = capsys.readouterr().err
     assert "parse-error" in err and "Traceback" not in err
+    assert command != ["validate", "--graph", "L"] or "morphism tL is invalid" in err

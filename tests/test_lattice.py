@@ -27,6 +27,19 @@ def test_bdd_lattice_rejects_duplicates_and_reserved():
         bdd_lattice(["Bool"])
 
 
+def test_bdd_lattice_is_one_object_per_variable_tuple():
+    variables = ("p", "q", "r")
+    lat = bdd_lattice(variables)
+    assert bdd_lattice(list(variables)) is lat
+    assert bdd_lattice(iter(variables)) is lat and bdd_lattice(("q", "p", "r")) is not lat
+    # A bad tuple is never kept, so it raises on every call.
+    for _ in range(2):
+        with pytest.raises(LatticeError, match="duplicate-variable"):
+            bdd_lattice(["p", "q", "p"])
+        with pytest.raises(LatticeError, match="reserved"):
+            bdd_lattice(["p", "top"])
+
+
 def test_join_meet_examples():
     lat = bdd_lattice(["x1", "x2"])
     assert lat.join(["bot", "x1"]) == "x1"
