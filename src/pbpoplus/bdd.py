@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 from .errors import BddError, Report
-from .graph import GraphMorphism, LabeledGraph, identity, validate_graph
+from .graph import GraphMorphism, LabeledGraph, identity
 from .lattice import (_MEMO_SIZE, BOOL_CLASS, BOTTOM, FALSE, TOP, TRUE, VAR_CLASS,
                       LabelLattice, bdd_lattice)
 from .rewriting import (NormalizeResult, PbpoRule, RhsSpec, complete_rule,
@@ -178,10 +178,11 @@ def validate_bdd(g: LabeledGraph, root: Optional[str] = None) -> Report:
     """Check the defining BDD conditions plus acyclicity.
 
     A graph that :func:`~pbpoplus.graph.validate_graph` finds malformed gets
-    that report.  Every check is one pass over the graph, so the time is
-    linear in its size (times the number of variables), not in the number
-    of paths through it."""
-    report = validate_graph(g)
+    that report, read from the graph's kept verdict.  Every check is one
+    pass over the graph, so the time is linear in its size (times the
+    number of variables), not in the number of paths through it."""
+    report = Report()
+    report.extend(g._report)
     if not report.ok:
         return report
     if not g.nodes:

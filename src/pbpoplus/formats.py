@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from .errors import DanglingReferenceError, EngineError, ParseError
-from .graph import GraphMorphism, LabeledGraph, validate_graph, validate_morphism
+from .graph import GraphMorphism, LabeledGraph
 from .lattice import LabelLattice, validate_lattice
 from .matching import Match
-from .rewriting import PbpoRule, RewriteTrace, RhsSpec, complete_rule, validate_rule
+from .rewriting import PbpoRule, RewriteTrace, RhsSpec, complete_rule
 
 
 # ----------------------------------------------------------------- shapes
@@ -400,12 +400,10 @@ def parse_workspace(paths, validate: bool = True) -> Workspace:
 
     if validate:
         problems = []
-        for kind, objects, check in (("lattice", ws.lattices, validate_lattice),
-                                     ("graph", ws.graphs, validate_graph),
-                                     ("morphism", ws.morphisms, validate_morphism),
-                                     ("rule", ws.rules, validate_rule)):
+        for kind, objects in (("lattice", ws.lattices), ("graph", ws.graphs),
+                              ("morphism", ws.morphisms), ("rule", ws.rules)):
             for name, obj in objects.items():
-                report = check(obj)
+                report = validate_lattice(obj) if kind == "lattice" else obj._report
                 if not report.ok:
                     problems.append(f"{kind} {name!r}: {report}")
         if problems:

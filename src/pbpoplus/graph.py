@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import GraphError, LatticeError, MorphismError, Report
+from .errors import LatticeError, MorphismError, Report
 from .lattice import LabelLattice
 
 
@@ -104,6 +104,11 @@ class LabeledGraph:
     def _identity(self) -> "GraphMorphism":
         """:func:`identity` of this graph, kept: graphs are values."""
         return identity(self)
+
+    @cached_property
+    def _report(self) -> Report:
+        """:func:`validate_graph`, kept: graphs are values."""
+        return validate_graph(self)
 
     def rename(self, node_map: Mapping[str, str],
                edge_map: Mapping[str, str]) -> "LabeledGraph":
@@ -252,15 +257,6 @@ def validate_graph(g: LabeledGraph) -> Report:
     return report
 
 
-def _require_valid_graph(*graphs: LabeledGraph) -> None:
-    """Raise ``invalid-graph`` for the first graph that :func:`validate_graph`
-    finds a defect in."""
-    for g in graphs:
-        report = validate_graph(g)
-        if not report.ok:
-            raise GraphError(f"invalid-graph: {report}")
-
-
 def validate_morphism(f: GraphMorphism) -> Report:
     """Report commutation failures, label-condition failures and labels
     outside the lattice (``label-domain``) by element.
@@ -313,12 +309,14 @@ def validate_morphism(f: GraphMorphism) -> Report:
     return report
 
 
-def _require_valid(error: type[Exception], code: str,
-                   *named: tuple[str, GraphMorphism]) -> None:
-    """Raise ``error`` for the first of the named morphisms that is invalid."""
-    for name, f in named:
-        if not f._report.ok:
-            raise error(f"{code}: morphism {name} is invalid: {f._report}")
+def _require_valid(error: type[Exception], code: str, *named: tuple[str, object]) -> None:
+    """Raise ``error`` for the first of the named graphs, morphisms or rules
+    whose kept ``_report`` is not ok; an empty name reads ``?``."""
+    for name, x in named:
+        if not x._report.ok:
+            kind = ("graph" if isinstance(x, LabeledGraph)
+                    else "morphism" if isinstance(x, GraphMorphism) else "rule")
+            raise error(f"{code}: {kind} {name or '?'} is invalid: {x._report}")
 
 
 def _sort(g: LabeledGraph, edges: bool) -> tuple[frozenset[str], dict[str, str]]:
@@ -388,28 +386,12 @@ class DisjointUnion:
 
 
 def disjoint_union(g: LabeledGraph, h: LabeledGraph) -> DisjointUnion:
-    """Tagged union with fresh ids; the two injections are recorded."""
+    """The pushout of the empty span: ids tagged ``0:``/``1:`` by side, and
+    the two injections."""
+    from .limits import Span, pushout
+
     if g.lattice != h.lattice:
         raise LatticeError("disjoint union needs a shared lattice")
-    tag_g = {n: f"0:{n}" for n in g.nodes}
-    tag_ge = {e: f"0:{e}" for e in g.edges}
-    tag_h = {n: f"1:{n}" for n in h.nodes}
-    tag_he = {e: f"1:{e}" for e in h.edges}
-    union = LabeledGraph(
-        lattice=g.lattice,
-        nodes=frozenset(tag_g.values()) | frozenset(tag_h.values()),
-        edges=frozenset(tag_ge.values()) | frozenset(tag_he.values()),
-        src={**{tag_ge[e]: tag_g[g.src[e]] for e in g.edges},
-             **{tag_he[e]: tag_h[h.src[e]] for e in h.edges}},
-        tgt={**{tag_ge[e]: tag_g[g.tgt[e]] for e in g.edges},
-             **{tag_he[e]: tag_h[h.tgt[e]] for e in h.edges}},
-        node_labels={**{tag_g[n]: g.node_labels[n] for n in g.nodes},
-                     **{tag_h[n]: h.node_labels[n] for n in h.nodes}},
-        edge_labels={**{tag_ge[e]: g.edge_labels[e] for e in g.edges},
-                     **{tag_he[e]: h.edge_labels[e] for e in h.edges}},
-    )
-    return DisjointUnion(
-        graph=union,
-        left=GraphMorphism(g, union, tag_g, tag_ge),
-        right=GraphMorphism(h, union, tag_h, tag_he),
-    )
+    empty = LabeledGraph.empty(g.lattice)
+    po = pushout(Span(GraphMorphism(empty, g, {}, {}), GraphMorphism(empty, h, {}, {})))
+    return DisjointUnion(po.object, po.left_leg, po.right_leg)

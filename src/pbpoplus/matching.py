@@ -68,8 +68,9 @@ from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Sequence
 
-from .errors import LatticeError, MorphismError, NonCommutingSquareError, Report, RuleError
-from .graph import GraphMorphism, LabeledGraph, _require_valid_graph, identity
+from .errors import (GraphError, LatticeError, MorphismError, NonCommutingSquareError, Report,
+                     RuleError)
+from .graph import GraphMorphism, LabeledGraph, _require_valid, identity
 from .limits import Cospan, Span, _commutes, _is_pullback_sort, is_pullback_square
 from .stepcheck import _check_square
 
@@ -359,7 +360,7 @@ def enumerate_homomorphisms(g: LabeledGraph, h: LabeledGraph,
     """
     if g.lattice != h.lattice:
         raise LatticeError("homomorphism enumeration needs a shared lattice")
-    _require_valid_graph(g, h)
+    _require_valid(GraphError, "invalid-graph", ("g", g), ("h", h))
     found = list(_hom_search(g, h, injective))
     found.sort(key=lambda f: (tuple(sorted(f.node_map.items())),
                               tuple(sorted(f.edge_map.items()))))
@@ -443,11 +444,6 @@ def _adherences_for(m: GraphMorphism, rule: "PbpoRule",
     yield from _hom_search(g, l_prime, False, node_pools, edge_pools, lex=True)
 
 
-def _require_valid_rule(rule: "PbpoRule") -> None:
-    if not rule._report.ok:
-        raise RuleError(f"invalid-rule: {rule.name or '?'}: {rule._report}")
-
-
 def iter_matches(rule: "PbpoRule", g: LabeledGraph,
                  occurs: Optional[list[bool]] = None) -> Iterator[Match]:
     """Strong matches in ascending :meth:`Match.sort_key` order, lazily.
@@ -469,7 +465,7 @@ def iter_matches(rule: "PbpoRule", g: LabeledGraph,
     occurs in ``g`` at all; only when every match is ruled out at once is
     that one more search.
     """
-    _require_valid_rule(rule)
+    _require_valid(RuleError, "invalid-rule", (rule.name, rule))
     if g.lattice != rule.L.lattice:
         raise LatticeError("host graph must share the rule lattice")
     occurrences = _hom_search(rule.L, g, injective=True, lex=True)

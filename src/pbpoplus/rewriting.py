@@ -96,13 +96,12 @@ from itertools import compress
 from operator import not_
 from typing import Mapping, Optional, Sequence
 
-from .errors import (EngineError, InternalMediatorError, MorphismError, Report,
+from .errors import (EngineError, GraphError, InternalMediatorError, MorphismError, Report,
                      RuleError, StrongMatchError)
-from .graph import (GraphMorphism, LabeledGraph, _carry_indexes, _map, _require_valid,
-                    _require_valid_graph)
+from .graph import GraphMorphism, LabeledGraph, _carry_indexes, _map, _require_valid
 from .limits import (Cospan, Span, _commutes, _is_pullback_sort, _UnionFind, pullback,
                      pushout)
-from .matching import Match, _first_match, _occurs_at, _require_valid_rule
+from .matching import Match, _first_match, _occurs_at
 from .stepcheck import _check_square, _check_step
 
 
@@ -259,13 +258,17 @@ class PbpoRule:
 
 
 def validate_rule(rule: PbpoRule) -> Report:
-    """Morphism validity, lattice agreement, injective typing, and the left
-    square being a genuine pullback."""
+    """The validity of the five graphs, then of the five morphisms, each
+    connecting its graphs; then injective typing and the left square being a
+    genuine pullback.  Each graph and morphism keeps its report, so a rule
+    over shared parts costs a lookup per part.  Once the morphisms connect
+    the graphs, their ``lattice-mismatch`` checks that all five share one
+    lattice."""
     report = Report()
-    lat = rule.L.lattice
-    for label, g in (("K", rule.K), ("R", rule.R), ("Lp", rule.Lp), ("Kp", rule.Kp)):
-        if g.lattice != lat:
-            report.add("lattice-mismatch", f"graph {label} uses a different lattice")
+    for name in ("L", "K", "R", "Lp", "Kp"):
+        report.extend(getattr(rule, name)._report, prefix=f"{name}: ")
+    if not report.ok:
+        return report
     for name, f, dom, cod in (("l", rule.l, rule.K, rule.L), ("r", rule.r, rule.K, rule.R),
                               ("tL", rule.tL, rule.L, rule.Lp),
                               ("tK", rule.tK, rule.K, rule.Kp),
@@ -386,7 +389,8 @@ def complete_rule(l_pattern: LabeledGraph, t_l: GraphMorphism,
     The interface is the preimage of the typed pattern under ``l'``
     (named by ``K'`` ids), which makes the left square a pullback by
     construction; the replacement is built from ``r_spec`` on top of it.
-    An invalid ``tL`` or ``l'`` is named before the preimage is taken.
+    An invalid ``tL``, ``l'``, ``L``, ``L'`` or ``K'`` is named before the
+    preimage is taken.
     """
     from .limits import preimage
 
@@ -394,7 +398,8 @@ def complete_rule(l_pattern: LabeledGraph, t_l: GraphMorphism,
         raise RuleError("invalid-rule: typing does not start from the pattern")
     if t_l.cod != l_prime_map.cod:
         raise RuleError("invalid-rule: typing and type-graph map disagree on L'")
-    _require_valid(RuleError, "invalid-rule", ("tL", t_l), ("lp", l_prime_map))
+    _require_valid(RuleError, "invalid-rule", ("tL", t_l), ("lp", l_prime_map),
+                   ("L", l_pattern), ("Lp", t_l.cod), ("Kp", l_prime_map.dom))
     if not t_l.is_injective():
         raise RuleError("invalid-rule: context typing must be injective")
     pre = preimage(t_l, l_prime_map)
@@ -404,7 +409,7 @@ def complete_rule(l_pattern: LabeledGraph, t_l: GraphMorphism,
     rhs, r = _rhs_from_spec(k, r_spec or RhsSpec())
     rule = PbpoRule(L=l_pattern, K=k, R=rhs, Lp=t_l.cod, Kp=l_prime_map.dom,
                     l=l, r=r, tL=t_l, tK=t_k, lp=l_prime_map, name=name)
-    _require_valid_rule(rule)
+    _require_valid(RuleError, "invalid-rule", (name, rule))
     return rule
 
 
@@ -637,7 +642,7 @@ def pbpo_step(rule: PbpoRule, match: Match, step: int = 0,
     :func:`verify_trace` runs too, or builds a dangling edge raises
     :class:`InternalMediatorError`.
     """
-    _require_valid_rule(rule)
+    _require_valid(RuleError, "invalid-rule", (rule.name, rule))
     m, alpha = match.m, match.alpha
     if m.dom != rule.L or alpha.cod != rule.Lp or m.cod != alpha.dom:
         raise MorphismError("typing-mismatch: the match does not connect L, the host and L'")
@@ -740,9 +745,8 @@ def normalize(g: LabeledGraph, rules: Sequence[PbpoRule],
     """
     if max_steps is not None and max_steps < 0:
         raise EngineError(f"invalid-budget: max_steps must not be negative, got {max_steps}")
-    for rule in rules:
-        _require_valid_rule(rule)
-    _require_valid_graph(g)
+    _require_valid(RuleError, "invalid-rule", *((rule.name, rule) for rule in rules))
+    _require_valid(GraphError, "invalid-graph", ("host", g))
     traces: list[RewriteTrace] = []
     steps = 0
     current = g

@@ -246,3 +246,16 @@ def test_the_cli_on_a_mutated_workspace_exits_without_a_traceback(ws_file, base,
                 code = exc.code
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue()
+
+
+def test_a_rule_over_a_dangling_inline_pattern_exits_1(ws_file, capsys):
+    """The mutation at seed 58711370 gives the random rule's inline pattern
+    an edge with no source node.  The rule is reported invalid, and
+    ``normalize`` refuses the workspace instead of crashing in the matcher."""
+    path = _write_mutation(ws_file, None, 58711370)
+    assert main(["validate", "--workspace", path, "--rule", "rule"]) == 1
+    assert "dangling-endpoint: L: edge" in capsys.readouterr().out
+    assert main(["normalize", "--workspace", path, "--rules", "rule", "--graph", "host",
+                 "--max-steps", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "dangling-endpoint: L: edge" in err and "Traceback" not in err

@@ -183,6 +183,76 @@ def test_complete_rule_bad_spec(unit):
                       RhsSpec(merge_nodes=(("p", "ghost"),)))
 
 
+def test_a_rule_over_a_dangling_pattern_is_invalid(unit):
+    """A rule is valid only if its graphs are.  A deleting rule whose
+    pattern edge has no source has five valid morphisms, but is reported
+    invalid, and the matcher and the completion refuse it."""
+    lprime = LabeledGraph.build(unit, {"a": "*"}, {"e": ("a", "a", "*")})
+    pattern = LabeledGraph(unit, frozenset({"a"}), frozenset({"e"}), {"e": ""}, {"e": "a"},
+                           {"a": "*"}, {"e": "*"})
+    t_l = GraphMorphism(pattern, lprime, {"a": "a"}, {"e": "e"})
+    empty = LabeledGraph.empty(unit)
+    rule = PbpoRule(L=pattern, K=empty, R=empty, Lp=lprime, Kp=empty,
+                    l=GraphMorphism(empty, pattern, {}, {}), r=identity(empty), tL=t_l,
+                    tK=identity(empty), lp=GraphMorphism(empty, lprime, {}, {}))
+    assert all(f._report.ok for f in (rule.l, rule.r, rule.tL, rule.tK, rule.lp))
+    assert validate_rule(rule).codes() == {"dangling-endpoint"}
+    with pytest.raises(RuleError, match="invalid-rule"):
+        find_matches(rule, lprime)
+    with pytest.raises(RuleError, match="graph L is invalid: dangling-endpoint"):
+        complete_rule(pattern, t_l, identity(lprime))
+
+
+RULE_GRAPHS = ("L", "K", "R", "Lp", "Kp")
+RULE_ARROWS = {"l": ("K", "L"), "r": ("K", "R"), "tL": ("L", "Lp"), "tK": ("K", "Kp"),
+               "lp": ("Kp", "Lp")}
+
+
+def corrupt_one_graph(rng, rule):
+    """``rule`` with one of its five graphs given a dangling edge, an id
+    used for both a node and an edge, or a label outside the lattice, and
+    each morphism at that graph moved onto the corrupted copy; with the
+    graph's name and the code :func:`validate_graph` gives the defect."""
+    name = rng.choice(RULE_GRAPHS)
+    g = getattr(rule, name)
+    nodes = dict(g.node_labels)
+    edges = {e: (g.src[e], g.tgt[e], g.edge_labels[e]) for e in g.edges}
+    anchor, label = min(g.nodes, default="zz"), rng.choice(g.lattice.sorted_elements())
+    code = rng.choice(("dangling-endpoint", "id-clash", "label-domain"))
+    if code == "dangling-endpoint":
+        edges["zz_edge"] = (*rng.choice([("zz_gone", anchor), (anchor, "zz_gone")]), label)
+    elif code == "id-clash":
+        nodes.setdefault(anchor, label)
+        edges[anchor] = (anchor, anchor, label)
+    else:
+        nodes[anchor] = "zz_foreign"
+    graphs = {x: getattr(rule, x) for x in RULE_GRAPHS}
+    graphs[name] = LabeledGraph.build(g.lattice, nodes, edges)
+    arrows = {f: GraphMorphism(graphs[dom], graphs[cod], getattr(rule, f).node_map,
+                               getattr(rule, f).edge_map)
+              for f, (dom, cod) in RULE_ARROWS.items()}
+    return dataclasses.replace(rule, **graphs, **arrows), name, code
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None)
+def test_a_rule_over_a_corrupted_graph_is_refused_at_every_entry(seed):
+    """A random rule with one corrupted graph is reported invalid, naming
+    the defect and the graph, and finding its matches, stepping with it
+    and normalizing with it raise ``RuleError``."""
+    rng = random.Random(seed)
+    rule = random_rule(rng, rng.choice(corpus_lattices()))
+    host, match = random_host_with_match(rng, rule)
+    bad, name, code = corrupt_one_graph(rng, rule)
+    report = validate_rule(bad)
+    assert any(v.code == code and v.message.startswith(f"{name}: ")
+               for v in report.violations), report
+    for entry in (lambda: find_matches(bad, host), lambda: pbpo_step(bad, match),
+                  lambda: normalize(host, [bad])):
+        with pytest.raises(RuleError, match="invalid-rule"):
+            entry()
+
+
 # ------------------------------------------------------------ stepping
 
 
