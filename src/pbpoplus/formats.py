@@ -337,11 +337,17 @@ class Workspace:
     morphisms: dict[str, GraphMorphism] = field(default_factory=dict)
     rules: dict[str, PbpoRule] = field(default_factory=dict)
     squares: dict[str, dict] = field(default_factory=dict)
+    # Rules that failed to load when the workspace was read unvalidated:
+    # each error is raised when its rule is asked for.
+    _failed_rules: dict[str, ParseError] = field(default_factory=dict, init=False,
+                                                  repr=False, compare=False)
 
     def graph(self, name: str) -> LabeledGraph:
         return _named(self.graphs, "graph", name)
 
     def rule(self, name: str) -> PbpoRule:
+        if name in self._failed_rules:
+            raise self._failed_rules[name]
         return _named(self.rules, "rule", name)
 
     def morphism(self, name: str) -> GraphMorphism:
@@ -362,7 +368,10 @@ def parse_workspace(paths, validate: bool = True) -> Workspace:
     """Load and merge one or more workspace files.
 
     Cross-references resolve across files (order-independently).  With
-    ``validate`` on, every loaded object must pass its validator."""
+    ``validate`` on, every loaded object must pass its validator.  With it
+    off, a rule that fails to load (say, a reduced-form rule whose
+    completion fails) does not stop the load: its :class:`ParseError` is
+    raised when :meth:`Workspace.rule` asks for that rule."""
     if isinstance(paths, str):
         paths = [paths]
     raw: dict[str, dict[str, Any]] = {"lattices": {}, "graphs": {},
@@ -388,7 +397,12 @@ def parse_workspace(paths, validate: bool = True) -> Workspace:
     for name, rec in sorted(raw["morphisms"].items()):
         ws.morphisms[name] = _morphism(rec, _at("morphisms", name), ws.graphs, ws.lattices)
     for name, rec in sorted(raw["rules"].items()):
-        ws.rules[name] = _rule(rec, _at("rules", name), ws.graphs, ws.lattices, name)
+        try:
+            ws.rules[name] = _rule(rec, _at("rules", name), ws.graphs, ws.lattices, name)
+        except ParseError as exc:
+            if validate:
+                raise
+            ws._failed_rules[name] = exc
     for name, rec in sorted(raw["squares"].items()):
         at = _at("squares", name)
         if _field(rec, "kind", str, at) not in ("pushout", "pullback"):

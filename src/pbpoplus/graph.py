@@ -372,8 +372,7 @@ def is_isomorphic(g: LabeledGraph, h: LabeledGraph) -> Optional[GraphMorphism]:
         by_label.setdefault(h.edge_labels[e], set()).add(e)
     found = next(_hom_search(g.rename(ids, {}), h, True,
                              {ids[n]: pools[sig] for n, sig in signatures.items()},
-                             {e: by_label.get(g.edge_labels[e], ()) for e in g.edges},
-                             lex=True), None)
+                             {e: by_label.get(g.edge_labels[e], ()) for e in g.edges}), None)
     return found and GraphMorphism(g, h, {n: found.node_map[x] for n, x in ids.items()},
                                    found.edge_map)
 

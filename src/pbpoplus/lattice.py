@@ -39,6 +39,9 @@ UNIT_ELEMENT = "*"
 # How many variable tuples the BDD memos (here and in ``bdd``) keep; the
 # oldest entry goes first.
 _MEMO_SIZE = 16
+# The largest subsets whose bounds validate_lattice checks in a lattice of
+# more than 12 elements.
+_SUBSET_CAP = 2
 _BDD_LATTICES: dict[tuple[str, ...], LabelLattice] = {}
 
 
@@ -59,6 +62,16 @@ def _transitive_closure(elements: frozenset[str],
                 above[a] |= new
                 changed = True
     return frozenset((a, b) for a in elements for b in above[a])
+
+
+def _least_bounds(up: dict[str, frozenset[str]], elements: Iterable[str],
+                  items: tuple[str, ...]) -> list[str]:
+    """The least of the ``elements`` above every one of ``items``, where
+    ``up`` maps each element to those above it: the join's candidates, of
+    which a lattice has exactly one.  Given the elements below each element
+    instead, the meet's candidates."""
+    bounds = [u for u in elements if all(u in up[x] for x in items)]
+    return [u for u in bounds if all(v in up[u] for v in bounds)]
 
 
 @dataclass(frozen=True)
@@ -90,6 +103,11 @@ class LabelLattice:
         for a, b in self.order:
             up[a].add(b)
         return {e: frozenset(s) for e, s in up.items()}
+
+    @cached_property
+    def _below(self) -> dict[str, frozenset[str]]:
+        above = self._above
+        return {e: frozenset(a for a in self.elements if e in above[a]) for e in self.elements}
 
     def _check_member(self, label: str) -> None:
         if label not in self.elements:
@@ -129,32 +147,23 @@ class LabelLattice:
         return result
 
     def _scan_join(self, items: tuple[str, ...]) -> str:
-        for x in items:
-            self._check_member(x)
-        if not items:
-            if self.bottom is None:
-                raise LatticeError("join of no labels needs a bottom element")
-            return self.bottom
-        uppers = [u for u in self.elements
-                  if all(u in self._above[x] for x in items)]
-        least = [u for u in uppers if all(v in self._above[u] for v in uppers)]
-        if len(least) != 1:
-            raise LatticeError(f"no unique supremum for {sorted(items)}")
-        return least[0]
+        return self._scan(items, self._above, self.bottom, "join", "bottom", "supremum")
 
     def _scan_meet(self, items: tuple[str, ...]) -> str:
+        return self._scan(items, self._below, self.top, "meet", "top", "infimum")
+
+    def _scan(self, items: tuple[str, ...], up: dict[str, frozenset[str]],
+              empty: Optional[str], op: str, unit: str, bound: str) -> str:
         for x in items:
             self._check_member(x)
         if not items:
-            if self.top is None:
-                raise LatticeError("meet of no labels needs a top element")
-            return self.top
-        lowers = [l for l in self.elements
-                  if all(x in self._above[l] for x in items)]
-        greatest = [l for l in lowers if all(l in self._above[v] for v in lowers)]
-        if len(greatest) != 1:
-            raise LatticeError(f"no unique infimum for {sorted(items)}")
-        return greatest[0]
+            if empty is None:
+                raise LatticeError(f"{op} of no labels needs a {unit} element")
+            return empty
+        least = _least_bounds(up, self.elements, items)
+        if len(least) != 1:
+            raise LatticeError(f"no unique {bound} for {sorted(items)}")
+        return least[0]
 
     def sorted_elements(self) -> list[str]:
         return sorted(self.elements)
@@ -206,13 +215,13 @@ def bdd_lattice(variables: Iterable[str]) -> LabelLattice:
     return lat
 
 
-def validate_lattice(lat: LabelLattice, subset_cap: int = 2) -> Report:
+def validate_lattice(lat: LabelLattice) -> Report:
     """Brute-force check of the complete-lattice axioms.
 
     Reflexivity, antisymmetry and transitivity are checked by enumeration.
     Existence and uniqueness of suprema and infima are checked for every
     subset when the lattice has at most 12 elements, otherwise for all
-    subsets up to ``subset_cap`` plus the empty set.
+    subsets of up to ``_SUBSET_CAP`` elements, the empty set included.
     """
     report = Report()
     elems = sorted(lat.elements)
@@ -235,15 +244,11 @@ def validate_lattice(lat: LabelLattice, subset_cap: int = 2) -> Report:
             itertools.combinations(elems, k) for k in range(len(elems) + 1))
     else:
         subsets = itertools.chain.from_iterable(
-            itertools.combinations(elems, k) for k in range(subset_cap + 1))
+            itertools.combinations(elems, k) for k in range(_SUBSET_CAP + 1))
     for subset in subsets:
-        uppers = [u for u in elems if all(u in above[x] for x in subset)]
-        least = [u for u in uppers if all(v in above[u] for v in uppers)]
-        if len(least) != 1:
+        if len(_least_bounds(above, elems, subset)) != 1:
             report.add("missing-supremum", f"subset {list(subset)} has no unique join")
-        lowers = [l for l in elems if all(x in above[l] for x in subset)]
-        greatest = [l for l in lowers if all(l in above[v] for v in lowers)]
-        if len(greatest) != 1:
+        if len(_least_bounds(lat._below, elems, subset)) != 1:
             report.add("missing-infimum", f"subset {list(subset)} has no unique meet")
 
     if lat.top is not None:

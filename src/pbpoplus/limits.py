@@ -1,24 +1,18 @@
 """Pushouts, pullbacks, preimages, and square verification.
 
-The pullback of a cospan is the fibered product computed independently on
-nodes and edges: all pairs ``(x, y)`` whose images in the shared target
-coincide, labeled with the meet of the component labels.  It is a hash
-join: the smaller foot is grouped by image and the other looked up, so the
-cost is linear in the feet plus the output, and a pullback of a small foot
-against a host-sized one builds no host-sized table.
+The pullback of a cospan ``f : B -> D``, ``g : C -> D`` is the fibered
+product, built in each sort on its own: every pair ``(b, c)`` with
+``f(b) = g(c)``, in id order of ``b`` and then of ``c``, labelled with the
+meet of the two labels; an edge pair runs between the pairs of its
+endpoints.  The pushout of a span ``f : A -> B``, ``g : A -> C`` is the
+disjoint union of the feet quotiented by the equivalence generated by
+``f(a) ~ g(a)``: in each sort, the classes of the elements ``(side, id)``
+(side ``"0"`` for ``B``, ``"1"`` for ``C``), in the order of their
+smallest member, each labelled with the join of its members' labels; an
+edge class takes its endpoints from its smallest member.
 
-The pushout of a span is the disjoint union of the two feet quotiented by
-the equivalence generated by identifying the two images of each apex
-element, labeled with the join of each class.  Classes are keyed by their
-smallest member ``(side, id)`` (side ``"0"`` for the left foot, ``"1"``
-for the right), which keeps results deterministic and traceable.  Only the
-apex image can merge, so only it goes through the union-find; every other
-element is a singleton class ``((side, x),)`` that keeps its own label, and
-the cost outside the apex image is one pass over the feet.
-
-Both constructions work on these tuple keys and name the result's elements
-in a separate last step: a pullback pair renders as ``"x|y"`` and a
-pushout class as ``"0:x"``/``"1:y"``.  Two elements named alike raise
+A pullback pair is named ``"x|y"`` and a pushout class ``"0:x"`` or
+``"1:y"`` after its smallest member.  Two elements named alike raise
 :class:`~pbpoplus.errors.SquareError` (``id-collision``) rather than
 merge: ids that themselves contain ``|`` can render two pairs alike.
 
@@ -59,10 +53,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Collection, Optional
 
-from .errors import (MorphismError, NonCommutingSquareError, SquareError,
-                     UnknownLabelError)
+from .errors import MorphismError, NonCommutingSquareError, SquareError
 from .graph import GraphMorphism, LabeledGraph, _map, _require_valid, _sort
-from .lattice import LabelLattice
 
 
 @dataclass(frozen=True)
@@ -104,35 +96,15 @@ def pair_id(x: str, y: str) -> str:
     return f"{x}|{y}"
 
 
-def _fibre_pairs(b_ids: tuple[str, ...], c_ids: tuple[str, ...],
-                 f_map: dict[str, str], g_map: dict[str, str]) -> list[tuple[str, str]]:
-    """Pairs ``(b, c)`` with ``f(b) = g(c)`` in (b, c) order, from sorted
-    ids: a hash join that groups the smaller side by image and looks the
-    other side up."""
-    if len(c_ids) <= len(b_ids):
-        c_by_image: dict[str, list[str]] = {}
-        for c in c_ids:
-            c_by_image.setdefault(g_map[c], []).append(c)
-        return [(b, c) for b in b_ids for c in c_by_image.get(f_map[b], ())]
-    b_by_image: dict[str, list[str]] = {}
-    for b in b_ids:
-        b_by_image.setdefault(f_map[b], []).append(b)
-    pairs = [(b, c) for c, image in g_map.items() for b in b_by_image.get(image, ())]
-    pairs.sort()
-    return pairs
-
-
 def _named(origins: list[tuple], ids: list[str], kind: str,
            what: str) -> dict[str, tuple]:
     """Id -> origin; two origins named alike raise instead of merging."""
-    naming = dict(zip(ids, origins))
-    if len(naming) < len(origins):
-        seen: dict[str, tuple] = {}
-        for origin, ident in zip(origins, ids):
-            if ident in seen:
-                raise SquareError(f"id-collision: {what} {seen[ident]} and "
-                                  f"{origin} both render as {kind} {ident!r}")
-            seen[ident] = origin
+    naming: dict[str, tuple] = {}
+    for origin, ident in zip(origins, ids):
+        if ident in naming:
+            raise SquareError(f"id-collision: {what} {naming[ident]} and "
+                              f"{origin} both render as {kind} {ident!r}")
+        naming[ident] = origin
     return naming
 
 
@@ -141,49 +113,33 @@ def pullback(c: Cospan) -> LimitResult:
     f, g = c.left, c.right
     _require_valid(SquareError, "invalid-cospan", ("left", f), ("right", g))
     B, C = f.dom, g.dom
-    lat = B.lattice
-    meet = lat.meet
-    node_pairs = _fibre_pairs(B.sorted_nodes, C.sorted_nodes, f.node_map, g.node_map)
-    edge_pairs = _fibre_pairs(B.sorted_edges, C.sorted_edges, f.edge_map, g.edge_map)
-
-    node_ids = [pair_id(x, y) for x, y in node_pairs]
-    node_naming = _named(node_pairs, node_ids, "node", "pairs")
-    node_of = dict(zip(node_pairs, node_ids))
-    node_labels: dict[str, str] = {}
-    left_nodes: dict[str, str] = {}
-    right_nodes: dict[str, str] = {}
-    b_labels, c_labels = B.node_labels, C.node_labels
-    for nid, (b, cn) in node_naming.items():
-        node_labels[nid] = meet((b_labels[b], c_labels[cn]))
-        left_nodes[nid] = b
-        right_nodes[nid] = cn
-
-    edge_naming = _named(edge_pairs, [pair_id(x, y) for x, y in edge_pairs], "edge",
-                         "pairs")
-    edge_labels: dict[str, str] = {}
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    left_edges: dict[str, str] = {}
-    right_edges: dict[str, str] = {}
-    b_labels, c_labels = B.edge_labels, C.edge_labels
-    for eid, (eb, ec) in edge_naming.items():
-        edge_labels[eid] = meet((b_labels[eb], c_labels[ec]))
-        src[eid] = node_of[B.src[eb], C.src[ec]]
-        tgt[eid] = node_of[B.tgt[eb], C.tgt[ec]]
-        left_edges[eid] = eb
-        right_edges[eid] = ec
+    meet = B.lattice.meet
+    sorts = []
+    for edges, kind, b_ids, c_ids in ((False, "node", B.sorted_nodes, C.sorted_nodes),
+                                      (True, "edge", B.sorted_edges, C.sorted_edges)):
+        f_map, g_map = _map(f, edges), _map(g, edges)
+        b_labels, c_labels = _sort(B, edges)[1], _sort(C, edges)[1]
+        fibres: dict[str, list[str]] = {}
+        for y in c_ids:
+            fibres.setdefault(g_map[y], []).append(y)
+        pairs = [(x, y) for x in b_ids for y in fibres.get(f_map[x], ())]
+        naming = _named(pairs, [pair_id(x, y) for x, y in pairs], kind, "pairs")
+        sorts.append((naming, {i: meet((b_labels[x], c_labels[y])) for i, (x, y) in naming.items()},
+                      {i: x for i, (x, _) in naming.items()},
+                      {i: y for i, (_, y) in naming.items()}))
+    (node_naming, node_labels, *node_legs), (edge_naming, edge_labels, *edge_legs) = sorts
 
     obj = LabeledGraph(
-        lattice=lat,
+        lattice=B.lattice,
         nodes=frozenset(node_naming),
         edges=frozenset(edge_naming),
-        src=src,
-        tgt=tgt,
+        src={i: pair_id(B.src[x], C.src[y]) for i, (x, y) in edge_naming.items()},
+        tgt={i: pair_id(B.tgt[x], C.tgt[y]) for i, (x, y) in edge_naming.items()},
         node_labels=node_labels,
         edge_labels=edge_labels,
     )
-    left_leg = GraphMorphism(obj, B, left_nodes, left_edges)
-    right_leg = GraphMorphism(obj, C, right_nodes, right_edges)
+    left_leg = GraphMorphism(obj, B, node_legs[0], edge_legs[0])
+    right_leg = GraphMorphism(obj, C, node_legs[1], edge_legs[1])
 
     # Monomorphisms are stable under pullback; a violation is an engine bug.
     if g.is_injective():
@@ -220,86 +176,38 @@ class _UnionFind:
         return out
 
 
-def _glue(lat: LabelLattice, feet_ids: dict[str, tuple[str, ...]],
-          feet_labels: dict[str, dict[str, str]], legs: dict[str, dict[str, str]],
-          apex_ids) -> tuple[list[tuple], list[str]]:
-    """Classes of one sort of element (nodes or edges) of the pushout.
-
-    ``feet_ids`` are each foot's sorted ids under its side ``"0"``/``"1"``,
-    ``legs`` the two leg maps of that sort.  Only images of the apex can
-    merge, so only they enter the union-find; every other element is a
-    singleton class that keeps its own label, which, like the join of a
-    larger class, must be an element of the lattice.  Returns the classes,
-    each the sorted tuple of its ``(side, id)`` members, in the order of
-    their smallest member (the root), and their labels.
-    """
-    glued = {side: set(leg.values()) for side, leg in legs.items()}
-    uf = _UnionFind([(side, x) for side, ids in glued.items() for x in ids])
-    for a in apex_ids:
-        uf.union(("0", legs["0"][a]), ("1", legs["1"][a]))
-    merged = uf.classes()
-    elements, join = lat.elements, lat.join
-    classes: list[tuple] = []
-    labels: list[str] = []
-    for side, ids in feet_ids.items():
-        side_glued, side_labels = glued[side], feet_labels[side]
-        for x in ids:
-            if x not in side_glued:
-                label = side_labels[x]
-                if label not in elements:
-                    raise UnknownLabelError(f"label {label!r} is not in the lattice")
-                classes.append(((side, x),))
-                labels.append(label)
-                continue
-            # A glued element opens its class only as the class root, which
-            # union-by-smaller-tag makes the smallest member.
-            members = merged.get((side, x))
-            if members is not None:
-                members = tuple(sorted(members))
-                classes.append(members)
-                labels.append(join(feet_labels[m_side][ident] for m_side, ident in members))
-    return classes, labels
-
-
-def _quotient(classes: list[tuple], labels: list[str],
-              kind: str) -> tuple[dict[str, tuple], dict[str, str], dict[str, dict[str, str]]]:
-    """Name the classes by their roots: the naming, the labels keyed by id,
-    and each foot's map from id to the id of its class."""
-    ids = [f"{side}:{x}" for (side, x), *_ in classes]
-    naming = _named(classes, ids, kind, "classes")
-    reps: dict[str, dict[str, str]] = {"0": {}, "1": {}}
-    for ident, members in naming.items():
-        for side, x in members:
-            reps[side][x] = ident
-    return naming, dict(zip(ids, labels)), reps
-
-
 def pushout(s: Span) -> LimitResult:
     """Quotient of the disjoint union of the feet along the shared apex."""
     f, g = s.left, s.right
     _require_valid(SquareError, "invalid-span", ("left", f), ("right", g))
-    A = f.dom
-    lat = f.cod.lattice
     feet = {"0": f.cod, "1": g.cod}
-
-    node_naming, node_labels, node_reps = _quotient(*_glue(
-        lat, {side: foot.sorted_nodes for side, foot in feet.items()},
-        {side: foot.node_labels for side, foot in feet.items()},
-        {"0": f.node_map, "1": g.node_map}, A.sorted_nodes), "node")
-    edge_naming, edge_labels, edge_reps = _quotient(*_glue(
-        lat, {side: foot.sorted_edges for side, foot in feet.items()},
-        {side: foot.edge_labels for side, foot in feet.items()},
-        {"0": f.edge_map, "1": g.edge_map}, A.sorted_edges), "edge")
+    join = f.cod.lattice.join
+    sorts = []
+    for edges, kind in ((False, "node"), (True, "edge")):
+        uf = _UnionFind([(side, x) for side, foot in feet.items()
+                         for x in (foot.sorted_edges if edges else foot.sorted_nodes)])
+        g_map, labels = _map(g, edges), {side: _sort(foot, edges)[1] for side, foot in feet.items()}
+        for a, x in _map(f, edges).items():
+            uf.union(("0", x), ("1", g_map[a]))
+        # The elements go in sorted, so a class lists its members in order,
+        # and the classes come in the order of their smallest members.
+        classes = [tuple(members) for members in uf.classes().values()]
+        naming = _named(classes, [f"{side}:{x}" for (side, x), *_ in classes], kind, "classes")
+        reps: dict[str, dict[str, str]] = {"0": {}, "1": {}}
+        for i, members in naming.items():
+            for side, x in members:
+                reps[side][x] = i
+        sorts.append((naming, reps, {i: join(labels[side][x] for side, x in members)
+                                     for i, members in naming.items()}))
+    (node_naming, node_reps, node_labels), (edge_naming, edge_reps, edge_labels) = sorts
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
-    for rep, members in edge_naming.items():
-        side, ident = members[0]
+    for i, ((side, x), *_) in edge_naming.items():
         foot = feet[side]
-        src[rep] = node_reps[side][foot.src[ident]]
-        tgt[rep] = node_reps[side][foot.tgt[ident]]
+        src[i], tgt[i] = node_reps[side][foot.src[x]], node_reps[side][foot.tgt[x]]
 
     obj = LabeledGraph(
-        lattice=lat,
+        lattice=f.cod.lattice,
         nodes=frozenset(node_naming),
         edges=frozenset(edge_naming),
         src=src,
@@ -503,7 +411,7 @@ def enumerate_mediators(dom: LabeledGraph,
             for y, img in q_map.items():
                 fibre = fibres.get(img, set())
                 pools[y] = pools[y] & fibre if y in pools else frozenset(fibre)
-    found = _hom_search(dom, cod, False, node_pools, edge_pools, lex=True)
+    found = _hom_search(dom, cod, False, node_pools, edge_pools)
     return list(islice(found, limit))
 
 

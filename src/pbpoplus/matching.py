@@ -116,19 +116,19 @@ class Match:
 
 def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
                 node_pools: Optional[Mapping[str, Collection[str]]] = None,
-                edge_pools: Optional[Mapping[str, Collection[str]]] = None,
-                lex: bool = False) -> Iterator[GraphMorphism]:
+                edge_pools: Optional[Mapping[str, Collection[str]]] = None
+                ) -> Iterator[GraphMorphism]:
     """Backtracking core shared by plain enumeration, adherence extension,
     mediator enumeration and the isomorphism search.
 
     ``node_pools``/``edge_pools`` map an element of ``dom`` to the elements
     of ``cod`` its image must come from; an element without an entry may go
-    anywhere.  With ``lex`` the nodes are processed in id order and results
-    come out lexicographically sorted by assignment; otherwise the
-    most-constrained node goes first and callers sort.  Elements with a
-    single candidate are placed before the search and take part in no
-    backtracking; the search itself runs on an explicit stack, so its
-    depth is not bounded by the interpreter's recursion limit.
+    anywhere.  Nodes are taken in id order and candidates in id order, so
+    results come out in lexicographic order of the node assignment, then
+    the edge assignment.  Elements with a single candidate are placed
+    before the search and take part in no backtracking; the search itself
+    runs on an explicit stack, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
     above = dom.lattice._above
     node_pools = node_pools or {}
@@ -168,11 +168,7 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
                 c for c in cod.edges_between(s, t) if c in pool and cod_elab[c] in up)
         return found
 
-    if lex:
-        nodes = dom.sorted_nodes
-    else:
-        nodes = sorted(dom.sorted_nodes, key=lambda n: (len(candidates[n]), n))
-    edges = dom.sorted_edges
+    nodes, edges = dom.sorted_nodes, dom.sorted_edges
 
     # Forced pass: a node with one candidate is placed, and an edge between
     # placed nodes gets its targets, once for every result.  The maps are
@@ -354,17 +350,15 @@ def enumerate_homomorphisms(g: LabeledGraph, h: LabeledGraph,
                             injective: bool = False) -> list[GraphMorphism]:
     """All structure- and label-respecting morphisms ``g -> h``.
 
-    Returned in lexicographic order of the node assignment (then the edge
-    assignment).  The injective flag restricts to injections on both nodes
-    and edges.  A malformed graph raises ``invalid-graph``.
+    Returned in the search's order: lexicographic in the node assignment,
+    nodes taken in id order, then in the edge assignment.  The injective
+    flag restricts to injections on both nodes and edges.  A malformed
+    graph raises ``invalid-graph``.
     """
     if g.lattice != h.lattice:
         raise LatticeError("homomorphism enumeration needs a shared lattice")
     _require_valid(GraphError, "invalid-graph", ("g", g), ("h", h))
-    found = list(_hom_search(g, h, injective))
-    found.sort(key=lambda f: (tuple(sorted(f.node_map.items())),
-                              tuple(sorted(f.edge_map.items()))))
-    return found
+    return list(_hom_search(g, h, injective))
 
 
 def check_strong_match(t_l: GraphMorphism, alpha: GraphMorphism) -> Optional[Match]:
@@ -441,7 +435,7 @@ def _adherences_for(m: GraphMorphism, rule: "PbpoRule",
     edge_pools: dict[str, Collection[str]] = dict.fromkeys(
         g.edges, l_prime.edges - t_l.edge_image())
     edge_pools.update((m.edge_map[e], (t,)) for e, t in t_l.edge_map.items())
-    yield from _hom_search(g, l_prime, False, node_pools, edge_pools, lex=True)
+    yield from _hom_search(g, l_prime, False, node_pools, edge_pools)
 
 
 def iter_matches(rule: "PbpoRule", g: LabeledGraph,
@@ -468,7 +462,7 @@ def iter_matches(rule: "PbpoRule", g: LabeledGraph,
     _require_valid(RuleError, "invalid-rule", (rule.name, rule))
     if g.lattice != rule.L.lattice:
         raise LatticeError("host graph must share the rule lattice")
-    occurrences = _hom_search(rule.L, g, injective=True, lex=True)
+    occurrences = _hom_search(rule.L, g, injective=True)
     fits, pinned = rule._context_labels, ()
     if len(fits) < len(g.lattice.elements):
         pinned = {n for n in g.nodes if g.node_labels[n] not in fits}

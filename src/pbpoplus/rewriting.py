@@ -212,12 +212,6 @@ class PbpoRule:
         return fibres[0], fibres[1]
 
     @cached_property
-    def _fibre_sizes(self) -> tuple[dict[str, int], dict[str, int]]:
-        """Nodes, then edges: the size of each fibre of :attr:`_fibres`."""
-        nodes, edges = ({x: len(ks) for x, ks in fibres.items()} for fibres in self._fibres)
-        return nodes, edges
-
-    @cached_property
     def _plain(self) -> tuple[dict[str, str], dict[str, str]]:
         """Nodes, then edges: each *plain* element of ``L'``, one whose
         ``l'``-fibre is a single element of ``K'`` with the same label,
@@ -285,8 +279,8 @@ def validate_rule(rule: PbpoRule) -> Report:
         report.add("non-injective-typing", "tK must be injective in this engine")
     # The canonical pullback has, over each element of L, its l'-fibre.
     _check_square(report, _commutes(rule.l, rule.tL, rule.tK, rule.lp),
-                  lambda: all(_is_pullback_sort(rule.l, rule.tK, edges, sum(map(
-                      rule._fibre_sizes[edges].__getitem__, _map(rule.tL, edges).values())))
+                  lambda: all(_is_pullback_sort(rule.l, rule.tK, edges, sum(
+                      len(rule._fibres[edges][t]) for t in _map(rule.tL, edges).values()))
                       for edges in (False, True)),
                   ("left-square-commutation", "tL . l differs from l' . tK"),
                   ("left-square-pullback",

@@ -188,10 +188,10 @@ def _check_step(trace: RewriteTrace, patch: Optional[list] = None) -> Report:
     def is_deletion_pullback(edges: bool, found: _Findings) -> bool:
         # A pair of the patch over a host element outside it repeats that
         # element's own pair, so every pair of the patch must be over it.
-        gl, alpha, fibre = _map(trace.g_l, edges), _map(trace.alpha, edges), rule._fibre_sizes
+        gl, alpha, fibres = _map(trace.g_l, edges), _map(trace.alpha, edges), rule._fibres[edges]
         over = [x for x in found.inside if gl[x] in found.patch]
         return len(over) == len(found.inside) and _is_pullback_sort(trace.g_l, u_prime, edges, sum(
-            fibre[edges][alpha[g]] for g in found.patch if g in alpha), over)
+            len(fibres[alpha[g]]) for g in found.patch if g in alpha), over)
 
     def is_addition_pushout(edges: bool, found: _Findings) -> bool:
         # Outside the patch an element of G_K is a class of its own, sent to

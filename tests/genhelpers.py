@@ -622,7 +622,7 @@ def searched_adherences(m: GraphMorphism, rule, g: LabeledGraph) -> list[GraphMo
     node_pools.update((m.node_map[l], (t,)) for l, t in t_l.node_map.items())
     edge_pools = dict.fromkeys(g.edges, l_prime.edges - t_l.edge_image())
     edge_pools.update((m.edge_map[e], (t,)) for e, t in t_l.edge_map.items())
-    return list(_hom_search(g, l_prime, False, node_pools, edge_pools, lex=True))
+    return list(_hom_search(g, l_prime, False, node_pools, edge_pools))
 
 
 def count_adherence_searches(monkeypatch) -> list[LabeledGraph]:
@@ -657,8 +657,8 @@ def naive_find_matches(rule, g: LabeledGraph) -> list[Match]:
 
 
 def reference_pullback(c: Cospan) -> LimitResult:
-    """The pullback with the right foot always grouped by image: the
-    reference for :func:`pbpoplus.pullback`, which groups the smaller foot.
+    """The pullback written out one sort after the other, raising at the
+    first id met twice: the reference for :func:`pbpoplus.pullback`.
     Object (with insertion order), legs, namings and errors must agree."""
     f, g = c.left, c.right
     _require_valid(SquareError, "invalid-cospan", ("left", f), ("right", g))
@@ -729,9 +729,10 @@ def reference_pullback(c: Cospan) -> LimitResult:
 
 
 def reference_pushout(s: Span) -> LimitResult:
-    """The pushout with every element of both feet in the union-find: the
-    reference for :func:`pbpoplus.pushout`, which quotients only the apex
-    image.  Classes, their order, ids, labels and legs must agree."""
+    """The pushout written out one sort after the other, each class sorted
+    and named after its first member: the reference for
+    :func:`pbpoplus.pushout`.  Classes, their order, ids, labels and legs
+    must agree."""
     f, g = s.left, s.right
     _require_valid(SquareError, "invalid-span", ("left", f), ("right", g))
     A = f.dom

@@ -267,7 +267,7 @@ def test_cli_malformed_graph_shape_is_a_parse_error(tmp_path, capsys, mangle):
      lambda ws: ws["squares"]["good"].update(inner=["f", 1])),
     (WS, ["validate", "--lattice", "bdd2"],
      lambda ws: ws["lattices"]["bdd2"]["order"].append(["bot", "x1", "top"])),
-    (WS, ["validate", "--graph", "L"],
+    (WS, ["validate", "--rule", "replace"],
      lambda ws: ws["graphs"]["L"]["nodes"][0].update(label="weird")),
 ], ids=["nodemap-list", "nodemap-number", "rule-without-L", "squares-list",
         "square-inner-number", "order-triple", "rule-completion"])
@@ -281,4 +281,26 @@ def test_cli_malformed_record_shape_is_a_parse_error(tmp_path, capsys, fixture, 
     assert main([command[0], "--workspace", str(path), *command[1:]]) == 1
     err = capsys.readouterr().err
     assert "parse-error" in err and "Traceback" not in err
-    assert command != ["validate", "--graph", "L"] or "morphism tL is invalid" in err
+    assert command != ["validate", "--rule", "replace"] or "morphism tL is invalid" in err
+
+
+def test_cli_validate_reads_past_a_rule_that_fails_completion(tmp_path, capsys):
+    """``validate`` reads its workspace unvalidated, so a reduced-form rule
+    whose completion fails stops only what asks for that rule: a valid graph
+    is ``ok`` and the bad pattern graph gets its own report.  Every command
+    that validates its workspace still stops at the rule."""
+    ws = json.loads(pathlib.Path(WS).read_text())
+    ws["graphs"]["L"]["nodes"][0]["label"] = "weird"
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(ws))
+    assert main(["validate", "--workspace", str(path), "--graph", "host"]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert main(["validate", "--workspace", str(path), "--graph", "L"]) == 1
+    assert (capsys.readouterr().out
+            == "label-domain: node 'a' labeled 'weird' outside the lattice\n")
+    for command in (["validate", "--rule", "replace"],
+                    ["match", "--rule", "replace", "--graph", "host"],
+                    ["dot", "--graph", "host"]):
+        assert main([command[0], "--workspace", str(path), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("parse-error: rules.replace: invalid-rule: morphism tL is invalid")

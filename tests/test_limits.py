@@ -121,8 +121,9 @@ def test_pushout_rejects_a_foreign_label_outside_the_apex_image(unit):
 
 
 def test_pushout_agrees_with_reference():
-    """Gluing only the apex image gives the classes, ids, labels, legs and
-    namings (member order included) of the full union-find."""
+    """The classes, ids, labels, legs and namings (member order included)
+    are those of the reference, on spans with merged classes, loops,
+    parallel edges and non-injective legs."""
     rng = random.Random(83)
     seen = {"merged": 0, "loops": 0, "parallel": 0, "non-injective": 0}
     for lat in corpus_lattices():
@@ -249,8 +250,8 @@ def assert_same_limit(got, want):
 
 
 def test_pullback_agrees_with_reference():
-    """Grouping the smaller foot gives the pairs, ids, labels, legs and
-    namings of grouping the right foot, in the same order."""
+    """The pairs, ids, labels, legs and namings are those of the reference,
+    in the same order, whichever foot is the smaller."""
     rng = random.Random(97)
     seen = {"left-smaller": 0, "right-smaller": 0, "fibres": 0}
     sizes = (1, 3, 8)
@@ -271,7 +272,7 @@ def test_pullback_agrees_with_reference():
 
 
 def test_pullback_collision_agrees_with_reference(unit):
-    """Either foot may be the smaller one; the first colliding pair and its
+    """Whichever foot is the larger, the first colliding pair and its
     message are those of the reference."""
     d = LabeledGraph.build(unit, {"t": "*"})
     for junk_b, junk_c in ((0, 0), (5, 0), (0, 5)):

@@ -248,7 +248,7 @@ def test_hom_search_agrees_with_unanchored_reference():
             expected = assignments(reference_homomorphisms(g, h, injective))
             assert assignments(enumerate_homomorphisms(g, h, injective)) == expected
             # The lexicographic search must produce that order unsorted.
-            assert assignments(_hom_search(g, h, injective, lex=True)) == expected
+            assert assignments(_hom_search(g, h, injective)) == expected
             found += len(expected)
     assert found > 1000
 
@@ -281,21 +281,15 @@ def pooled_reference(g, h, injective, node_pools, edge_pools):
             and all(f.edge_map[e] in pool for e, pool in edge_pools.items())]
 
 
-def sorted_keys(pairs):
-    return sorted(tuple(sorted(nm.items())) + tuple(sorted(em.items())) for nm, em in pairs)
-
-
 def assert_search_agrees(g, h, node_pools, edge_pools):
-    """``_hom_search`` under the pools equals the filtered reference, for
-    both injectivity modes, in lex order and, as a set, in the other;
-    returns the number of results per mode."""
+    """``_hom_search`` under the pools equals the filtered reference, in its
+    lexicographic order, for both injectivity modes; returns the number of
+    results per mode."""
     counts = []
     for injective in (False, True):
         expected = assignments(pooled_reference(g, h, injective, node_pools, edge_pools))
-        got = assignments(_hom_search(g, h, injective, node_pools, edge_pools, lex=True))
+        got = assignments(_hom_search(g, h, injective, node_pools, edge_pools))
         assert got == expected
-        unordered = assignments(_hom_search(g, h, injective, node_pools, edge_pools))
-        assert sorted_keys(unordered) == sorted_keys(expected)
         counts.append(len(expected))
     return counts
 
@@ -348,7 +342,7 @@ def test_forced_pass_edge_cases(unit):
                                {"e1": ("a", "b", "*"), "e2": ("a", "b", "*")})
         pools = {forced: frozenset({"f1"})}
         assert assert_search_agrees(g, h, pinned, pools) == [2, 1]
-        (only,) = _hom_search(g, h, True, pinned, pools, lex=True)
+        (only,) = _hom_search(g, h, True, pinned, pools)
         assert only.edge_map == {forced: "f1", open_edge: "f2"}
 
     # An edge between forced nodes with no target ends the search.
@@ -444,7 +438,7 @@ def test_sink_adherences_are_what_the_search_finds(seed):
     which the verdict :func:`iter_matches` stores on a match takes as given."""
     rule, host = sink_instance(seed)
     assert rule._sink is not None
-    for m in _hom_search(rule.L, host, True, lex=True):
+    for m in _hom_search(rule.L, host, True):
         built = list(_adherences_for(m, rule, host))
         assert all(validate_morphism(alpha).ok for alpha in built)
         assert adherence_maps(built) == adherence_maps(searched_adherences(m, rule, host))
@@ -471,7 +465,7 @@ def test_sink_instances_reach_every_outcome_of_the_closed_form(monkeypatch):
     outcomes = {"one": 0, "none": 0, "search": 0}
     for seed in range(300):
         rule, host = sink_instance(seed)
-        for m in _hom_search(rule.L, host, True, lex=True):
+        for m in _hom_search(rule.L, host, True):
             before = len(searched)
             found = list(_adherences_for(m, rule, host))
             if len(searched) > before:
@@ -533,7 +527,7 @@ def test_found_matches_decided_afresh_keep_their_verdict_and_step(seed, sink):
         while rule._sink is not None:
             rule = random_rule(rng, lat)
         host = random_host_with_match(rng, rule)[0]
-        for m in _hom_search(rule.L, host, True, lex=True):
+        for m in _hom_search(rule.L, host, True):
             assert all(validate_morphism(alpha).ok for alpha in _adherences_for(m, rule, host))
     for found in iter_matches(rule, host):
         fresh = Match(found.m, found.alpha, found.typing)
