@@ -218,12 +218,19 @@ def bdd_lattice(variables: Iterable[str]) -> LabelLattice:
 def validate_lattice(lat: LabelLattice) -> Report:
     """Brute-force check of the complete-lattice axioms.
 
-    Reflexivity, antisymmetry and transitivity are checked by enumeration.
-    Existence and uniqueness of suprema and infima are checked for every
-    subset when the lattice has at most 12 elements, otherwise for all
-    subsets of up to ``_SUBSET_CAP`` elements, the empty set included.
+    An order pair naming a non-element is reported as ``order-non-element``
+    and ends the check, since the axioms below are about a relation over
+    the elements.  Reflexivity, antisymmetry and transitivity are checked
+    by enumeration.  Existence and uniqueness of suprema and infima are
+    checked for every subset when the lattice has at most 12 elements,
+    otherwise for all subsets of up to ``_SUBSET_CAP`` elements, the empty
+    set included.
     """
     report = Report()
+    for pair in sorted(p for p in lat.order if not lat.elements.issuperset(p)):
+        report.add("order-non-element", f"order pair {pair!r} names a non-element")
+    if not report.ok:
+        return report
     elems = sorted(lat.elements)
     above = lat._above
     for a in elems:

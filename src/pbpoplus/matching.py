@@ -30,19 +30,17 @@ target ends the search before any backtracking.  Without this, a search
 in id order can place many isolated nodes before the endpoint that cannot
 close an edge, and try every combination of them first.
 
-The remaining nodes are searched one at a time on an explicit stack of
-candidate iterators, so the depth of the search is not bounded by the
-interpreter's recursion limit.  A node with several candidates that is
-joined by an edge to a node placed earlier is anchored on it: only the
-neighbours of the anchor's image, in the edge's direction, are tried,
-intersected with the node's label-compatible candidates and sorted.  Once
-every node is placed, an edge with exactly one target takes it and the
-remaining edges are searched on a stack in the same way.  A forced element
-has the same image in every result and anchoring only skips candidates
-that could never complete an edge, so results and their order are those of
-the plain search; this is the unrooted form of rooted matching in GP 2
-(Bak & Plump, 2012), where an element whose image is forced costs no
-search.
+The open nodes, then the open edges, are tried one at a time on one
+explicit stack of candidate iterators, so the depth of the search is not
+bounded by the interpreter's recursion limit.  A node with several
+candidates that is joined by an edge to a node placed earlier is anchored
+on it: only the neighbours of the anchor's image, in the edge's direction,
+are tried, intersected with the node's label-compatible candidates and
+sorted.  A forced element has the same image in every result and anchoring
+only skips candidates that could never complete an edge, so results and
+their order are those of the plain search; this is the unrooted form of
+rooted matching in GP 2 (Bak & Plump, 2012), where an element whose image
+is forced costs no search.
 
 An adherence at an occurrence ``m`` is built, not searched, when the
 context part of ``L'`` is a *sink*, one node ``c`` with one loop ``cc``,
@@ -125,10 +123,11 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
     of ``cod`` its image must come from; an element without an entry may go
     anywhere.  Nodes are taken in id order and candidates in id order, so
     results come out in lexicographic order of the node assignment, then
-    the edge assignment.  Elements with a single candidate are placed
-    before the search and take part in no backtracking; the search itself
-    runs on an explicit stack, so its depth is not bounded by the
-    interpreter's recursion limit.
+    the edge assignment.  Nodes with a single candidate, and edges between
+    them with a single target, are placed before the search and take part
+    in no backtracking; the open nodes, then the open edges, are tried on
+    one explicit stack, so its depth is not bounded by the interpreter's
+    recursion limit.
     """
     above = dom.lattice._above
     node_pools = node_pools or {}
@@ -277,57 +276,26 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
             near = {cod_src[c] for c in cod_incident[image] if cod_tgt[c] == image}
         return sorted(near & static)
 
-    def assign_edges() -> Iterator[GraphMorphism]:
-        """Complete the placed nodes ``nm`` with every edge assignment."""
-        edge_map = dict(em)
-        taken = set(used_edges)
-        search: list[tuple[str, tuple[str, ...]]] = []
-        for e in open_edges:
-            targets = edge_targets(e)
-            if len(targets) != 1:
-                search.append((e, targets))
-                continue
-            c = targets[0]
-            if injective:
-                if c in taken:
-                    return
-                taken.add(c)
-            edge_map[e] = c
-        if not search:
-            yield GraphMorphism(dom, cod, dict(nm), edge_map)
-            return
-        depth = len(search)
-        stack = [iter(search[0][1])]
-        while stack:
-            i = len(stack) - 1
-            for c in stack[i]:
-                if not (injective and c in taken):
-                    break
-            else:
-                stack.pop()
-                if injective and i:
-                    taken.discard(edge_map[search[i - 1][0]])
-                continue
-            edge_map[search[i][0]] = c
-            if i + 1 == depth:
-                yield GraphMorphism(dom, cod, dict(nm), dict(edge_map))
-                continue
-            if injective:
-                taken.add(c)
-            stack.append(iter(search[i + 1][1]))
-
-    if not rest:
-        yield from assign_edges()
+    # One slot per open element: the open nodes in id order, then the open
+    # edges in id order, each with its image map, its injectivity set, its
+    # targets and the edges its placement closes, in lists indexed by depth.
+    elems = rest + open_edges
+    images = [nm] * len(rest) + [em] * len(open_edges)
+    taken = [used] * len(rest) + [used_edges] * len(open_edges)
+    find = [node_targets] * len(rest) + [edge_targets] * len(open_edges)
+    closing += [()] * len(open_edges)
+    depth = len(elems)
+    if not depth:
+        yield GraphMorphism(dom, cod, nm, em)
         return
-    depth = len(rest)
-    stack = [iter(node_targets(rest[0]))]
+    stack = [iter(find[0](elems[0]))]
     while stack:
         i = len(stack) - 1
-        n = rest[i]
+        x, image, seen = elems[i], images[i], taken[i]
         for c in stack[i]:
-            if injective and c in used:
+            if injective and c in seen:
                 continue
-            nm[n] = c
+            image[x] = c
             for e in closing[i]:
                 if not edge_targets(e):
                     break
@@ -336,14 +304,14 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
         else:
             stack.pop()
             if injective and i:
-                used.discard(nm[rest[i - 1]])
+                taken[i - 1].discard(images[i - 1][elems[i - 1]])
             continue
         if i + 1 == depth:
-            yield from assign_edges()
+            yield GraphMorphism(dom, cod, dict(nm), dict(em))
             continue
         if injective:
-            used.add(c)
-        stack.append(iter(node_targets(rest[i + 1])))
+            seen.add(c)
+        stack.append(iter(find[i + 1](elems[i + 1])))
 
 
 def enumerate_homomorphisms(g: LabeledGraph, h: LabeledGraph,

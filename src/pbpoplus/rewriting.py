@@ -305,38 +305,37 @@ class RhsSpec:
 def _rhs_from_spec(k: LabeledGraph, spec: RhsSpec) -> tuple[LabeledGraph, GraphMorphism]:
     lat = k.lattice
 
-    def classes(ids: frozenset[str], groups, kind: str) -> dict[str, str]:
-        # Each class is represented by its smallest id.
-        uf = _UnionFind(ids)
+    def classes(ordered: Sequence[str], labels: Mapping, groups, kind: str) -> tuple[dict, dict]:
+        # Each element's class, represented by its smallest id, and each
+        # class's label, the join of its members'; classes in id order.
+        uf = _UnionFind(ordered)
         for group in groups:
             for ident in group:
-                if ident not in ids:
+                if ident not in labels:
                     raise RuleError(f"r-spec-ill-formed: unknown interface {kind} {ident!r}")
                 uf.union(group[0], ident)
-        return {x: uf.find(x) for x in ids}
+        found = uf.classes()
+        return ({x: rep for rep, members in found.items() for x in members},
+                {rep: lat.join(labels[x] for x in members) for rep, members in found.items()})
 
-    node_rep = classes(k.nodes, spec.merge_nodes, "node")
-    edge_rep = classes(k.edges, spec.merge_edges, "edge")
+    node_rep, nodes = classes(k.sorted_nodes, k.node_labels, spec.merge_nodes, "node")
+    edge_rep, edge_labels = classes(k.sorted_edges, k.edge_labels, spec.merge_edges, "edge")
     for e in k.edges:
         rep = edge_rep[e]
         if (node_rep[k.src[e]] != node_rep[k.src[rep]]
                 or node_rep[k.tgt[e]] != node_rep[k.tgt[rep]]):
             raise RuleError("r-spec-ill-formed: merged edges have unmerged endpoints")
 
-    join = lat.join
-    nodes: dict[str, str] = {}
-    for n in k.sorted_nodes:
-        rep = node_rep[n]
-        nodes.setdefault(rep, join(
-            k.node_labels[x] for x in k.nodes if node_rep[x] == rep))
-    for key, lab in spec.node_labels.items():
-        if key not in k.nodes:
-            raise RuleError(f"r-spec-ill-formed: label override for unknown node {key!r}")
-        rep = node_rep[key]
-        if not lat.leq(nodes[rep], lab):
-            raise RuleError(
-                f"r-spec-ill-formed: override {lab!r} is below the class join at {key!r}")
-        nodes[rep] = lab
+    def override(labels: dict, rep: dict, overrides: Mapping[str, str], kind: str) -> None:
+        for key, lab in overrides.items():
+            if key not in rep:
+                raise RuleError(f"r-spec-ill-formed: label override for unknown {kind} {key!r}")
+            if not lat.leq(labels[rep[key]], lab):
+                raise RuleError(
+                    f"r-spec-ill-formed: override {lab!r} is below the class join at {key!r}")
+            labels[rep[key]] = lab
+
+    override(nodes, node_rep, spec.node_labels, "node")
     for ident, lab in spec.fresh_nodes.items():
         if ident in nodes or ident in k.nodes:
             raise RuleError(f"r-spec-ill-formed: fresh node id {ident!r} already used")
@@ -349,22 +348,9 @@ def _rhs_from_spec(k: LabeledGraph, spec: RhsSpec) -> tuple[LabeledGraph, GraphM
             return x
         raise RuleError(f"r-spec-ill-formed: unknown endpoint {x!r}")
 
-    edges: dict[str, tuple[str, str, str]] = {}
-    for e in k.sorted_edges:
-        rep = edge_rep[e]
-        if rep in edges:
-            continue
-        lab = join(k.edge_labels[x] for x in k.edges if edge_rep[x] == rep)
-        edges[rep] = (node_rep[k.src[rep]], node_rep[k.tgt[rep]], lab)
-    for key, lab in spec.edge_labels.items():
-        if key not in k.edges:
-            raise RuleError(f"r-spec-ill-formed: label override for unknown edge {key!r}")
-        rep = edge_rep[key]
-        s, t, old = edges[rep]
-        if not lat.leq(old, lab):
-            raise RuleError(
-                f"r-spec-ill-formed: override {lab!r} is below the class join at {key!r}")
-        edges[rep] = (s, t, lab)
+    override(edge_labels, edge_rep, spec.edge_labels, "edge")
+    edges = {rep: (node_rep[k.src[rep]], node_rep[k.tgt[rep]], lab)
+             for rep, lab in edge_labels.items()}
     for ident, (s, t, lab) in spec.fresh_edges.items():
         if ident in edges or ident in k.edges:
             raise RuleError(f"r-spec-ill-formed: fresh edge id {ident!r} already used")

@@ -188,7 +188,7 @@ def test_cli_normalize_negative_budget_exit_2():
     assert exc.value.code == 2
 
 
-def test_cli_check_squares(capsys):
+def test_cli_check_squares(capsys, tmp_path):
     assert main(["check", "--workspace", SQ, "--square", "good"]) == 0
     assert "pushout: yes" in capsys.readouterr().out
     assert main(["check", "--workspace", SQ, "--square", "good",
@@ -196,6 +196,16 @@ def test_cli_check_squares(capsys):
     capsys.readouterr()
     assert main(["check", "--workspace", SQ, "--square", "bad"]) == 1
     assert "pushout: no" in capsys.readouterr().out
+    # Legs that send the apex node to two corner nodes do not commute.
+    ws = json.loads(pathlib.Path(SQ).read_text())
+    ws["graphs"]["two"] = {"lattice": "unit", "nodes": [{"id": "m"}, {"id": "n"}], "edges": []}
+    ws["morphisms"]["p2"] = {"dom": "left", "cod": "two", "nodeMap": {"g": "m"}, "edgeMap": {}}
+    ws["morphisms"]["q2"] = {"dom": "right", "cod": "two", "nodeMap": {"r": "n"}, "edgeMap": {}}
+    ws["squares"]["skew"] = {"kind": "pushout", "inner": ["f", "g"], "outer": ["p2", "q2"]}
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(ws))
+    assert main(["check", "--workspace", str(path), "--square", "skew"]) == 1
+    assert capsys.readouterr().out == "non-commuting\n"
 
 
 def test_cli_validate(capsys):
@@ -205,20 +215,30 @@ def test_cli_validate(capsys):
     assert main(["validate", "--workspace", WS, "--graph", "host"]) == 0
 
 
-def test_cli_dot_subcommand(capsys):
+def test_cli_dot_subcommand(capsys, tmp_path):
     assert main(["dot", "--workspace", WS, "--graph", "host"]) == 0
-    check_dot(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    check_dot(text)
+    out = tmp_path / "host.dot"
+    assert main(["dot", "--workspace", WS, "--graph", "host", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == text
 
 
 def test_cli_missing_name_exit_1(capsys):
     assert main(["match", "--workspace", WS, "--rule", "nope",
                  "--graph", "host"]) == 1
     assert "dangling-reference" in capsys.readouterr().err
+    assert main(["validate", "--workspace", WS, "--lattice", "nope"]) == 1
+    assert "dangling-reference: lattice 'nope'" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["bdd"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--workspace", WS, "--rules", ",", "--graph", "host"])
     assert exc.value.code == 2
 
 

@@ -94,6 +94,18 @@ def test_validate_antisymmetry_violation():
     assert "antisymmetry" in validate_lattice(lat).codes()
 
 
+def test_validate_reports_order_pairs_outside_the_elements():
+    """An order naming a non-element is reported, not raised on; the axioms
+    are not checked over it."""
+    lat = LabelLattice.from_order(["a"], [("a", "z")], top="a", bottom="a")
+    report = validate_lattice(lat)
+    assert report.codes() == {"order-non-element"}
+    assert [v.message for v in report.violations] == [
+        "order pair ('a', 'z') names a non-element"]
+    stray = LabelLattice(frozenset({"a"}), frozenset({("a", "a"), ("y", "a"), ("a", "z")}))
+    assert len(validate_lattice(stray).violations) == 2
+
+
 def test_closure_is_applied():
     lat = LabelLattice.from_order(["a", "b", "c"], [("a", "b"), ("b", "c")],
                                   top="c", bottom="a")

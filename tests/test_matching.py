@@ -294,6 +294,25 @@ def assert_search_agrees(g, h, node_pools, edge_pools):
     return counts
 
 
+def random_pools(rng, g, h, pinned):
+    """Pools for ``_hom_search(g, h, ...)``: each element gets one image
+    (with ``pinned``, that of a random homomorphism if there is one) with
+    probability 0.7, a random subset with 0.15, and no pool otherwise."""
+    homs = reference_homomorphisms(g, h)
+    pin = rng.choice(homs) if homs and pinned else None
+    node_pools, edge_pools = {}, {}
+    for ids, pools, cod_ids, image in (
+            (g.sorted_nodes, node_pools, h.sorted_nodes, pin and pin.node_map),
+            (g.sorted_edges, edge_pools, h.sorted_edges, pin and pin.edge_map)):
+        for x in ids:
+            r = rng.random()
+            if r < 0.7 and cod_ids:
+                pools[x] = frozenset([image[x] if image else rng.choice(cod_ids)])
+            elif r < 0.85:
+                pools[x] = frozenset(rng.sample(cod_ids, rng.randint(0, len(cod_ids))))
+    return node_pools, edge_pools
+
+
 def test_forced_pass_agrees_with_filtered_reference():
     """Pools that pin most elements to one image, taken from a real
     homomorphism or drawn at random, on all corpus lattices."""
@@ -304,24 +323,28 @@ def test_forced_pass_agrees_with_filtered_reference():
         lat = lattices[i % len(lattices)]
         g = random_graph(rng, lat, max_nodes=4, max_edges=5, prefix="g")
         h = random_graph(rng, lat, max_nodes=4, max_edges=8, prefix="h")
-        homs = reference_homomorphisms(g, h)
-        pin = rng.choice(homs) if homs and i % 2 else None
-        node_pools, edge_pools = {}, {}
-        for ids, pools, cod_ids, image in (
-                (g.sorted_nodes, node_pools, h.sorted_nodes, pin and pin.node_map),
-                (g.sorted_edges, edge_pools, h.sorted_edges, pin and pin.edge_map)):
-            for x in ids:
-                r = rng.random()
-                if r < 0.7 and cod_ids:
-                    pools[x] = frozenset([image[x] if image else rng.choice(cod_ids)])
-                elif r < 0.85:
-                    pools[x] = frozenset(rng.sample(cod_ids, rng.randint(0, len(cod_ids))))
+        node_pools, edge_pools = random_pools(rng, g, h, pinned=bool(i % 2))
         loose, strict = assert_search_agrees(g, h, node_pools, edge_pools)
         forced = sum(len(pool) == 1 for pool in (*node_pools.values(), *edge_pools.values()))
         seen["mostly-forced"] += 2 * forced > len(g.nodes) + len(g.edges) > 1
         seen["found"] += loose > 0
         seen["injective-cut"] += strict < loose
     assert min(seen.values()) >= 50, seen
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(deadline=None)
+def test_search_order_agrees_with_pooled_reference_on_parallel_edges(seed, pinned):
+    """Open nodes, then open edges, come off one stack in the lexicographic
+    order of the reference, in both injectivity modes.  Patterns of one or
+    two nodes with up to four edges, and hosts of up to three nodes with up
+    to eight, often have parallel edges on both sides, so open edges have
+    several targets and compete for them under injectivity."""
+    rng = random.Random(seed)
+    lat = rng.choice(corpus_lattices())
+    g = random_graph(rng, lat, max_nodes=2, max_edges=4, prefix="g", min_nodes=1)
+    h = random_graph(rng, lat, max_nodes=3, max_edges=8, prefix="h", min_nodes=1)
+    assert_search_agrees(g, h, *random_pools(rng, g, h, pinned))
 
 
 def test_forced_pass_edge_cases(unit):

@@ -183,6 +183,60 @@ def test_complete_rule_bad_spec(unit):
                       RhsSpec(merge_nodes=(("p", "ghost"),)))
 
 
+def _complete_with(lat2, spec):
+    """Complete the identity rule over ``a -e,f-> b -g-> a`` with ``spec``."""
+    pattern = LabeledGraph.build(lat2, {"a": "x1", "b": "x2"},
+                                 {"e": ("a", "b", "0"), "f": ("a", "b", "1"),
+                                  "g": ("b", "a", "0")})
+    return complete_rule(pattern, identity(pattern), identity(pattern), spec)
+
+
+# Each ill-formed part of an RhsSpec, in the order rule completion reports
+# them: classes of both sorts, merged-edge endpoints, node overrides, fresh
+# nodes, edge overrides, fresh edges.
+_ILL_FORMED_SPECS = [
+    ({"merge_nodes": (("a", "ghost"),)}, "unknown interface node 'ghost'"),
+    ({"merge_edges": (("e", "ghost"),)}, "unknown interface edge 'ghost'"),
+    ({"merge_edges": (("e", "g"),)}, "merged edges have unmerged endpoints"),
+    ({"node_labels": {"ghost": "top"}}, "label override for unknown node 'ghost'"),
+    ({"node_labels": {"a": "bot"}}, "override 'bot' is below the class join at 'a'"),
+    ({"fresh_nodes": {"a": "x1"}}, "fresh node id 'a' already used"),
+    ({"edge_labels": {"ghost": "top"}}, "label override for unknown edge 'ghost'"),
+    ({"edge_labels": {"f": "0"}}, "override '0' is below the class join at 'f'"),
+    ({"fresh_edges": {"e": ("a", "b", "0")}}, "fresh edge id 'e' already used"),
+    ({"fresh_edges": {"n": ("a", "ghost", "0")}}, "unknown endpoint 'ghost'"),
+]
+
+
+@pytest.mark.parametrize("fields, message", _ILL_FORMED_SPECS)
+def test_complete_rule_names_each_ill_formed_spec(lat2, fields, message):
+    with pytest.raises(RuleError, match=f"r-spec-ill-formed: {message}"):
+        _complete_with(lat2, RhsSpec(**fields))
+
+
+def test_complete_rule_reports_the_first_ill_formed_part(lat2):
+    """With several parts of a spec ill-formed, the earliest in the order
+    above is the one named."""
+    order = [_ILL_FORMED_SPECS[i] for i in (0, 2, 3, 5, 6, 9)]  # one per field
+    for i, (_, message) in enumerate(order):
+        fields = {k: v for spec, _ in order[i:] for k, v in spec.items()}
+        with pytest.raises(RuleError, match=f"r-spec-ill-formed: {message}"):
+            _complete_with(lat2, RhsSpec(**fields))
+
+
+def test_complete_rule_merges_edges_and_overrides_their_label(lat2):
+    """Merging two parallel edges labels the class with their members' join,
+    kept by the smaller id; an override of either member relabels the
+    class, and may only raise the label."""
+    merged = _complete_with(lat2, RhsSpec(merge_edges=(("f", "e"),)))
+    assert merged.R.edge_labels == {"e": "Bool", "g": "0"}
+    assert merged.r.edge_map == {"e": "e", "f": "e", "g": "g"}
+    relabelled = _complete_with(lat2, RhsSpec(merge_edges=(("f", "e"),),
+                                              edge_labels={"f": "top", "g": "Bool"}))
+    assert relabelled.R.edge_labels == {"e": "top", "g": "Bool"}
+    assert (relabelled.R.src, relabelled.R.tgt) == ({"e": "a", "g": "b"}, {"e": "b", "g": "a"})
+
+
 def test_a_rule_over_a_dangling_pattern_is_invalid(unit):
     """A rule is valid only if its graphs are.  A deleting rule whose
     pattern edge has no source has five valid morphisms, but is reported
