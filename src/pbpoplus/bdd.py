@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
 from .errors import BddError, Report
-from .graph import GraphMorphism, LabeledGraph, identity
+from .graph import GraphMorphism, LabeledGraph, _require_type, identity
 from .lattice import (_MEMO_SIZE, BOOL_CLASS, BOTTOM, FALSE, TOP, TRUE, VAR_CLASS,
                       LabelLattice, bdd_lattice)
 from .rewriting import (NormalizeResult, PbpoRule, RhsSpec, complete_rule,
@@ -422,6 +422,7 @@ def reduce_bdd(b: Bdd, max_steps: Optional[int] = None, keep_traces: bool = True
                ) -> tuple[Bdd, NormalizeResult]:
     """Run the reduction rules to a fixpoint; each step removes one node.
     ``max_steps`` and ``keep_traces`` are passed to :func:`normalize`."""
+    _require_type(BddError, "invalid-bdd", Bdd, b)
     report = validate_bdd(b.graph, b.root)
     if not report.ok:
         raise BddError(f"invalid-bdd: {report}")

@@ -319,6 +319,14 @@ def _require_valid(error: type[Exception], code: str, *named: tuple[str, object]
             raise error(f"{code}: {kind} {name or '?'} is invalid: {x._report}")
 
 
+def _require_type(error: type[Exception], code: str, kind: type, *values: object) -> None:
+    """Raise ``error`` for the first of ``values`` that is not a ``kind``: a
+    public entry's one check of its arguments' types."""
+    for x in values:
+        if not isinstance(x, kind):
+            raise error(f"{code}: expected a {kind.__name__}, got {type(x).__name__}")
+
+
 def _sort(g: LabeledGraph, edges: bool) -> tuple[frozenset[str], dict[str, str]]:
     """The ids and labels of one sort of ``g``."""
     return (g.edges, g.edge_labels) if edges else (g.nodes, g.node_labels)

@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Seque
 
 from .errors import (GraphError, LatticeError, MorphismError, NonCommutingSquareError, Report,
                      RuleError)
-from .graph import GraphMorphism, LabeledGraph, _require_valid, identity
+from .graph import GraphMorphism, LabeledGraph, _require_type, _require_valid, identity
 from .limits import Cospan, Span, _commutes, _is_pullback_sort, is_pullback_square
 from .stepcheck import _check_square
 
@@ -511,6 +511,10 @@ def find_matches(rule: "PbpoRule", g: LabeledGraph) -> list[Match]:
     """All strong matches of the rule pattern in ``g``, in ascending
     :meth:`Match.sort_key` order, which is the order :func:`iter_matches`
     yields them in."""
+    from .rewriting import PbpoRule
+
+    _require_type(RuleError, "invalid-rule", PbpoRule, rule)
+    _require_type(GraphError, "invalid-graph", LabeledGraph, g)
     return list(iter_matches(rule, g))
 
 

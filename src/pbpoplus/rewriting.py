@@ -1,108 +1,26 @@
 """ToyPO, ToyPB, and PBPO+ rewrite steps, rule handling, and normalization.
 
-A PBPO+ rule is the diagram
-
-    L  <-l-  K  -r->  R
-    |tL      |tK
-    L' <-l'- K'
-
-with injective context typing ``tL`` and a left square that is a genuine
-pullback, so the interface ``K`` is exactly the part of ``K'`` sitting over
-the typed pattern.  A step at a strong match ``(m, alpha)`` first pulls the
-host back along ``l'`` (deleting and duplicating through the context), then
-pushes the interface out along ``r`` (identifying and adding on the
-pattern):
-
-    L  -m->  G_L  <-g_L-  G_K  -g_R->  G_R
-    |tL      |alpha       |u'     ^w
-    L' <-------l'-------- K'      R
-
-The embedding ``u : K -> G_K`` is uniquely determined by ``tK = u' . u``
-together with the middle square; it is computed in closed form as the
-pullback pair ``(m(l(k)), tK(k))``, looked up among the pairs the step made.
-
-A step edits copies of its host.  Call an element ``y`` of ``L'``
-*plain* when its ``l'``-fibre is exactly one element ``k`` of ``K'`` and
-``label(k) = label(y)``.  A host element ``g`` typed onto a plain ``y``
-is alone in its fibre, so its pullback pair ``(g, k)`` keeps the id
-``g``; its label is ``meet(label g, label k) = label g``, since ``alpha``
-is a morphism and so ``label g <= label y = label k``; and ``g_L`` and
-``u'`` send it to ``g`` and ``k``.  For every BDD rule every element of
-``L'`` outside ``tL(L)`` is plain.  So ``G_K`` is the host's maps copied,
-less the elements the rule acts on (those typed onto an element that is
-not plain), plus their pairs, labelled with meets; an edge whose endpoint
-was duplicated is redirected to the copy its pair names.  ``G_R`` is
-``G_K``'s maps copied with ``u(K)`` replaced by its classes under ``u(k)
-~ r(k)`` (a union-find of size ``|K| + |R|``), the elements ``R``
-creates added, and the edges at a node merged under another id
-redirected.  The construction touches the elements the rule does not act
-on in no interpreted loop: copies, legs and the search for the acted-on
-elements are C-level passes over the host's maps.  This is the in-place
-update of GP 2 (Bak & Plump, "Compiling graph programs to C", ICGT 2016)
-on plain dicts.  The result also carries its host's indexes, patched
-where the step changed it, so the next match search does not rebuild
-them.
-
-Host ids therefore survive a step: a host element with one copy in
-``G_K`` keeps its id (the same ``str`` object), a merged class keeps the
-id of its smallest member, and only elements that the step duplicates or
-the replacement creates get a fresh ``"{step}:{ident}"`` stamp, drawn in
-the order the limits of :mod:`~pbpoplus.limits` would make them.  Ids do
-not grow with the number of steps.
-
-:func:`pbpo_step` always checks every property of the step exactly once,
-so an invalid rule or match is an error, never a wrong graph, and a fault
-of the construction is an :class:`InternalMediatorError`.  At entry it
-checks the rule and reads the match's verdict: the validity of ``m`` and
-``alpha`` and the match square, decided where
-:func:`~pbpoplus.matching.iter_matches` found the match or, for any
-other match, in full (:attr:`~pbpoplus.matching.Match._report`).  After
-the construction, :func:`~pbpoplus.stepcheck._check_step`, which
-:func:`verify_trace` runs too, checks the validity of ``g_L, g_R, u, u',
-w``, ``u' . u = tK``, that ``u`` is injective, and that the middle (``u``
-is the pullback of ``m`` along ``g_L``), deletion and addition squares
-commute and, only then, are limits.  No check builds a limit: each square
-is decided by the counting lemma of :mod:`~pbpoplus.limits`.
-
-The construction reports the ids it wrote, its *patch*.  Outside it the
-plain-fibre lemma leaves ``G_K`` the host, ``G_R`` ``G_K``, ``g_L`` and
-``g_R`` the identity and ``u'`` the plain element over ``alpha``, which
-whole-map comparisons confirm; each element there then passes every
-check and counts as itself in each square (the patch lemma of
-:mod:`~pbpoplus.stepcheck`).  So one pass over the patch, nodes then
-edges, checks the validity of ``g_L``, ``u'`` and ``g_R`` and counts what
-the squares need.  A step builds no limit, neither to make its result
-nor to check it, and looks element by element only where it changed the
-host.
-
-Because ids survive a step, what :func:`normalize` learnt about one host
-carries over to the next.  Call an element of ``G_R`` *unchanged* when
-``G_L`` has an element of the same id and label and, for an edge, the same
-source and target.  An injective homomorphism ``L -> G_R`` whose image is
-unchanged is then also one into ``G_L``, with the same maps.  So if a
-pattern does not occur in ``G_L``, every occurrence of it in ``G_R``
-contains a changed node or a changed edge; by induction over a run of
-steps, an element changed by one of them and left alone by the later ones.
-A rule whose pattern did not occur is therefore searched again only
-through the elements changed since, which is the negative half of
-RETE-style incremental matching (Forgy 1982; Bergmann et al., MODELS 2010).
+A PBPO+ step edits the host's maps where the rule acts on it (the
+plain-fibre lemma) and is checked at its patch (the patch lemma);
+:func:`normalize` searches a rule whose pattern did not occur only through
+the ids changed since (negative certificates).  See ``docs/DESIGN.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
-from operator import not_
 from typing import Mapping, Optional, Sequence
 
 from .errors import (EngineError, GraphError, InternalMediatorError, MorphismError, Report,
                      RuleError, StrongMatchError)
-from .graph import GraphMorphism, LabeledGraph, _carry_indexes, _map, _require_valid
+from .graph import (GraphMorphism, LabeledGraph, _carry_indexes, _map, _require_type,
+                    _require_valid, _sort)
 from .limits import (Cospan, Span, _commutes, _is_pullback_sort, _UnionFind, pullback,
                      pushout)
 from .matching import Match, _first_match, _occurs_at
-from .stepcheck import _check_square, _check_step
+from .stepcheck import (_acted, _apply, _check_square, _check_step, _graph, _identity_on,
+                        _plain_over, _require_graph)
 
 
 @dataclass(frozen=True)
@@ -216,8 +134,8 @@ class PbpoRule:
         """Nodes, then edges: each *plain* element of ``L'``, one whose
         ``l'``-fibre is a single element of ``K'`` with the same label,
         mapped to that element.  A host element typed onto a plain element
-        passes through the deletion pullback unchanged (see the module
-        docstring)."""
+        passes through the deletion pullback unchanged (the plain-fibre
+        lemma of ``docs/DESIGN.md``)."""
         plain = []
         for fibres, lp_labels, kp_labels in (
                 (self._fibres[0], self.Lp.node_labels, self.Kp.node_labels),
@@ -225,6 +143,13 @@ class PbpoRule:
             plain.append({x: ks[0] for x, ks in fibres.items()
                           if len(ks) == 1 and kp_labels[ks[0]] == lp_labels[x]})
         return plain[0], plain[1]
+
+    @cached_property
+    def _plain_context(self) -> tuple[bool, bool]:
+        """Nodes, then edges: whether every element of ``L'`` outside
+        ``tL(L)`` is plain (see :func:`~pbpoplus.stepcheck._acted`)."""
+        return tuple(self._plain[edges].keys() >= _sort(self.Lp, edges)[0].difference(
+            _map(self.tL, edges).values()) for edges in (False, True))
 
     @cached_property
     def _context_labels(self) -> frozenset[str]:
@@ -462,137 +387,124 @@ def _stamper(step: int, host: LabeledGraph):
     return stamp
 
 
-def _pullback_sort(alpha_map: dict[str, str], host_labels: dict[str, str],
-                   plain: dict[str, str], fibres: dict[str, tuple[str, ...]],
-                   kp_labels: dict[str, str], meet, stamp):
-    """One sort of the deletion pullback, edited into copies of the host's
-    maps: the labels of ``G_K``, ``g_L`` and ``u'``, the host elements the
-    rule acts on (those typed onto an element of ``L'`` that is not plain),
-    and the id of each of their pairs.
+def _pullback_sort(record: dict, rule: PbpoRule, m: GraphMorphism, alpha: GraphMorphism,
+                   edges: bool, stamp):
+    """One sort of the deletion pullback, edited into the host's maps: the
+    labels of ``G_K``, ``g_L`` and ``u'``, the host elements the rule acts
+    on (those typed onto an element of ``L'`` that is not plain), and the
+    id of each of their pairs.
 
     A pair keeps the id of its host element when it is the only one over
     it, else it is stamped after its ``K'`` element.  Pairs are made in
     ``(host id, K' id)`` order, so stamps are drawn in that order."""
-    labels = dict(host_labels)
-    g_l = dict(zip(alpha_map, alpha_map))
-    u_prime = dict(zip(alpha_map, map(plain.get, alpha_map.values())))
-    acted = sorted(compress(alpha_map, map(not_, map(plain.__contains__, alpha_map.values()))))
+    alpha_map, plain, fibres = _map(alpha, edges), rule._plain[edges], rule._fibres[edges]
+    host_labels, kp_labels = _sort(alpha.dom, edges)[1], _sort(rule.Kp, edges)[1]
+    meet = alpha.dom.lattice.meet
+    acted = sorted(_acted(rule, m, alpha, edges))
     pairs: dict[tuple[str, str], str] = {}
+    labels, g_l, u_prime = {}, {}, {}
     for g in acted:
         fibre = fibres[alpha_map[g]]
-        label = labels.pop(g)
-        del g_l[g], u_prime[g]
         for c in fibre:
-            x = g if len(fibre) == 1 else stamp(c)
-            pairs[g, c] = x
-            labels[x] = meet((label, kp_labels[c]))
-            g_l[x] = g
-            u_prime[x] = c
-    return labels, g_l, u_prime, acted, pairs
+            x = pairs[g, c] = g if len(fibre) == 1 else stamp(c)
+            labels[x], g_l[x], u_prime[x] = meet((host_labels[g], kp_labels[c])), g, c
+    return (_apply(record, (dict, host_labels), acted, labels),
+            _apply(record, (_identity_on, alpha_map), acted, g_l),
+            _apply(record, (_plain_over, alpha_map, plain), acted, u_prime), acted, pairs)
 
 
-def _deletion(rule: PbpoRule, alpha: GraphMorphism, stamp):
+def _deletion(record: dict, rule: PbpoRule, m: GraphMorphism, alpha: GraphMorphism, stamp):
     """``g_L`` and ``u'``, the legs of the pullback ``G_K`` of ``alpha`` and
     ``l'``, the ids of the node and edge pairs over host elements the rule
     acts on, and the patch: those elements, their pairs, the edges
     redirected.  Every other host element passes through unchanged (the
-    plain-fibre lemma of the module docstring); an edge between those keeps
-    its endpoints unless one was duplicated."""
+    plain-fibre lemma of ``docs/DESIGN.md``); an edge between those keeps
+    its endpoints unless one was duplicated, which the host's incidence
+    lists find."""
     host, kp = alpha.dom, rule.Kp
-    meet = host.lattice.meet
-    (plain_nodes, plain_edges), (node_fibres, edge_fibres) = rule._plain, rule._fibres
     node_labels, gl_nodes, up_nodes, acted_nodes, node_pairs = _pullback_sort(
-        alpha.node_map, host.node_labels, plain_nodes, node_fibres, kp.node_labels,
-        meet, stamp)
+        record, rule, m, alpha, False, stamp)
     edge_labels, gl_edges, up_edges, acted, edge_pairs = _pullback_sort(
-        alpha.edge_map, host.edge_labels, plain_edges, edge_fibres, kp.edge_labels,
-        meet, stamp)
+        record, rule, m, alpha, True, stamp)
     duplicated = {g for (g, _), x in node_pairs.items() if x != g}
-    patch = ({*acted_nodes, *node_pairs.values()}, {*acted, *edge_pairs.values()})
+    moved = {e for g in duplicated for e in host.incident_edges[g]}.difference(acted)
+    patch = ({*acted_nodes, *node_pairs.values()}, {*acted, *edge_pairs.values(), *moved})
     ends = []
     for host_ends, kp_ends in ((host.src, kp.src), (host.tgt, kp.tgt)):
-        ends_of = dict(host_ends)
-        for e in acted:
-            del ends_of[e]
-        for e in [*compress(ends_of, map(duplicated.__contains__, ends_of.values()))]:
-            patch[1].add(e)
-            ends_of[e] = node_pairs[ends_of[e], kp_ends[up_edges[e]]]
-        for (e, c), x in edge_pairs.items():
-            end = host_ends[e]
-            ends_of[x] = node_pairs.get((end, kp_ends[c]), end)
-        ends.append(ends_of)
-    g_mid = LabeledGraph(host.lattice, frozenset(node_labels), frozenset(edge_labels),
-                         ends[0], ends[1], node_labels, edge_labels)
+        written = {e: node_pairs[host_ends[e], kp_ends[up_edges[e]]]
+                   for e in moved if host_ends[e] in duplicated}
+        written.update((x, node_pairs.get((host_ends[e], kp_ends[c]), host_ends[e]))
+                       for (e, c), x in edge_pairs.items())
+        ends.append(_apply(record, (dict, host_ends), acted, written))
+    g_mid = _graph(record, host.lattice, node_labels, edge_labels, ends[0], ends[1])
+    _require_graph(record, g_mid, host, acted_nodes,
+                   {e for n in acted_nodes for e in host.incident_edges[n]})
     return (GraphMorphism(g_mid, host, gl_nodes, gl_edges),
             GraphMorphism(g_mid, kp, up_nodes, up_edges), (node_pairs, edge_pairs), patch)
 
 
-def _pushout_sort(u_map: dict[str, str], r_map: dict[str, str], mid_labels: dict[str, str],
-                  r_labels: dict[str, str], join, stamp):
-    """One sort of the addition pushout, edited into copies of ``G_K``'s
-    maps: the labels of ``G_R``, ``g_R`` and ``w``, the ``G_K`` elements
-    merged into a class under another id, and the classes whose id is new
-    or whose label changed.
+def _pushout_sort(record: dict, rule: PbpoRule, u: GraphMorphism, g_l: GraphMorphism,
+                  pairs: dict, edges: bool, stamp):
+    """One sort of the addition pushout, edited into ``G_K``'s maps: the
+    labels of ``G_R``, ``w``, and ``g_R``, edited into ``g_L``, which sends
+    the same ids to themselves but the pairs stamped over a host element; the
+    ``G_K`` elements merged into a class under another id, and the classes
+    whose id is new or whose label changed.
 
     Only ``u(K)`` and ``R`` go through the union-find.  A class keeps the id
     of its smallest ``G_K`` member; a class of ``R`` elements alone is
     stamped after its smallest one, in id order."""
+    u_map, r_map, mid_labels = _map(u, edges), _map(rule.r, edges), _sort(u.cod, edges)[1]
+    r_labels, join = _sort(rule.R, edges)[1], rule.R.lattice.join
     uf = _UnionFind([("0", v) for v in u_map.values()] + [("1", z) for z in r_labels])
     for k, v in u_map.items():
         uf.union(("0", v), ("1", r_map[k]))
     classes = uf.classes()
     created = {root: stamp(root[1]) for root in sorted(classes) if root[0] == "1"}
-    labels = dict(mid_labels)
-    g_r = dict(zip(mid_labels, mid_labels))
-    w: dict[str, str] = {}
-    merged: set[str] = set()
-    relabelled: set[str] = set()
+    labels, w, merged = {}, {}, set()
+    g_r = {x: x for (g, _), x in pairs.items() if x != g}
     for root, members in classes.items():
         ident = created.get(root, root[1])
         joined = []
         for side, x in members:
+            joined.append((r_labels if side == "1" else mid_labels)[x])
             if side == "1":
                 w[x] = ident
-                joined.append(r_labels[x])
-                continue
-            joined.append(labels[x])
-            g_r[x] = ident
-            if x != ident:
+            elif x != ident:
+                g_r[x] = ident
                 merged.add(x)
-                del labels[x]
-        labels[ident] = join(joined)
-        if labels[ident] != mid_labels.get(ident):
-            relabelled.add(ident)
-    return labels, g_r, w, merged, relabelled
+        label = join(joined)
+        if label != mid_labels.get(ident):
+            labels[ident] = label
+    return (_apply(record, (dict, mid_labels), merged, labels),
+            _apply(record, (dict, _map(g_l, edges)), (), g_r), w, merged, set(labels))
 
 
-def _addition(rule: PbpoRule, u: GraphMorphism, stamp):
+def _addition(record: dict, rule: PbpoRule, u: GraphMorphism, g_l: GraphMorphism, pairs,
+              deleted: set[str], stamp):
     """``g_R`` and ``w``, the legs of the pushout ``G_R`` of ``u`` and
     ``r``, and the patch: the elements merged, the classes new or
     relabelled, the edges redirected.  An edge of ``G_K`` keeps its
-    endpoints unless one was merged into a class under another id; an edge
-    ``R`` creates takes its endpoints from ``w``."""
-    g_mid, r, rhs = u.cod, rule.r, rule.R
-    join = rhs.lattice.join
+    endpoints unless one was merged into a class under another id; the
+    edges of ``G_K`` at a node are the host's there or among the edges the
+    deletion wrote, ``deleted``.  An edge ``R`` creates takes its endpoints
+    from ``w``."""
+    g_mid, rhs, incident = u.cod, rule.R, g_l.cod.incident_edges
     node_labels, gr_nodes, w_nodes, merged, new_nodes = _pushout_sort(
-        u.node_map, r.node_map, g_mid.node_labels, rhs.node_labels, join, stamp)
+        record, rule, u, g_l, pairs[0], False, stamp)
     edge_labels, gr_edges, w_edges, gone, new_edges = _pushout_sort(
-        u.edge_map, r.edge_map, g_mid.edge_labels, rhs.edge_labels, join, stamp)
-    patch = (merged | new_nodes, gone | new_edges)
+        record, rule, u, g_l, pairs[1], True, stamp)
+    at_merged = {e for e in deleted.union(*(incident.get(n, ()) for n in merged))
+                 if g_mid.src.get(e) in merged or g_mid.tgt.get(e) in merged}
+    moved = at_merged.difference(gone)
+    patch = (merged | new_nodes, gone | new_edges | moved)
     ends = []
     for mid_ends, r_ends in ((g_mid.src, rhs.src), (g_mid.tgt, rhs.tgt)):
-        ends_of = dict(mid_ends)
-        for e in gone:
-            del ends_of[e]
-        for e in [*compress(ends_of, map(merged.__contains__, ends_of.values()))]:
-            patch[1].add(e)
-            ends_of[e] = gr_nodes[ends_of[e]]
-        for z, x in w_edges.items():
-            if x not in ends_of:
-                ends_of[x] = w_nodes[r_ends[z]]
-        ends.append(ends_of)
-    g_out = LabeledGraph(g_mid.lattice, frozenset(node_labels), frozenset(edge_labels),
-                         ends[0], ends[1], node_labels, edge_labels)
+        written = {e: gr_nodes[mid_ends[e]] for e in moved if mid_ends[e] in merged}
+        written.update((x, w_nodes[r_ends[z]]) for z, x in w_edges.items() if x not in mid_ends)
+        ends.append(_apply(record, (dict, mid_ends), gone, written))
+    g_out = _graph(record, g_mid.lattice, node_labels, edge_labels, ends[0], ends[1])
+    _require_graph(record, g_out, g_mid, merged, at_merged)
     return (GraphMorphism(g_mid, g_out, gr_nodes, gr_edges),
             GraphMorphism(rhs, g_out, w_nodes, w_edges), patch)
 
@@ -610,20 +522,27 @@ def pbpo_step(rule: PbpoRule, match: Match, step: int = 0,
     identical traces, and the result holds the indexes its host held,
     patched (see :func:`~pbpoplus.graph._carry_indexes`) at the ids of the
     step's patch, which the step check verifies and a list given as
-    ``changed`` gets appended.
+    ``changed`` gets appended.  The host must be a valid graph, which its
+    kept verdict decides; the result is born with an ok one, being built
+    from it and checked.
 
     The match is decided once, by :attr:`~pbpoplus.matching.Match._report`:
     a match from :func:`~pbpoplus.matching.find_matches` was decided when
     it was found, and any other, or one whose typing is not ``rule.tL``,
     is decided here in full.  An invalid rule raises :class:`RuleError`, an
-    invalid or mismatched match :class:`MorphismError`, a match that is not
-    strong :class:`StrongMatchError`; a construction that fails any
+    invalid host :class:`GraphError`, an invalid or mismatched match
+    :class:`MorphismError`, a match that is not strong
+    :class:`StrongMatchError`, an argument of the wrong type the error of
+    its kind; a construction that fails any
     property of :func:`~pbpoplus.stepcheck._check_step`, the check
     :func:`verify_trace` runs too, or builds a dangling edge raises
     :class:`InternalMediatorError`.
     """
+    _require_type(RuleError, "invalid-rule", PbpoRule, rule)
+    _require_type(MorphismError, "invalid-match", Match, match)
     _require_valid(RuleError, "invalid-rule", (rule.name, rule))
     m, alpha = match.m, match.alpha
+    _require_valid(GraphError, "invalid-graph", ("host", m.cod))
     if m.dom != rule.L or alpha.cod != rule.Lp or m.cod != alpha.dom:
         raise MorphismError("typing-mismatch: the match does not connect L, the host and L'")
     if match.typing != rule.tL:
@@ -640,9 +559,12 @@ def pbpo_step(rule: PbpoRule, match: Match, step: int = 0,
         raise InternalMediatorError("internal-mediator-failure: the construction looked up "
                                     f"an element it did not build: {exc}") from exc
     report = _check_step(trace, patch)
+    if hasattr(trace, "_edits"):  # it served the check; a kept trace holds no more
+        object.__delattr__(trace, "_edits")
     if not report.ok:
         raise InternalMediatorError(f"internal-mediator-failure: {report}")
     _carry_indexes(trace.g_in, trace.g_out, patch)
+    trace.g_out.__dict__["_report"] = trace.g_in._report  # ok: built from it and checked
     if changed is not None:
         changed.append(patch)
     return trace.g_out, trace
@@ -650,13 +572,16 @@ def pbpo_step(rule: PbpoRule, match: Match, step: int = 0,
 
 def _construct(rule: PbpoRule, match: Match, step: int) -> tuple[RewriteTrace, list]:
     """The graphs and legs of a step at a strong match, unchecked but for
-    the validity of ``u`` and the endpoints of each edge built, and the
-    node and edge ids the deletion and the addition wrote, its patch."""
+    the validity of ``u`` and the endpoints of each edge written, and the
+    node and edge ids the deletion and the addition wrote, its patch.  The
+    trace carries the record of every map :func:`~pbpoplus.stepcheck._apply`
+    made, as ``_edits``."""
     m, alpha = match.m, match.alpha
-    stamp = _stamper(step, alpha.dom)
-    g_l, u_prime, (node_pairs, edge_pairs), deleted = _deletion(rule, alpha, stamp)
+    host = alpha.dom
+    record: dict = {}
+    stamp = _stamper(step, host)
+    g_l, u_prime, (node_pairs, edge_pairs), deleted = _deletion(record, rule, m, alpha, stamp)
     g_mid = g_l.dom
-    _require_graph(g_mid)
 
     # The unique embedding of the interface: it is forced to the pair
     # (m(l(k)), tK(k)) by the two commutation requirements.  Its defining
@@ -669,20 +594,11 @@ def _construct(rule: PbpoRule, match: Match, step: int) -> tuple[RewriteTrace, l
         embed(rule.K.sorted_nodes, rule.l.node_map, m.node_map, rule.tK.node_map, node_pairs),
         embed(rule.K.sorted_edges, rule.l.edge_map, m.edge_map, rule.tK.edge_map, edge_pairs))
     _require_valid(InternalMediatorError, "internal-mediator-failure", ("u", u))
-    g_r, w, added = _addition(rule, u, stamp)
-    _require_graph(g_r.cod)
-    return (RewriteTrace(rule=rule, g_in=alpha.dom, g_mid=g_mid, g_out=g_r.cod, m=m,
-                         alpha=alpha, g_l=g_l, g_r=g_r, u=u, u_prime=u_prime, w=w),
-            [deleted[0] | added[0], deleted[1] | added[1]])
-
-
-def _require_graph(g: LabeledGraph) -> None:
-    """Raise unless each edge of a graph the step built has a label and both
-    endpoints among its nodes, which the step check takes as given."""
-    if not (g.src.keys() == g.tgt.keys() == g.edge_labels.keys()
-            and g.nodes.issuperset(g.src.values()) and g.nodes.issuperset(g.tgt.values())):
-        raise InternalMediatorError(
-            "internal-mediator-failure: a constructed graph has a dangling edge")
+    g_r, w, added = _addition(record, rule, u, g_l, (node_pairs, edge_pairs), deleted[1], stamp)
+    trace = RewriteTrace(rule=rule, g_in=host, g_mid=g_mid, g_out=g_r.cod, m=m, alpha=alpha,
+                         g_l=g_l, g_r=g_r, u=u, u_prime=u_prime, w=w)
+    object.__setattr__(trace, "_edits", record)
+    return trace, [deleted[0] | added[0], deleted[1] | added[1]]
 
 
 @dataclass(frozen=True)
@@ -705,26 +621,31 @@ def normalize(g: LabeledGraph, rules: Sequence[PbpoRule],
               keep_traces: bool = True) -> NormalizeResult:
     """Repeatedly apply the first rule that matches, at its first match.
 
-    Every rule and the host are validated up front: an invalid rule raises
-    :class:`RuleError`, a malformed host ``invalid-graph`` and a negative
-    ``max_steps`` ``invalid-budget``.  Runs until no rule matches or the
-    step budget is exhausted; hitting the budget is reported through the
-    result, not raised.  With ``keep_traces=False`` the traces are dropped
-    as the run goes, so its memory does not grow with the number of steps;
-    every step is still fully checked when it is made.
+    Every rule and the host are validated up front: an invalid rule, or a
+    rule that is no :class:`PbpoRule`, raises :class:`RuleError`, a
+    malformed host or one that is no graph ``invalid-graph``, and a
+    ``max_steps`` that is no non-negative int ``invalid-budget``.  Runs
+    until no rule matches or the step budget is exhausted; hitting the
+    budget is reported through the result, not raised.  With
+    ``keep_traces=False`` the traces are dropped as the run goes, so its
+    memory does not grow with the number of steps; every step is still
+    fully checked when it is made.
 
     A rule whose pattern does not occur in the host at all is certified:
     until it occurs again it is skipped without a search.  Each step adds
     the ids it changed (its verified patch, see :func:`pbpo_step`) to every
     certificate's pending set, and a certified rule's next turn asks only whether an
-    occurrence goes through one of them (see the module docstring).  No such
+    occurrence goes through one of them (see ``docs/DESIGN.md``).  No such
     occurrence certifies the rule at the current host; one drops the
     certificate and the rule gets the full search of
     :func:`~pbpoplus.matching.iter_matches`.  The rule that fires and its
     match are therefore the ones a search of every rule on every step finds.
     """
-    if max_steps is not None and max_steps < 0:
-        raise EngineError(f"invalid-budget: max_steps must not be negative, got {max_steps}")
+    if max_steps is not None and not (isinstance(max_steps, int) and max_steps >= 0):
+        raise EngineError(f"invalid-budget: max_steps must be a non-negative int, "
+                          f"got {max_steps!r}")
+    _require_type(GraphError, "invalid-graph", LabeledGraph, g)
+    _require_type(RuleError, "invalid-rule", PbpoRule, *rules)
     _require_valid(RuleError, "invalid-rule", *((rule.name, rule) for rule in rules))
     _require_valid(GraphError, "invalid-graph", ("host", g))
     traces: list[RewriteTrace] = []

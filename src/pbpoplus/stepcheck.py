@@ -1,29 +1,8 @@
 """The check of a completed PBPO+ step, decided where the step changed its host.
 
-:func:`_check_step` decides every property of a step beyond its match:
-the validity of ``g_L, g_R, u, u', w``, ``u' . u = tK``, ``u`` injective,
-and that the middle, deletion and addition squares commute and, only then,
-are limits.  It builds no limit: each square is decided by the counting
-verdicts of :mod:`~pbpoplus.limits`.
-:func:`~pbpoplus.rewriting.pbpo_step` and
-:func:`~pbpoplus.rewriting.verify_trace` both run this check.
-
-The construction reports, per sort, the ids it wrote: its *patch*.  The
-patch lemma: let ``alpha`` and ``l'`` be morphisms, and let ``G_K`` have
-the host's elements, labels and endpoints outside the patch, ``G_R``
-have ``G_K``'s, ``g_L`` and ``g_R`` be the identity and ``u'`` be ``plain
-. alpha`` (``plain`` sends a plain element of ``L'`` to the element of
-``K'`` over it).  Then an element ``x`` of ``G_K`` outside the patch has
-its host label, below ``alpha(x)``'s and so ``u'(x)``'s, hence their
-meet, which ``G_R`` keeps; ``l'(u'(x)) = alpha(x)``; if ``x`` is an edge
-between nodes outside the patch, every leg maps its endpoints as it
-must; and in each square ``x`` counts as itself, the one pair over its
-host element and a class of its own.  So whole-map comparisons in C
-decide the premise, the patch and the edges at its nodes are decided
-element by element, and the verdicts of the deletion and addition squares
-are restricted to the patch.  A premise that fails widens the patch to
-the whole sort, so a wrong patch is decided, and reported, as if none were
-given.
+:func:`_check_step` decides every property of a step beyond its match, and
+by the patch lemma only at the construction's patch when the step's edit
+record shows the lemma's premise (see ``docs/DESIGN.md``, "The patch lemma").
 """
 
 from __future__ import annotations
@@ -31,15 +10,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne
-from typing import TYPE_CHECKING, Callable, Optional
+from operator import not_
+from typing import TYPE_CHECKING, Callable, Collection, Iterator, Mapping, Optional
 
-from .errors import Report
-from .graph import _map, _sort
+from .errors import InternalMediatorError, Report
+from .graph import GraphMorphism, LabeledGraph, _map, _sort
+from .lattice import LabelLattice
 from .limits import _commutes, _is_pullback_sort, _is_pushout_sort
 
 if TYPE_CHECKING:
-    from .rewriting import RewriteTrace
+    from .rewriting import PbpoRule, RewriteTrace
 
 
 def _check_square(report: Report, commutes: bool, is_limit: Callable[[], bool],
@@ -53,79 +33,157 @@ def _check_square(report: Report, commutes: bool, is_limit: Callable[[], bool],
         report.add(*not_universal)
 
 
+def _identity_on(keys: Mapping[str, str]) -> dict[str, str]:
+    """The identity on the keys of ``keys``."""
+    return dict(zip(keys, keys))
+
+
+def _plain_over(alpha: Mapping[str, str], plain: Mapping[str, str]) -> dict[str, str]:
+    """``plain . alpha``, ``None`` where ``alpha`` types onto an element of
+    ``L'`` that is not plain."""
+    return dict(zip(alpha, map(plain.get, alpha.values())))
+
+
+def _apply(record: dict, base: tuple, removed: Collection[str],
+           written: Mapping[str, str]) -> dict:
+    """The map ``base`` builds, less the keys ``removed``, with ``written``.
+    ``base`` is ``(build, *inputs)``: ``(dict, m)`` copies ``m``, and
+    ``(_identity_on, ...)`` and ``(_plain_over, ...)`` build a leg's base.
+    Every map a step writes is made here, and ``record`` keeps it under its
+    id with ``base``, ``removed`` and ``written``: the step check takes the
+    map to be its base at every other key.  So a map this returns must never
+    be written again, or the record would be false."""
+    out = base[0](*base[1:])
+    for x in removed:
+        del out[x]
+    out.update(written)
+    record[id(out)] = (out, base, removed, written)
+    return out
+
+
+def _graph(record: dict, lattice: LabelLattice, node_labels: dict[str, str],
+           edge_labels: dict[str, str], src: dict[str, str], tgt: dict[str, str]) -> LabeledGraph:
+    """The graph over maps :func:`_apply` made, its ids their keys, kept in
+    ``record`` under its id."""
+    g = LabeledGraph(lattice, frozenset(node_labels), frozenset(edge_labels), src, tgt,
+                     node_labels, edge_labels)
+    record[id(g)] = g
+    return g
+
+
+def _require_graph(record: dict, g: LabeledGraph, base: LabeledGraph, removed: Collection[str],
+                   at_removed: set[str]) -> None:
+    """Raise unless each edge of a graph the step built has a label and both
+    endpoints among its nodes, which the step check takes as given.  If
+    ``record`` shows its maps edited from the well-formed ``base``'s, less
+    the nodes ``removed``, only the base's edges there, ``at_removed``, and
+    the edges edited are looked at; else every edge is."""
+    labels, src, tgt = g.edge_labels, g.src, g.tgt
+    on_nodes, on_labels = record[id(g.node_labels)], record[id(labels)]
+    on_src, on_tgt = record[id(src)], record[id(tgt)]
+    if (on_nodes[2] is removed and on_nodes[1] == (dict, base.node_labels)
+            and on_labels[1] == (dict, base.edge_labels)
+            and on_src[1] == (dict, base.src) and on_tgt[1] == (dict, base.tgt)):
+        edges = at_removed.union(*on_labels[2:], *on_src[2:], *on_tgt[2:])
+    else:
+        edges = labels.keys() | src.keys() | tgt.keys()
+    unlabelled = edges.difference(labels)
+    edges.difference_update(unlabelled)
+    if (unlabelled.intersection(src) or unlabelled.intersection(tgt)
+            or not g.nodes.issuperset(map(src.get, edges))
+            or not g.nodes.issuperset(map(tgt.get, edges))):
+        raise InternalMediatorError(
+            "internal-mediator-failure: a constructed graph has a dangling edge")
+
+
+def _acted(rule: PbpoRule, m: GraphMorphism, alpha: GraphMorphism, edges: bool) -> Iterator[str]:
+    """The host elements of one sort typed onto an element of ``L'`` that is
+    not plain, in ``m`` or ``alpha`` order.  A strong match types only
+    ``m(L)`` onto ``tL(L)``, so when every other element of ``L'`` is plain
+    only ``m(L)`` is looked at."""
+    alpha_map, plain = _map(alpha, edges), rule._plain[edges]
+    pool = _map(m, edges).values() if rule._plain_context[edges] else alpha_map
+    return compress(pool, map(not_, map(plain.__contains__, map(alpha_map.get, pool))))
+
+
+def _near(trace: RewriteTrace, patch: list[set[str]]) -> Optional[list[set[str]]]:
+    """The node, then the edge ids to decide element by element, ``patch``
+    and the edges at its nodes from the host's incidence lists, if the edit
+    record on ``trace`` shows the premise of the patch lemma for ``patch``
+    (``docs/DESIGN.md``), which is decided in O(patch); else ``None``."""
+    record, host, mid, out = getattr(trace, "_edits", {}), trace.g_in, trace.g_mid, trace.g_out
+    if not (record.get(id(mid)) is mid and record.get(id(out)) is out
+            and len(host.nodes) == len(host.node_labels)
+            and len(host.edges) == len(host.src) == len(host.tgt) == len(host.edge_labels)):
+        return None
+    (nodes, edges), alpha, gl, gr, up = patch, trace.alpha, trace.g_l, trace.g_r, trace.u_prime
+    plain = trace.rule._plain
+    made = ((mid.node_labels, (dict, host.node_labels), nodes),
+            (out.node_labels, (dict, mid.node_labels), nodes),
+            (gl.node_map, (_identity_on, alpha.node_map), nodes),
+            (gr.node_map, (dict, gl.node_map), nodes),
+            (up.node_map, (_plain_over, alpha.node_map, plain[0]), nodes),
+            (mid.edge_labels, (dict, host.edge_labels), edges),
+            (out.edge_labels, (dict, mid.edge_labels), edges),
+            (gl.edge_map, (_identity_on, alpha.edge_map), edges),
+            (gr.edge_map, (dict, gl.edge_map), edges),
+            (up.edge_map, (_plain_over, alpha.edge_map, plain[1]), edges),
+            (mid.src, (dict, host.src), edges), (mid.tgt, (dict, host.tgt), edges),
+            (out.src, (dict, mid.src), edges), (out.tgt, (dict, mid.tgt), edges))
+    for result, base, at in made:
+        # Identical inputs compare in O(1); equal ones build an equal base.
+        entry = record.get(id(result))
+        if not (entry and entry[0] is result and entry[1] == base
+                and at.issuperset(entry[2]) and at.issuperset(entry[3])):
+            return None
+    if not (nodes.issuperset(_acted(trace.rule, trace.m, alpha, False))
+            and edges.issuperset(_acted(trace.rule, trace.m, alpha, True))):
+        return None
+    return [nodes, edges.union(*(host.incident_edges.get(n, ()) for n in nodes))]
+
+
 @dataclass
 class _Findings:
     """What the pass over one sort of ``G_K`` found, for valid legs."""
 
-    patch: set[str]                 # the verified patch, with the edges at its nodes
-    inside: set[str]                # the elements of G_K in the patch
+    patch: set[str]                 # the ids decided: the patch, with the edges at its nodes
+    inside: set[str]                # the elements of G_K among them
     deletion_commutes: bool = True  # alpha . g_L = l' . u'
     middle: int = 0                 # size of the pullback of m along g_L
 
 
-def _outside(entries: dict, patch: set[str]) -> dict:
-    """A copy of ``entries`` without the keys in ``patch``."""
-    out = entries.copy()
-    for x in patch:
-        out.pop(x, None)
-    return out
+def _pass_over_g_k(trace: RewriteTrace, edges: bool, near: set[str]) -> Optional[_Findings]:
+    """One sort of ``G_K`` decided element by element at the ids ``near``:
+    ``None`` if ``g_L``, ``u'`` or ``g_R`` is invalid at an element, else
+    what the squares need.
 
-
-def _unchanged_outside(trace: RewriteTrace, edges: bool, patch: set[str]) -> bool:
-    """The premise of the patch lemma (module docstring) on one sort: outside
-    ``patch``, ``G_K`` is the host, ``G_R`` is ``G_K``, ``g_L`` and ``g_R``
-    are the identity and ``u'`` is ``plain . alpha``."""
-    host, mid, out = trace.g_in, trace.g_mid, trace.g_out
-    alpha, plain = _map(trace.alpha, edges), trace.rule._plain[edges]
-    pairs = [(_sort(host, edges)[1], _sort(mid, edges)[1]),
-             (_sort(mid, edges)[1], _sort(out, edges)[1]),
-             (dict(zip(alpha, map(plain.get, alpha.values()))), _map(trace.u_prime, edges))]
-    if edges:
-        pairs += [(host.src, mid.src), (host.tgt, mid.tgt), (mid.src, out.src),
-                  (mid.tgt, out.tgt)]
-    return (all(a == b or _outside(a, patch) == _outside(b, patch) for a, b in pairs)
-            and all(sum(map(ne, f, f.values())) == sum(f[x] != x for x in patch if x in f)
-                    for f in (_map(trace.g_l, edges), _map(trace.g_r, edges))))
-
-
-def _pass_over_g_k(trace: RewriteTrace, edges: bool,
-                   patch: list[Optional[set[str]]]) -> Optional[_Findings]:
-    """One sort of ``G_K``, its patch (the node, then the edge one in
-    ``patch``) decided element by element: ``None`` if ``g_L``, ``u'`` or
-    ``g_R`` is invalid at an element, else what the squares need.
-
-    A patch that is ``None`` or whose premise fails is replaced by the whole
-    sort; the edges at a node of the patch are decided too.  Each leg must
-    map exactly the elements of ``G_K`` into its codomain, which two set
-    comparisons decide before the pass.  A label equal to the meet of its
-    ``g_L`` and ``u'`` images' labels is below both, so the label conditions
-    of those legs are looked at only where it is not; likewise ``g_R``'s,
-    where ``G_R`` does not keep the label.  The edge pass checks the
-    endpoints of all three legs; the node pass has found every node mapped.
-    An element outside the patch counts as itself in the middle square."""
+    Each leg must map exactly the elements of ``G_K`` into its codomain: it
+    has as many keys as ``G_K`` has elements, and maps each element near
+    there; elsewhere the premise of the patch lemma has decided it.  A label
+    equal to the meet of its ``g_L`` and ``u'`` images' labels is below
+    both, so the label conditions of those legs are looked at only where it
+    is not; likewise ``g_R``'s, where ``G_R`` does not keep the label.  The
+    edge pass checks the endpoints of all three legs; the node pass has
+    found every node mapped.  An element not near counts as itself in the
+    middle square."""
     rule = trace.rule
     ids, labels = _sort(trace.g_mid, edges)
     gl, up, gr = _map(trace.g_l, edges), _map(trace.u_prime, edges), _map(trace.g_r, edges)
     g_ids, g_labels = _sort(trace.g_in, edges)
     k_ids, k_labels = _sort(rule.Kp, edges)
     r_ids, r_labels = _sort(trace.g_out, edges)
-    if not all(f.keys() == ids and cod.issuperset(f.values())
-               for f, cod in ((gl, g_ids), (up, k_ids), (gr, r_ids))):
-        return None
-    if patch[edges] is None or not _unchanged_outside(trace, edges, patch[edges]):
-        patch[edges] = set(g_ids).union(ids, r_ids)
-    near = set(patch[edges])
-    if edges:
-        src, tgt = trace.g_mid.src, trace.g_mid.tgt
-        at = patch[0].__contains__
-        near.update(compress(src, map(at, src.values())), compress(tgt, map(at, tgt.values())))
     inside = near.intersection(ids)
+    if not (len(gl) == len(up) == len(gr) == len(ids)
+            and all(cod.issuperset(map(f.get, inside))
+                    for f, cod in ((gl, g_ids), (up, k_ids), (gr, r_ids)))):
+        return None
     alpha, lp = _map(trace.alpha, edges), _map(rule.lp, edges)
     over_m = Counter(_map(trace.m, edges).values())
     lat = trace.g_mid.lattice
     # A label that the meet memo holds for its images' labels is below both.
     above, known_meets = lat._above, lat._meets
     if edges:
+        src, tgt = trace.g_mid.src, trace.g_mid.tgt
         g_src, g_tgt, k_src, k_tgt = trace.g_in.src, trace.g_in.tgt, rule.Kp.src, rule.Kp.tgt
         r_src, r_tgt = trace.g_out.src, trace.g_out.tgt
         gl_n, up_n, gr_n = trace.g_l.node_map, trace.u_prime.node_map, trace.g_r.node_map
@@ -157,24 +215,30 @@ def _check_step(trace: RewriteTrace, patch: Optional[list] = None) -> Report:
     arrangement of the trace and the match are established by the caller.
 
     ``patch``, the construction's node and edge patch or ``None`` for whole
-    sorts, is widened in place where its premise fails, so it then holds
-    every id at which ``G_R`` differs from the host.  One pass over the
-    patch of ``G_K``, nodes then edges, checks ``g_L``, ``u'`` and ``g_R``
-    at each element and collects what the deletion, middle and addition
-    squares need; ``u`` and ``w`` are ``K``- and ``R``-sized and validated
-    whole.  A leg found invalid ends the check, with the defects named by
-    the :func:`~pbpoplus.graph.validate_morphism` reports of the legs.  A
-    square has its universal property decided only if it commutes, and no
-    limit is built (see the module docstring).
+    sorts, is widened in place to every id of each sort unless the edit
+    record shows its premise (see :func:`_near`), so it then holds every id
+    at which ``G_R`` differs from the host.  One pass over ``G_K``, nodes
+    then edges, checks ``g_L``, ``u'`` and ``g_R`` at each element near the
+    patch and collects what the deletion, middle and addition squares need;
+    ``u`` and ``w`` are ``K``- and ``R``-sized and validated whole.  A leg
+    found invalid ends the check, with the defects named by the
+    :func:`~pbpoplus.graph.validate_morphism` reports of the legs.  A square
+    has its universal property decided only if it commutes, and no limit is
+    built.
     """
     rule, u, u_prime = trace.rule, trace.u, trace.u_prime
     found = None
     if (u._report.ok and trace.w._report.ok
             and all(g.lattice == trace.g_mid.lattice
                     for g in (trace.g_in, trace.g_out, rule.Kp))):
-        patch = [None, None] if patch is None else patch
-        nodes = _pass_over_g_k(trace, False, patch)
-        found = nodes and (nodes, _pass_over_g_k(trace, True, patch))
+        near = patch and _near(trace, patch)
+        if not near:
+            near = patch = [None, None] if patch is None else patch
+            for edges in (False, True):
+                patch[edges] = set().union(*(_sort(g, edges)[0]
+                                             for g in (trace.g_in, trace.g_mid, trace.g_out)))
+        nodes = _pass_over_g_k(trace, False, near[0])
+        found = nodes and (nodes, _pass_over_g_k(trace, True, near[1]))
     report = Report()
     if not found or found[1] is None:
         for name in ("g_l", "g_r", "u", "u_prime", "w"):

@@ -999,6 +999,32 @@ def reference_check_step(trace) -> Report:
     return report
 
 
+def reference_premise(trace, edges: bool, patch: set[str]) -> bool:
+    """The premise of the patch lemma on one sort, by whole-map comparison:
+    outside ``patch``, ``G_K`` is the host, ``G_R`` is ``G_K``, ``g_L`` and
+    ``g_R`` are the identity and ``u'`` is ``plain . alpha``.  The step
+    check decides it from the construction's edit record instead."""
+    def outside(entries: dict) -> dict:
+        return {x: y for x, y in entries.items() if x not in patch}
+
+    def sort(g):
+        return g.edge_labels if edges else g.node_labels
+
+    def legmap(f):
+        return f.edge_map if edges else f.node_map
+
+    host, mid, out = trace.g_in, trace.g_mid, trace.g_out
+    alpha, plain = legmap(trace.alpha), trace.rule._plain[edges]
+    pairs = [(sort(host), sort(mid)), (sort(mid), sort(out)),
+             ({x: plain.get(y) for x, y in alpha.items()}, legmap(trace.u_prime))]
+    if edges:
+        pairs += [(host.src, mid.src), (host.tgt, mid.tgt), (mid.src, out.src),
+                  (mid.tgt, out.tgt)]
+    return (all(outside(a) == outside(b) for a, b in pairs)
+            and all(x == y for f in (trace.g_l, trace.g_r)
+                    for x, y in outside(legmap(f)).items()))
+
+
 def reference_normalize(g: LabeledGraph, rules, max_steps=None) -> NormalizeResult:
     """:func:`pbpoplus.normalize` without certificates: every rule is
     searched from scratch on every step, in order, and the first strong

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pbpoplus import (EngineError, GraphError, GraphMorphism, InternalMediatorError,
+from pbpoplus import (BddError, EngineError, GraphError, GraphMorphism, InternalMediatorError,
                       LabeledGraph, Match, MorphismError, PbpoRule, RhsSpec, RuleError,
                       StrongMatchError, ToyPbRule, ToyPoRule, TruthTable,
                       bdd_lattice, build_decision_tree, complete_rule, compose,
@@ -21,7 +21,7 @@ from pbpoplus.rewriting import _check_step
 
 from genhelpers import (corpus_lattices, random_host_with_match, random_rule,
                         random_sink_rule, random_truth_table, reference_check_step,
-                        reference_normalize, reference_step)
+                        reference_normalize, reference_premise, reference_step)
 
 
 # --------------------------------------------------------------- ToyPO
@@ -1093,7 +1093,7 @@ def run_recording_patches(host, rules, max_steps):
 def assert_patch_holds(trace, patch):
     """The patch a correct step reports satisfies the premise of the patch
     lemma, so its check is not widened to the whole graphs."""
-    assert all(stepcheck._unchanged_outside(trace, edges, patch[edges]) for edges in (False, True))
+    assert all(reference_premise(trace, edges, patch[edges]) for edges in (False, True))
 
 
 def random_rule_without_sink(rng, lat):
@@ -1300,6 +1300,201 @@ def test_a_created_node_glued_onto_an_untouched_one_is_caught(unit):
                            match="the addition square is not a pushout"):
             pbpo_step(rule, match, step=1)
     assert outcome_of(_check_step, made[0]) == outcome_of(reference_check_step, made[0])
+
+
+# --------------------------------------------------- the step's edit record
+
+
+def recorded_keys(trace, edges):
+    """The keys the edit record of ``trace`` shows removed or written in the
+    maps of one sort: the labels of ``G_K`` and ``G_R``, the legs ``g_L``,
+    ``u'`` and ``g_R`` and, for edges, the endpoints."""
+    maps = [g.edge_labels if edges else g.node_labels for g in (trace.g_mid, trace.g_out)]
+    maps += [f.edge_map if edges else f.node_map for f in (trace.g_l, trace.u_prime, trace.g_r)]
+    if edges:
+        maps += [trace.g_mid.src, trace.g_mid.tgt, trace.g_out.src, trace.g_out.tgt]
+    keys = set()
+    for entries in maps:
+        _, _, removed, written = trace._edits[id(entries)]
+        keys.update(removed, written)
+    return keys
+
+
+def run_recording_edits(host, rules, max_steps):
+    """Normalize, recording for each step its rule, match and index, its
+    trace and patch, the keys its record shows edited, whether the record
+    shows the premise of the patch lemma, and the verdicts of the check on
+    the patch and in full, taken while the trace carries its record."""
+    steps = []
+    construct = rewriting._construct
+
+    def recording(rule, match, step):
+        trace, patch = construct(rule, match, step)
+        steps.append({"rule": rule, "match": match, "step": step, "trace": trace,
+                      "patch": [set(patch[0]), set(patch[1])],
+                      "edited": [recorded_keys(trace, edges) for edges in (False, True)],
+                      "shown": stepcheck._near(trace, patch) is not None,
+                      "on patch": patched_outcome(trace, patch),
+                      "full": outcome_of(_check_step, trace)})
+        return trace, patch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewriting, "_construct", recording)
+        normalize(host, rules, max_steps=max_steps)
+    return steps
+
+
+def corrupted_edit(rng, base, removed, written):
+    """An edit passed to ``_apply`` with one entry corrupted: a written value
+    changed (a label, an endpoint or a leg image), a written key dropped or
+    added, a removed key kept or one more removed, or the base built from a
+    first input changed at one key; ``None`` if the edit offers none."""
+    build, first, *rest = base
+    built = build(first, *rest)
+    values = sorted({v for v in (*built.values(), *written.values()) if v is not None})
+    spare = sorted(set(built) - set(removed) - set(written))
+    kinds = [kind for kind, ok in (("value", written and len(values) > 1), ("drop", written),
+                                   ("add", built and len(values) > 1), ("keep", removed),
+                                   ("remove", spare), ("base", first)) if ok]
+    if not kinds:
+        return None
+    kind = rng.choice(kinds)
+    removed, written = list(removed), dict(written)
+    if kind in ("value", "add"):
+        x = rng.choice(sorted(written if kind == "value" else built))
+        now = written.get(x, None if x in removed else built[x])
+        written[x] = rng.choice([v for v in values if v != now])
+    elif kind == "drop":
+        del written[rng.choice(sorted(written))]
+    elif kind == "keep":
+        removed.remove(rng.choice(sorted(removed)))
+    elif kind == "remove":
+        removed.append(rng.choice(spare))
+    else:
+        first = dict(first)
+        x = rng.choice(sorted(first))
+        others = sorted({v for v in first.values() if v != first[x]})
+        if build is stepcheck._identity_on or not others:
+            del first[x]
+        else:
+            first[x] = rng.choice(others)
+        base = (build, first, *rest)
+    return base, removed, written
+
+
+def step_with_corrupted_edit(rng, rule, match, step):
+    """:func:`pbpo_step` with one random call of ``_apply`` corrupted (see
+    :func:`corrupted_edit`): the result, or the message raised, and the
+    trace the construction built, or ``None`` if it refused first."""
+    apply, construct = rewriting._apply, rewriting._construct
+    target, calls, made = rng.randrange(14), [0], [None]
+
+    def corrupting(record, base, removed, written):
+        if calls[0] == target:
+            base, removed, written = (corrupted_edit(rng, base, removed, written)
+                                      or (base, removed, written))
+        calls[0] += 1
+        return apply(record, base, removed, written)
+
+    def recording(rule, match, step):
+        made[0], patch = construct(rule, match, step)
+        return made[0], patch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewriting, "_apply", corrupting)
+        mp.setattr(rewriting, "_construct", recording)
+        try:
+            return pbpo_step(rule, match, step=step), made[0]
+        except InternalMediatorError as exc:
+            return str(exc), made[0]
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None)
+def test_each_step_edits_within_its_patch_and_a_faulty_edit_is_caught(seed):
+    """On every step of a run of random rules (duplicating through a
+    non-injective ``l'``, deleting, merging, creating) or of BDD rules, the
+    keys the edit record shows removed or written lie in the reported patch,
+    the reference premise holds and the record shows it, and the check on
+    the patch gives the full check's verdict.  Replayed with one entry
+    passed through ``_apply`` corrupted, the step raises with the full
+    check's report of the trace built, is refused by the construction, or
+    builds the same trace."""
+    rng = random.Random(seed)
+    if rng.random() < 0.4:
+        tree = build_decision_tree(random_truth_table(
+            rng, [f"x{i}" for i in range(rng.randint(1, 3))]))
+        host, rules, budget = tree.graph, reduction_rules(tree.variables, tree.graph.lattice), None
+    else:
+        lat = rng.choice(corpus_lattices())
+        rules = [random_rule(rng, lat) for _ in range(rng.randint(1, 3))]
+        host, budget = random_host_with_match(rng, rng.choice(rules))[0], rng.randint(1, 4)
+    for step in run_recording_edits(host, rules, budget):
+        trace, patch = step["trace"], step["patch"]
+        assert step["edited"][0] <= patch[0] and step["edited"][1] <= patch[1]
+        assert_patch_holds(trace, patch)
+        assert step["shown"]
+        assert step["on patch"] == step["full"]
+        got, made = step_with_corrupted_edit(rng, step["rule"], step["match"], step["step"])
+        if made is None:
+            assert got.startswith("internal-mediator-failure: ")
+            continue
+        full = _check_step(made)
+        if full.ok:
+            assert got == (made.g_out, made) and made == trace
+        else:
+            assert got == f"internal-mediator-failure: {full}"
+
+
+def test_an_edge_left_at_a_duplicated_node_is_refused(unit):
+    """A deletion that duplicates a node but leaves one of its edges at the
+    host node it removed builds a dangling edge, which the construction
+    refuses: the edge was not written, but it is a host edge at a removed
+    node."""
+    pattern = LabeledGraph.build(unit, {"a": "*"})
+    context = LabeledGraph.build(unit, {"a": "*", "c": "*"}, {"ca": ("c", "a", "*")})
+    copies = LabeledGraph.build(unit, {"a1": "*", "a2": "*", "c": "*"},
+                                {"ca1": ("c", "a1", "*")})
+    rule = complete_rule(pattern, GraphMorphism(pattern, context, {"a": "a"}, {}),
+                         GraphMorphism(copies, context, {"a1": "a", "a2": "a", "c": "c"},
+                                       {"ca1": "ca"}))
+    host = LabeledGraph.build(unit, {"h": "*", "g": "*"}, {"e": ("g", "h", "*")})
+    (match,) = find_matches(rule, host)
+    assert pbpo_step(rule, match)[0].tgt["e"] != "h"
+    apply = rewriting._apply
+
+    def forgetting(record, base, removed, written):
+        return apply(record, base, removed, {x: v for x, v in written.items() if x != "e"})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rewriting, "_apply", forgetting)
+        with pytest.raises(InternalMediatorError, match="dangling edge"):
+            pbpo_step(rule, match)
+
+
+WRONG_TYPED = {
+    "normalize-host": (lambda rule, g, match: normalize("host", [rule]), GraphError),
+    "normalize-rules": (lambda rule, g, match: normalize(g, [1]), RuleError),
+    "normalize-budget": (lambda rule, g, match: normalize(g, [rule], max_steps="3"),
+                         EngineError),
+    "find_matches-rule": (lambda rule, g, match: find_matches("r", g), RuleError),
+    "find_matches-graph": (lambda rule, g, match: find_matches(rule, "g"), GraphError),
+    "pbpo_step-rule": (lambda rule, g, match: pbpo_step("r", match), RuleError),
+    "pbpo_step-match": (lambda rule, g, match: pbpo_step(rule, "m"), MorphismError),
+    "reduce_bdd": (lambda rule, g, match: reduce_bdd("b"), BddError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WRONG_TYPED))
+def test_each_public_entry_names_a_wrong_typed_argument(entry, leaf_steps):
+    """A public entry checks its arguments' types once, at entry, and raises
+    the EngineError subclass of the argument's kind, not a raw
+    AttributeError or TypeError."""
+    rule, first, _, _, _ = leaf_steps
+    call, error = WRONG_TYPED[entry]
+    with pytest.raises(EngineError) as raised:
+        call(rule, first.alpha.dom, first)
+    assert type(raised.value) is error
 
 
 # --------------------------------------------- matches rebuilt by hand
