@@ -66,6 +66,7 @@ from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Sequence
 
+from . import rewriting  # a cycle: rewriting imports this module; read at call time only
 from .errors import (GraphError, LatticeError, MorphismError, NonCommutingSquareError, Report,
                      RuleError)
 from .graph import GraphMorphism, LabeledGraph, _require_type, _require_valid, identity
@@ -511,9 +512,7 @@ def find_matches(rule: "PbpoRule", g: LabeledGraph) -> list[Match]:
     """All strong matches of the rule pattern in ``g``, in ascending
     :meth:`Match.sort_key` order, which is the order :func:`iter_matches`
     yields them in."""
-    from .rewriting import PbpoRule
-
-    _require_type(RuleError, "invalid-rule", PbpoRule, rule)
+    _require_type(RuleError, "invalid-rule", rewriting.PbpoRule, rule)
     _require_type(GraphError, "invalid-graph", LabeledGraph, g)
     return list(iter_matches(rule, g))
 
