@@ -110,6 +110,12 @@ class LabeledGraph:
         """:func:`validate_graph`, kept: graphs are values."""
         return validate_graph(self)
 
+    @cached_property
+    def _plans(self) -> dict:
+        """The search plans of :func:`~pbpoplus.matching._hom_search` from
+        this graph, one per tuple of open nodes, each built on first use."""
+        return {}
+
     def rename(self, node_map: Mapping[str, str],
                edge_map: Mapping[str, str]) -> "LabeledGraph":
         """Rewrite all identifiers through the given bijective maps."""

@@ -32,15 +32,20 @@ close an edge, and try every combination of them first.
 
 The open nodes, then the open edges, are tried one at a time on one
 explicit stack of candidate iterators, so the depth of the search is not
-bounded by the interpreter's recursion limit.  A node with several
-candidates that is joined by an edge to a node placed earlier is anchored
-on it: only the neighbours of the anchor's image, in the edge's direction,
-are tried, intersected with the node's label-compatible candidates and
-sorted.  A forced element has the same image in every result and anchoring
-only skips candidates that could never complete an edge, so results and
-their order are those of the plain search; this is the unrooted form of
-rooted matching in GP 2 (Bak & Plump, 2012), where an element whose image
-is forced costs no search.
+bounded by the interpreter's recursion limit.  An open node's candidates
+are joined: they are the neighbours, by edge label and direction, of the
+images of all its placed neighbours, intersected while two or more remain.
+A later neighbour that its own placed neighbours leave with one candidate
+then narrows them to that image's neighbours, or ends the branch when it is
+left with none (the look ahead).  A node with no placed neighbour keeps
+only the neighbours of a later neighbour's candidates when those are fewer
+than its own.  Each of these removes only candidates that no result uses,
+so results and their order are those of the plain search (see "The join"
+in ``docs/DESIGN.md``); this is the unrooted form of rooted matching in GP 2
+(Bak & Plump, 2012), where an element whose image is forced costs no
+search.  What depends on the pattern alone (each open node's links, look
+aheads and closing edges, and the nodes without links) is derived once per
+pattern and tuple of open nodes and kept on the pattern graph.
 
 An adherence at an occurrence ``m`` is built, not searched, when the
 context part of ``L'`` is a *sink*, one node ``c`` with one loop ``cc``,
@@ -64,7 +69,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Sequence
+from typing import (TYPE_CHECKING, Collection, Iterator, Mapping, NamedTuple, Optional,
+                    Sequence)
 
 from . import rewriting  # a cycle: rewriting imports this module; read at call time only
 from .errors import (GraphError, LatticeError, MorphismError, NonCommutingSquareError, Report,
@@ -113,6 +119,67 @@ class Match:
         return report
 
 
+# A node of the codomain with this many edges or more keeps its
+# neighbourhoods for the rest of a search.
+_HUB_DEGREE = 8
+
+
+class _Plan(NamedTuple):
+    """The part of a search that depends only on its domain and its tuple of
+    open nodes, kept on the domain (:attr:`LabeledGraph._plans`).  The first
+    three fields are indexed by open-node position.  A link ``(i, p,
+    outgoing, label)`` says that the node's image is a neighbour of ``p``'s,
+    out of it when ``outgoing``, along an edge above ``label``; ``p`` is
+    placed at position ``i``, or forced when ``i`` is -1.  An entry ``(j, k,
+    outgoing, label)`` of ``ahead`` is a link from the later open node
+    ``j``, the first ``k`` of whose links are placed before this node."""
+
+    links: tuple[tuple[tuple[int, str, bool, str], ...], ...]
+    ahead: tuple[tuple[tuple[int, int, bool, str], ...], ...]
+    closing: tuple[tuple[str, ...], ...]  # the edges placing the node closes
+    # Each open node without links, with its links from later open nodes.
+    roots: tuple[tuple[int, tuple[tuple[int, bool, str], ...]], ...]
+
+
+def _search_plan(dom: LabeledGraph, rest: tuple[str, ...]) -> _Plan:
+    """The plan of a search from ``dom`` with the open nodes ``rest``, in one
+    pass over each node's edges and one over the links.  A node's links are
+    sorted by when their far end is placed, so those placed before a given
+    position are a prefix."""
+    src, tgt, labels, incident = dom.src, dom.tgt, dom.edge_labels, dom.incident_edges
+    pos = dict.fromkeys(dom.nodes, -1)
+    pos.update(zip(rest, range(len(rest))))
+    links, closing = [], []
+    for i, n in enumerate(rest):
+        found, shut = [], []
+        for e in incident[n]:
+            s = src[e]
+            p = tgt[e] if s == n else s
+            if pos[p] <= i:
+                shut.append(e)
+                if p != n:
+                    found.append((pos[p], p, p == s, labels[e]))
+        links.append(tuple(sorted(set(found)) if len(found) > 1 else found))
+        closing.append(tuple(shut))
+    ahead: dict[int, list] = {}
+    later: dict[int, list] = {}
+    for j, found in enumerate(links):
+        k = start = -1
+        for m, (i, _, outgoing, label) in enumerate(found):
+            if i != start:
+                k, start = m, i
+            if i >= 0:
+                if k:
+                    ahead.setdefault(i, []).append((j, k, not outgoing, label))
+                if not links[i]:
+                    later.setdefault(i, []).append((j, not outgoing, label))
+    aheads: list[tuple] = [()] * len(rest)
+    for i, found in ahead.items():
+        aheads[i] = tuple(found)
+    return _Plan(tuple(links), tuple(aheads), tuple(closing),
+                 tuple((i, tuple(x)) for i, x in sorted(later.items())))
+
+
 def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
                 node_pools: Optional[Mapping[str, Collection[str]]] = None,
                 edge_pools: Optional[Mapping[str, Collection[str]]] = None
@@ -128,7 +195,7 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
     them with a single target, are placed before the search and take part
     in no backtracking; the open nodes, then the open edges, are tried on
     one explicit stack, so its depth is not bounded by the interpreter's
-    recursion limit.
+    recursion limit.  The plan for the open nodes is kept on ``dom``.
     """
     above = dom.lattice._above
     node_pools = node_pools or {}
@@ -150,7 +217,8 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
         if found is None:
             up = above[label]
             ordered = pool if pool is cod_nodes else sorted(pool)  # already sorted
-            found = shared[key] = tuple(c for c in ordered if cod_nlab.get(c) in up)
+            found = shared[key] = tuple(compress(ordered, map(up.__contains__,
+                                                              map(cod_nlab.get, ordered))))
         candidates[n] = found
 
     # Edges that share a pool, a label and endpoint images share their
@@ -176,14 +244,13 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
     # search visits them.
     nm: dict[str, Optional[str]] = dict.fromkeys(nodes)
     used: set[str] = set()
-    placed: set[str] = set()
-    rest: list[str] = []
+    open_nodes: list[str] = []
     for n in nodes:
         cands = candidates[n]
         if len(cands) != 1:
             if not cands:
                 return
-            rest.append(n)
+            open_nodes.append(n)
             continue
         c = cands[0]
         if injective:
@@ -191,12 +258,16 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
                 return
             used.add(c)
         nm[n] = c
-        placed.add(n)
+    rest = tuple(open_nodes)
+    plan = dom._plans.get(rest)
+    if plan is None:
+        plan = dom._plans[rest] = _search_plan(dom, rest)
+    links, ahead, closing, roots = plan
     em: dict[str, Optional[str]] = dict.fromkeys(edges)
     used_edges: set[str] = set()
     open_edges: list[str] = []
     for e in edges:
-        if dom_src[e] not in placed or dom_tgt[e] not in placed:
+        if nm[dom_src[e]] is None or nm[dom_tgt[e]] is None:
             open_edges.append(e)
             continue
         targets = edge_targets(e)
@@ -234,62 +305,94 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
                         candidates[n] = kept
                         narrowed = True
 
-    # Anchor: an edge from a node with several candidates to one placed
-    # earlier.  The node's image must then be a neighbour of the anchor's
-    # image, so only those neighbours that are static candidates are tried.
-    # Placing a node closes the edges whose other endpoint is placed; each
-    # of them needs a target.
-    incident = dom.incident_edges
-    anchors: dict[str, tuple[str, bool]] = {}
-    closing: list[tuple[str, ...]] = []
-    for n in rest:
-        for e in incident[n]:
-            s, t = dom_src[e], dom_tgt[e]
-            if s in placed:
-                anchors[n] = (s, True)
-                break
-            if t in placed:
-                anchors[n] = (t, False)
-                break
-        placed.add(n)
-        closing.append(tuple(e for e in incident[n]
-                             if dom_src[e] in placed and dom_tgt[e] in placed))
-    # Anchored nodes that share a candidate tuple share its set.
-    shared_sets: dict[int, frozenset[str]] = {}
-    candidate_sets: dict[str, frozenset[str]] = {}
-    for n in anchors:
-        key = id(candidates[n])
-        if key not in shared_sets:
-            shared_sets[key] = frozenset(candidates[n])
-        candidate_sets[n] = shared_sets[key]
-    cod_incident = cod.incident_edges
+    cod_incident, every = cod.incident_edges, len(cod_nodes)
+    hoods: dict[tuple[str, bool, str], set[str]] = {}
 
-    def node_targets(n: str) -> Sequence[str]:
-        anchor = anchors.get(n)
-        if anchor is None:
-            return candidates[n]
-        p, outgoing = anchor
-        image = nm[p]
-        static = candidate_sets[n]
-        if outgoing:
-            near = {cod_tgt[c] for c in cod_incident[image] if cod_src[c] == image}
+    def near(image: str, outgoing: bool, label: str) -> set[str]:
+        # The neighbours of ``image`` along edges above ``label``, out of it
+        # when ``outgoing``, else into it; a hub's are kept, since a hub is
+        # asked for again on every branch below it.
+        edges = cod_incident[image]
+        key = (image, outgoing, label) if len(edges) >= _HUB_DEGREE else None
+        found = hoods.get(key) if key else None
+        if found is None:
+            up = above[label]
+            ends, far = (cod_src, cod_tgt) if outgoing else (cod_tgt, cod_src)
+            found = {far[c] for c in edges if ends[c] == image and cod_elab[c] in up}
+            if key:
+                hoods[key] = found
+        return found
+
+    # A node without links keeps only the neighbours of a later neighbour's
+    # candidates, when those are fewer than its own.
+    for i, later in roots:
+        n = rest[i]
+        for j, outgoing, label in later:
+            cands, theirs = candidates[n], candidates[rest[j]]
+            if len(theirs) < len(cands):
+                hood = set().union(*(near(w, outgoing, label) for w in theirs))
+                candidates[n] = tuple(sorted(hood.intersection(
+                    cod.nodes if len(cands) == every else cands)))
+                if not candidates[n]:
+                    return
+
+    # A linked node's candidates are kept as a set, shared by nodes with one
+    # candidate tuple, unless they are every node of ``cod``.
+    shared_sets: dict[int, frozenset[str]] = {}
+    static: list[Optional[frozenset[str]]] = []
+    for n, from_placed, from_later in zip(rest, links, ahead):
+        cands = candidates[n]
+        if (from_placed or from_later) and len(cands) < every:
+            found_set = shared_sets.get(id(cands))
+            if found_set is None:
+                found_set = shared_sets[id(cands)] = frozenset(cands)
+            static.append(found_set)
         else:
-            near = {cod_src[c] for c in cod_incident[image] if cod_tgt[c] == image}
-        return sorted(near & static)
+            static.append(None)
+
+    def node_targets(i: int) -> Sequence[str]:
+        # The join: the candidates among the neighbours of every placed
+        # neighbour's image, then of the one image a later neighbour is left
+        # with, intersected only while two or more remain.
+        found = given = static[i]
+        for _, p, outgoing, label in links[i]:
+            hood = near(nm[p], outgoing, label)
+            found = hood if found is None else hood & found
+            if len(found) < 2:
+                return sorted(found)
+        for j, k, outgoing, label in ahead[i]:
+            (_, p, into, via), *more = links[j][:k]
+            theirs = near(nm[p], into, via)
+            for _, p, into, via in more:
+                if len(theirs) < 2:
+                    break
+                theirs = theirs & near(nm[p], into, via)
+            if len(theirs) != 1:
+                if not theirs:
+                    return ()
+                continue
+            (image,) = theirs
+            if injective and image in used or static[j] is not None and image not in static[j]:
+                return ()
+            hood = near(image, outgoing, label)
+            found = hood if found is None else hood & found
+            if len(found) < 2:
+                break
+        return candidates[rest[i]] if found is given else sorted(found)
 
     # One slot per open element: the open nodes in id order, then the open
-    # edges in id order, each with its image map, its injectivity set, its
-    # targets and the edges its placement closes, in lists indexed by depth.
-    elems = rest + open_edges
-    images = [nm] * len(rest) + [em] * len(open_edges)
-    taken = [used] * len(rest) + [used_edges] * len(open_edges)
-    find = [node_targets] * len(rest) + [edge_targets] * len(open_edges)
-    closing += [()] * len(open_edges)
+    # edges in id order, each with its image map, its injectivity set and
+    # the edges its placement closes, in lists indexed by depth.
+    width = len(rest)
+    elems = [*rest, *open_edges]
+    images = [nm] * width + [em] * len(open_edges)
+    taken = [used] * width + [used_edges] * len(open_edges)
+    closing = [*closing, *[()] * len(open_edges)]
     depth = len(elems)
     if not depth:
         yield GraphMorphism(dom, cod, nm, em)
         return
-    stack = [iter(find[0](elems[0]))]
+    stack = [iter(node_targets(0) if width else edge_targets(elems[0]))]
     while stack:
         i = len(stack) - 1
         x, image, seen = elems[i], images[i], taken[i]
@@ -312,7 +415,8 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
             continue
         if injective:
             seen.add(c)
-        stack.append(iter(find[i + 1](elems[i + 1])))
+        i += 1
+        stack.append(iter(node_targets(i) if i < width else edge_targets(elems[i])))
 
 
 def enumerate_homomorphisms(g: LabeledGraph, h: LabeledGraph,

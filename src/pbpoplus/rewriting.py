@@ -337,15 +337,20 @@ class RewriteTrace:
 
 
 def verify_trace(trace: RewriteTrace) -> Report:
-    """Re-check every defining property of a completed step: the rule, the
-    match, decided in full as a new :class:`~pbpoplus.matching.Match`, then
-    the check :func:`pbpo_step` runs (see
-    :func:`~pbpoplus.stepcheck._check_step`).  An invalid rule or morphism,
-    or one that does not connect the trace's graphs, ends the check; a
-    square that does not commute is reported, not decided."""
+    """Re-check every defining property of a completed step: the rule and
+    the trace's three graphs, the match, decided in full as a new
+    :class:`~pbpoplus.matching.Match`, then the check :func:`pbpo_step`
+    runs (see :func:`~pbpoplus.stepcheck._check_step`).  An invalid rule,
+    graph or morphism, or a morphism that does not connect the trace's
+    graphs, ends the check; a square that does not commute is reported,
+    not decided."""
     rule = trace.rule
     report = Report()
     report.extend(rule._report, prefix="rule: ")
+    for name in ("g_in", "g_mid", "g_out"):
+        report.extend(getattr(trace, name)._report, prefix=f"{name}: ")
+    if not report.ok:
+        return report
     for name, dom, cod in (("m", rule.L, trace.g_in), ("alpha", trace.g_in, rule.Lp),
                            ("g_l", trace.g_mid, trace.g_in),
                            ("g_r", trace.g_mid, trace.g_out),

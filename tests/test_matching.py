@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -8,11 +10,12 @@ from hypothesis import strategies as st
 from pbpoplus import (Cospan, GraphError, GraphMorphism, LabeledGraph, Match, MorphismError,
                       RhsSpec, Span, TruthTable, build_decision_tree,
                       check_strong_match, complete_rule, compose,
-                      enumerate_homomorphisms, find_matches, identity,
-                      is_pullback_square, leaf_rule, pbpo_step,
+                      enumerate_homomorphisms, find_matches, identity, is_isomorphic,
+                      is_pullback_square, leaf_rule, merge_iso_rule, pbpo_step,
                       reduce_bdd, reduction_rules, unit_lattice,
                       validate_morphism, verify_match_square, verify_trace)
-from pbpoplus.matching import _adherences_for, _hom_search, _occurs_at, iter_matches
+from pbpoplus.matching import (_adherences_for, _hom_search, _occurs_at, _search_plan,
+                               iter_matches)
 
 from genhelpers import (corpus_lattices, count_adherence_searches, naive_find_matches,
                         perturbed_host, random_graph,
@@ -347,6 +350,63 @@ def test_search_order_agrees_with_pooled_reference_on_parallel_edges(seed, pinne
     assert_search_agrees(g, h, *random_pools(rng, g, h, pinned))
 
 
+def join_pattern(rng, lat, shape):
+    """A pattern of three to five nodes, mostly labelled bottom: the shape of
+    ``MERGE-ISO`` (``g0`` the shared 1-child, ``g1`` and ``g2`` the merged
+    nodes, ``g3`` the shared 0-child), of ``ELIM-VACUOUS`` (``g0`` with two
+    edges of distinct labels to ``g1``), or random; the first two get extra
+    nodes and edges at random."""
+    labels = lat.sorted_elements()
+    one, zero = rng.sample(labels, 2)
+    size = {"merge": rng.randint(4, 5), "elim": rng.randint(3, 5), "random": rng.randint(3, 5)}
+    nodes = {f"g{i}": lat.bottom if rng.random() < 0.6 else rng.choice(labels)
+             for i in range(size[shape])}
+    edges = {"merge": {"ge0": ("g1", "g0", one), "ge1": ("g1", "g3", zero),
+                       "ge2": ("g2", "g0", one), "ge3": ("g2", "g3", zero)},
+             "elim": {"ge0": ("g0", "g1", zero), "ge1": ("g0", "g1", one)},
+             "random": {}}[shape]
+    ids = sorted(nodes)
+    extra = rng.randint(1, 4) if shape == "random" else rng.randint(0, 2)
+    for j in range(len(edges), len(edges) + extra):
+        edges[f"ge{j}"] = (rng.choice(ids), rng.choice(ids),
+                           lat.bottom if rng.random() < 0.3 else rng.choice(labels))
+    return LabeledGraph.build(lat, nodes, edges)
+
+
+def hub_host(rng, lat, size):
+    """A host of ``size`` nodes with a hub of in-degree eight or more and
+    pairs of parallel edges with distinct labels."""
+    labels = lat.sorted_elements()
+    ids = [f"h{i}" for i in range(size)]
+    nodes = {n: lat.bottom if rng.random() < 0.2 else rng.choice(labels) for n in ids}
+    hub = rng.choice(ids)
+    ends = [(rng.choice(ids), hub) for _ in range(rng.randint(8, 10))]
+    ends += [(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 5))]
+    edges = {}
+    for s, t in ends:
+        pair = rng.sample(labels, 2) if rng.random() < 0.5 else [rng.choice(labels)]
+        for label in pair:
+            edges[f"he{len(edges)}"] = (s, t, label)
+    return LabeledGraph.build(lat, nodes, edges)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(["merge", "elim", "random"]))
+@settings(deadline=None)
+def test_search_order_agrees_with_pooled_reference_on_hub_hosts(seed, shape):
+    """The join removes no result and reorders none: the search equals the
+    unpruned reference, in order and in both injectivity modes, on patterns
+    of three to five nodes shaped like the BDD rules or random, into hosts
+    with a hub whose neighbourhoods the search keeps.  One pattern object is
+    searched without pools, then under pools that pin most elements, so its
+    kept plans must be told apart by their open nodes."""
+    rng = random.Random(seed)
+    lat = rng.choice(corpus_lattices()[1:])  # with two edge labels at least
+    g = join_pattern(rng, lat, shape)
+    h = hub_host(rng, lat, rng.randint(3, {3: 7, 4: 6, 5: 5}[len(g.nodes)]))
+    assert_search_agrees(g, h, {}, {})
+    assert_search_agrees(g, h, *random_pools(rng, g, h, pinned=rng.random() < 0.5))
+
+
 def test_forced_pass_edge_cases(unit):
     h = LabeledGraph.build(unit, {"x": "*", "y": "*"},
                            {"f1": ("x", "y", "*"), "f2": ("x", "y", "*"),
@@ -556,3 +616,35 @@ def test_found_matches_decided_afresh_keep_their_verdict_and_step(seed, sink):
         fresh = Match(found.m, found.alpha, found.typing)
         assert "_report" not in fresh.__dict__ and fresh._report.ok
         assert pbpo_step(rule, fresh, step=1) == pbpo_step(rule, found, step=1)
+
+
+def test_search_plans_live_on_the_pattern_and_hold_no_host(lat2):
+    """A search keeps its plan on its domain, one per tuple of open nodes,
+    and nothing that keeps a host alive: neither the pattern scans and
+    rooted queries of a BDD rule, nor the pooled adherence search, whose
+    domain is the host, nor the isomorphism search of a host."""
+    tree = build_decision_tree(TruthTable.from_bits("0110100110010110", ["p", "q", "r", "s"]))
+    rule = merge_iso_rule("s", tree.graph.lattice)
+    pattern = LabeledGraph.build(lat2, {"a": "bot"})
+    context = LabeledGraph.build(lat2, {"a": "top", "c": "top"},
+                                 {"l1": ("c", "c", "top"), "l2": ("c", "c", "Bool")})
+    no_sink = complete_rule(pattern, GraphMorphism(pattern, context, {"a": "a"}, {}),
+                            identity(context))
+    host = LabeledGraph(**{f: getattr(tree.graph, f) for f in (
+        "lattice", "nodes", "edges", "src", "tgt", "node_labels", "edge_labels")})
+    other = LabeledGraph.build(lat2, {"g": "x1", "h": "0"}, {"hh": ("h", "h", "1")})
+    refs = [weakref.ref(host), weakref.ref(other)]
+    s_node = next(n for n in host.sorted_nodes if host.node_labels[n] == "s")
+    for _ in range(2):
+        find_matches(rule, host)
+        for p in rule.L.sorted_nodes:
+            next(_hom_search(rule.L, host, True, {p: (s_node,)}), None)
+        assert is_isomorphic(host, host.rename({}, {})) is not None
+        assert len(find_matches(no_sink, other)) == 2
+    assert "_plans" in other.__dict__
+    nodes = rule.L.sorted_nodes
+    assert set(rule.L._plans) == {nodes, *(tuple(n for n in nodes if n != p) for p in nodes)}
+    assert all(plan == _search_plan(rule.L, rest) for rest, plan in rule.L._plans.items())
+    del host, other
+    gc.collect()
+    assert all(ref() is None for ref in refs)

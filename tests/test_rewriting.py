@@ -763,6 +763,21 @@ def test_verify_trace_reports_a_morphism_between_other_graphs(leaf_steps):
     assert report.codes() == {"bad-arrangement"}
 
 
+def test_verify_trace_reports_a_malformed_graph_instead_of_raising():
+    """A trace graph with a dangling edge is reported under its field name,
+    and the step check, which would read the missing endpoint, is not run."""
+    _, result = reduce_bdd(build_decision_tree(TruthTable.from_bits("0001", ["p", "q"])))
+    trace = result.traces[0]
+    assert trace.rule.name == "LEAF_0" and "e0" in trace.g_out.src
+    g_out = dataclasses.replace(trace.g_out, src={e: s for e, s in trace.g_out.src.items()
+                                                  if e != "e0"})
+    bad = dataclasses.replace(trace, g_out=g_out, g_r=dataclasses.replace(trace.g_r, cod=g_out),
+                              w=dataclasses.replace(trace.w, cod=g_out))
+    report = verify_trace(bad)
+    assert report.codes() == {"dangling-endpoint"}
+    assert str(report).startswith("dangling-endpoint: g_out: edge 'e0'")
+
+
 def test_step_rejects_rule_with_dangling_replacement(leaf_steps):
     rule, first, _, trace, _ = leaf_steps
     bad_r = GraphMorphism(rule.K, rule.R, {**rule.r.node_map, "u": "zzz"},
