@@ -69,8 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import (TYPE_CHECKING, Collection, Iterator, Mapping, NamedTuple, Optional,
-                    Sequence)
+from typing import TYPE_CHECKING, Collection, Iterator, Mapping, Optional, Sequence
 
 from . import rewriting  # a cycle: rewriting imports this module; read at call time only
 from .errors import (GraphError, LatticeError, MorphismError, NonCommutingSquareError, Report,
@@ -124,28 +123,20 @@ class Match:
 _HUB_DEGREE = 8
 
 
-class _Plan(NamedTuple):
-    """The part of a search that depends only on its domain and its tuple of
-    open nodes, kept on the domain (:attr:`LabeledGraph._plans`).  The first
-    three fields are indexed by open-node position.  A link ``(i, p,
-    outgoing, label)`` says that the node's image is a neighbour of ``p``'s,
-    out of it when ``outgoing``, along an edge above ``label``; ``p`` is
-    placed at position ``i``, or forced when ``i`` is -1.  An entry ``(j, k,
-    outgoing, label)`` of ``ahead`` is a link from the later open node
-    ``j``, the first ``k`` of whose links are placed before this node."""
-
-    links: tuple[tuple[tuple[int, str, bool, str], ...], ...]
-    ahead: tuple[tuple[tuple[int, int, bool, str], ...], ...]
-    closing: tuple[tuple[str, ...], ...]  # the edges placing the node closes
-    # Each open node without links, with its links from later open nodes.
-    roots: tuple[tuple[int, tuple[tuple[int, bool, str], ...]], ...]
-
-
-def _search_plan(dom: LabeledGraph, rest: tuple[str, ...]) -> _Plan:
-    """The plan of a search from ``dom`` with the open nodes ``rest``, in one
-    pass over each node's edges and one over the links.  A node's links are
-    sorted by when their far end is placed, so those placed before a given
-    position are a prefix."""
+def _search_plan(dom: LabeledGraph, rest: tuple[str, ...]) -> tuple:
+    """The part of a search from ``dom`` with the open nodes ``rest`` that
+    depends on nothing else, kept on ``dom`` (:attr:`LabeledGraph._plans`):
+    ``(links, ahead, closing, roots)``, the first three indexed by open-node
+    position.  A link ``(i, p, outgoing, label)`` says that the node's image
+    is a neighbour of ``p``'s, out of it when ``outgoing``, along an edge
+    above ``label``; ``p`` is placed at position ``i``, or forced when ``i``
+    is -1.  A node's links are sorted by ``i``, so those placed before a
+    given position are a prefix.  An entry ``(j, k, outgoing, label)`` of
+    ``ahead`` is a link from the later open node ``j``, the first ``k`` of
+    whose links are placed before this node.  ``closing`` holds the edges
+    that placing the node closes, and ``roots`` each open node without
+    links, with its links from later open nodes.  Built in one pass over
+    each node's edges and one over the links."""
     src, tgt, labels, incident = dom.src, dom.tgt, dom.edge_labels, dom.incident_edges
     pos = dict.fromkeys(dom.nodes, -1)
     pos.update(zip(rest, range(len(rest))))
@@ -173,11 +164,8 @@ def _search_plan(dom: LabeledGraph, rest: tuple[str, ...]) -> _Plan:
                     ahead.setdefault(i, []).append((j, k, not outgoing, label))
                 if not links[i]:
                     later.setdefault(i, []).append((j, not outgoing, label))
-    aheads: list[tuple] = [()] * len(rest)
-    for i, found in ahead.items():
-        aheads[i] = tuple(found)
-    return _Plan(tuple(links), tuple(aheads), tuple(closing),
-                 tuple((i, tuple(x)) for i, x in sorted(later.items())))
+    return (tuple(links), tuple(tuple(ahead.get(i, ())) for i in range(len(rest))),
+            tuple(closing), tuple((i, tuple(x)) for i, x in sorted(later.items())))
 
 
 def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
@@ -331,8 +319,8 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
             cands, theirs = candidates[n], candidates[rest[j]]
             if len(theirs) < len(cands):
                 hood = set().union(*(near(w, outgoing, label) for w in theirs))
-                candidates[n] = tuple(sorted(hood.intersection(
-                    cod.nodes if len(cands) == every else cands)))
+                candidates[n] = tuple(sorted(hood if len(cands) == every
+                                             else hood.intersection(cands)))
                 if not candidates[n]:
                     return
 
