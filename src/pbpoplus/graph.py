@@ -113,7 +113,8 @@ class LabeledGraph:
     @cached_property
     def _plans(self) -> dict:
         """The search plans of :func:`~pbpoplus.matching._hom_search` from
-        this graph, one per tuple of open nodes, each built on first use."""
+        this graph as a pattern, one per tuple of open nodes, each built on
+        first use; a search from a host keeps none here."""
         return {}
 
     def rename(self, node_map: Mapping[str, str],

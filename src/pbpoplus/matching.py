@@ -45,7 +45,8 @@ in ``docs/DESIGN.md``); this is the unrooted form of rooted matching in GP 2
 (Bak & Plump, 2012), where an element whose image is forced costs no
 search.  What depends on the pattern alone (each open node's links, look
 aheads and closing edges, and the nodes without links) is derived once per
-pattern and tuple of open nodes and kept on the pattern graph.
+pattern and tuple of open nodes and kept on the pattern graph; a search from
+a host (adherences, mediators, isomorphism) builds its plan and drops it.
 
 An adherence at an occurrence ``m`` is built, not searched, when the
 context part of ``L'`` is a *sink*, one node ``c`` with one loop ``cc``,
@@ -118,14 +119,9 @@ class Match:
         return report
 
 
-# A node of the codomain with this many edges or more keeps its
-# neighbourhoods for the rest of a search.
-_HUB_DEGREE = 8
-
-
 def _search_plan(dom: LabeledGraph, rest: tuple[str, ...]) -> tuple:
     """The part of a search from ``dom`` with the open nodes ``rest`` that
-    depends on nothing else, kept on ``dom`` (:attr:`LabeledGraph._plans`):
+    depends on nothing else, kept on a pattern (:attr:`LabeledGraph._plans`):
     ``(links, ahead, closing, roots)``, the first three indexed by open-node
     position.  A link ``(i, p, outgoing, label)`` says that the node's image
     is a neighbour of ``p``'s, out of it when ``outgoing``, along an edge
@@ -170,8 +166,8 @@ def _search_plan(dom: LabeledGraph, rest: tuple[str, ...]) -> tuple:
 
 def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
                 node_pools: Optional[Mapping[str, Collection[str]]] = None,
-                edge_pools: Optional[Mapping[str, Collection[str]]] = None
-                ) -> Iterator[GraphMorphism]:
+                edge_pools: Optional[Mapping[str, Collection[str]]] = None,
+                keep_plan: bool = False) -> Iterator[GraphMorphism]:
     """Backtracking core shared by plain enumeration, adherence extension,
     mediator enumeration and the isomorphism search.
 
@@ -183,7 +179,10 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
     them with a single target, are placed before the search and take part
     in no backtracking; the open nodes, then the open edges, are tried on
     one explicit stack, so its depth is not bounded by the interpreter's
-    recursion limit.  The plan for the open nodes is kept on ``dom``.
+    recursion limit.  With ``keep_plan`` the plan for the open nodes is
+    kept on ``dom``; only a search from a pattern asks for that, since a
+    search from a host pins different nodes each time and would leave a
+    host-sized plan behind on every call.
     """
     above = dom.lattice._above
     node_pools = node_pools or {}
@@ -205,8 +204,7 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
         if found is None:
             up = above[label]
             ordered = pool if pool is cod_nodes else sorted(pool)  # already sorted
-            found = shared[key] = tuple(compress(ordered, map(up.__contains__,
-                                                              map(cod_nlab.get, ordered))))
+            found = shared[key] = tuple(c for c in ordered if cod_nlab.get(c) in up)
         candidates[n] = found
 
     # Edges that share a pool, a label and endpoint images share their
@@ -247,9 +245,11 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
             used.add(c)
         nm[n] = c
     rest = tuple(open_nodes)
-    plan = dom._plans.get(rest)
+    plan = dom._plans.get(rest) if keep_plan else None
     if plan is None:
-        plan = dom._plans[rest] = _search_plan(dom, rest)
+        plan = _search_plan(dom, rest)
+        if keep_plan:
+            dom._plans[rest] = plan
     links, ahead, closing, roots = plan
     em: dict[str, Optional[str]] = dict.fromkeys(edges)
     used_edges: set[str] = set()
@@ -294,22 +294,13 @@ def _hom_search(dom: LabeledGraph, cod: LabeledGraph, injective: bool,
                         narrowed = True
 
     cod_incident, every = cod.incident_edges, len(cod_nodes)
-    hoods: dict[tuple[str, bool, str], set[str]] = {}
 
     def near(image: str, outgoing: bool, label: str) -> set[str]:
         # The neighbours of ``image`` along edges above ``label``, out of it
-        # when ``outgoing``, else into it; a hub's are kept, since a hub is
-        # asked for again on every branch below it.
-        edges = cod_incident[image]
-        key = (image, outgoing, label) if len(edges) >= _HUB_DEGREE else None
-        found = hoods.get(key) if key else None
-        if found is None:
-            up = above[label]
-            ends, far = (cod_src, cod_tgt) if outgoing else (cod_tgt, cod_src)
-            found = {far[c] for c in edges if ends[c] == image and cod_elab[c] in up}
-            if key:
-                hoods[key] = found
-        return found
+        # when ``outgoing``, else into it.
+        up = above[label]
+        ends, far = (cod_src, cod_tgt) if outgoing else (cod_tgt, cod_src)
+        return {far[c] for c in cod_incident[image] if ends[c] == image and cod_elab[c] in up}
 
     # A node without links keeps only the neighbours of a later neighbour's
     # candidates, when those are fewer than its own.
@@ -523,7 +514,7 @@ def iter_matches(rule: "PbpoRule", g: LabeledGraph,
     _require_valid(RuleError, "invalid-rule", (rule.name, rule))
     if g.lattice != rule.L.lattice:
         raise LatticeError("host graph must share the rule lattice")
-    occurrences = _hom_search(rule.L, g, injective=True)
+    occurrences = _hom_search(rule.L, g, injective=True, keep_plan=True)
     fits, pinned = rule._context_labels, ()
     if len(fits) < len(g.lattice.elements):
         pinned = {n for n in g.nodes if g.node_labels[n] not in fits}
@@ -576,8 +567,8 @@ def _occurs_at(pattern: LabeledGraph, g: LabeledGraph,
     for c in seeds:
         lab = g_nlab[c]
         for p in pattern.sorted_nodes:
-            if lab in above[p_nlab[p]] and next(
-                    _hom_search(pattern, g, True, {p: (c,)}), None) is not None:
+            if lab in above[p_nlab[p]] and next(_hom_search(
+                    pattern, g, True, {p: (c,)}, keep_plan=True), None) is not None:
                 return True
     if not pattern.edges:
         return False
@@ -595,7 +586,8 @@ def _occurs_at(pattern: LabeledGraph, g: LabeledGraph,
                     or s_lab not in above[p_nlab[ps]] or t_lab not in above[p_nlab[pt]]):
                 continue
             pools = {ps: (s,), pt: (t,)}
-            if next(_hom_search(pattern, g, True, pools, {e: (c,)}), None) is not None:
+            if next(_hom_search(pattern, g, True, pools, {e: (c,)}, keep_plan=True),
+                    None) is not None:
                 return True
     return False
 

@@ -340,16 +340,18 @@ def verify_trace(trace: RewriteTrace) -> Report:
     """Re-check every defining property of a completed step: the rule and
     the trace's three graphs, the match, decided in full as a new
     :class:`~pbpoplus.matching.Match`, then the check :func:`pbpo_step`
-    runs (see :func:`~pbpoplus.stepcheck._check_step`).  An invalid rule,
-    graph or morphism, or a morphism that does not connect the trace's
-    graphs, ends the check; a square that does not commute is reported,
+    runs (see :func:`~pbpoplus.stepcheck._check_step`).  An invalid graph
+    ends the check at once; an invalid rule or morphism, or a morphism that
+    does not connect the trace's graphs, ends it after the morphisms'
+    arrangement is checked; a square that does not commute is reported,
     not decided."""
     rule = trace.rule
     report = Report()
     report.extend(rule._report, prefix="rule: ")
-    for name in ("g_in", "g_mid", "g_out"):
+    graphs = ("g_in", "g_mid", "g_out")
+    for name in graphs:
         report.extend(getattr(trace, name)._report, prefix=f"{name}: ")
-    if not report.ok:
+    if not all(getattr(trace, name)._report.ok for name in graphs):
         return report
     for name, dom, cod in (("m", rule.L, trace.g_in), ("alpha", trace.g_in, rule.Lp),
                            ("g_l", trace.g_mid, trace.g_in),

@@ -284,14 +284,14 @@ def pooled_reference(g, h, injective, node_pools, edge_pools):
             and all(f.edge_map[e] in pool for e, pool in edge_pools.items())]
 
 
-def assert_search_agrees(g, h, node_pools, edge_pools):
+def assert_search_agrees(g, h, node_pools, edge_pools, keep_plan=False):
     """``_hom_search`` under the pools equals the filtered reference, in its
     lexicographic order, for both injectivity modes; returns the number of
     results per mode."""
     counts = []
     for injective in (False, True):
         expected = assignments(pooled_reference(g, h, injective, node_pools, edge_pools))
-        got = assignments(_hom_search(g, h, injective, node_pools, edge_pools))
+        got = assignments(_hom_search(g, h, injective, node_pools, edge_pools, keep_plan))
         assert got == expected
         counts.append(len(expected))
     return counts
@@ -396,15 +396,17 @@ def test_search_order_agrees_with_pooled_reference_on_hub_hosts(seed, shape):
     """The join removes no result and reorders none: the search equals the
     unpruned reference, in order and in both injectivity modes, on patterns
     of three to five nodes shaped like the BDD rules or random, into hosts
-    with a hub whose neighbourhoods the search keeps.  One pattern object is
-    searched without pools, then under pools that pin most elements, so its
-    kept plans must be told apart by their open nodes."""
+    with a hub of in-degree eight or more.  One pattern object is searched
+    without pools, then under pools that pin most elements, each time
+    keeping its plan, so its kept plans must be told apart by their open
+    nodes."""
     rng = random.Random(seed)
     lat = rng.choice(corpus_lattices()[1:])  # with two edge labels at least
     g = join_pattern(rng, lat, shape)
     h = hub_host(rng, lat, rng.randint(3, {3: 7, 4: 6, 5: 5}[len(g.nodes)]))
-    assert_search_agrees(g, h, {}, {})
-    assert_search_agrees(g, h, *random_pools(rng, g, h, pinned=rng.random() < 0.5))
+    assert_search_agrees(g, h, {}, {}, keep_plan=True)
+    assert_search_agrees(g, h, *random_pools(rng, g, h, pinned=rng.random() < 0.5),
+                         keep_plan=True)
 
 
 def test_forced_pass_edge_cases(unit):
@@ -618,11 +620,11 @@ def test_found_matches_decided_afresh_keep_their_verdict_and_step(seed, sink):
         assert pbpo_step(rule, fresh, step=1) == pbpo_step(rule, found, step=1)
 
 
-def test_search_plans_live_on_the_pattern_and_hold_no_host(lat2):
-    """A search keeps its plan on its domain, one per tuple of open nodes,
-    and nothing that keeps a host alive: neither the pattern scans and
-    rooted queries of a BDD rule, nor the pooled adherence search, whose
-    domain is the host, nor the isomorphism search of a host."""
+def test_search_plans_live_on_the_pattern_and_hold_no_host(lat2, monkeypatch):
+    """A search from a pattern keeps its plan there, one per tuple of open
+    nodes: the scans and rooted queries of a BDD rule.  A search from a
+    host keeps none on it: neither the pooled adherence search nor the
+    isomorphism search.  Nothing kept holds a host alive."""
     tree = build_decision_tree(TruthTable.from_bits("0110100110010110", ["p", "q", "r", "s"]))
     rule = merge_iso_rule("s", tree.graph.lattice)
     pattern = LabeledGraph.build(lat2, {"a": "bot"})
@@ -635,13 +637,15 @@ def test_search_plans_live_on_the_pattern_and_hold_no_host(lat2):
     other = LabeledGraph.build(lat2, {"g": "x1", "h": "0"}, {"hh": ("h", "h", "1")})
     refs = [weakref.ref(host), weakref.ref(other)]
     s_node = next(n for n in host.sorted_nodes if host.node_labels[n] == "s")
+    searched = count_adherence_searches(monkeypatch)
     for _ in range(2):
         find_matches(rule, host)
-        for p in rule.L.sorted_nodes:
-            next(_hom_search(rule.L, host, True, {p: (s_node,)}), None)
+        assert not _occurs_at(rule.L, host, [s_node], ())  # pinned under each pattern node
         assert is_isomorphic(host, host.rename({}, {})) is not None
         assert len(find_matches(no_sink, other)) == 2
-    assert "_plans" in other.__dict__
+    assert any(g is other for g in searched)
+    searched.clear()
+    assert "_plans" not in host.__dict__ and "_plans" not in other.__dict__
     nodes = rule.L.sorted_nodes
     assert set(rule.L._plans) == {nodes, *(tuple(n for n in nodes if n != p) for p in nodes)}
     assert all(plan == _search_plan(rule.L, rest) for rest, plan in rule.L._plans.items())

@@ -789,6 +789,18 @@ def test_step_rejects_rule_with_dangling_replacement(leaf_steps):
     assert "bad-target" in report.codes()
 
 
+def test_verify_trace_checks_the_arrangement_under_an_invalid_rule(leaf_steps):
+    """Only a bad trace graph ends the check before the arrangement: an
+    invalid rule is reported together with a morphism between other
+    graphs."""
+    rule, _, _, trace, other = leaf_steps
+    bad_r = GraphMorphism(rule.K, rule.R, {**rule.r.node_map, "u": "zzz"},
+                          dict(rule.r.edge_map))
+    report = verify_trace(dataclasses.replace(trace, rule=dataclasses.replace(rule, r=bad_r),
+                                              g_r=other.g_r))
+    assert {"bad-target", "bad-arrangement"} <= report.codes()
+
+
 def lacking_universal_property(rule, trace):
     """Variants of a ``leaf_steps`` trace whose squares all commute but
     lack one universal property, and one whose ``u`` is not injective."""
